@@ -18,6 +18,7 @@ from mmls import (
     run_experiment,
 )
 from mmls import moments as mom
+from mmls.experiments import resolve_config
 
 
 def main():
@@ -41,8 +42,11 @@ def main():
     print(f"streamed: final nrmse {trace.final_nrmse:.4f} "
           f"objective {trace.final_objective:.6f} ({trace.wall_time[-1]:.1f}s)")
 
-    kernel, stream = gen_deconv2d(args.seed, args.image_size, args.kernel_size, 0.03)
-    reg = build_isotropic_tv_regularizer(args.kernel_size, args.kernel_size, 1e-4, 1e-2)
+    res = resolve_config(cfg)
+    kernel, stream = gen_deconv2d(res.seed, res.image_size, res.kernel_size, res.noise_sigma)
+    reg = build_isotropic_tv_regularizer(
+        res.kernel_size, res.kernel_size, res.lam, res.delta, tau=res.tau
+    )
     state = mom.MomentState.zeros(kernel.size)
     for sample in stream.blocks(args.blocksize):
         state = mom.update(state, sample)

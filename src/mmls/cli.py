@@ -10,9 +10,9 @@ code is 2 (configuration) or 3 (divergence).
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
+import typing
 
 from .engine import DivergenceError
 from .experiments import (
@@ -24,22 +24,17 @@ from .experiments import (
     run_experiment,
 )
 
-_FIELD_TYPES = {f.name: f for f in dataclasses.fields(ExperimentConfig)}
-
-_INT_KEYS = {"seed", "image_size", "kernel_size", "n_dim", "n_samples", "block_size", "change_point"}
-_FLOAT_KEYS = {"vartheta", "lam", "delta", "kappa", "tau", "noise_sigma", "sgd_scale"}
-_STR_KEYS = {"experiment", "strategy", "penalty", "operator", "out"}
+# config key -> value type, the non-None member of an optional field
+_FIELD_TYPES = {
+    name: next((t for t in typing.get_args(hint) if t is not type(None)), hint)
+    for name, hint in typing.get_type_hints(ExperimentConfig).items()
+}
 
 
 def _coerce(key: str, raw: str):
-    raw = raw.strip()
-    if key in _INT_KEYS:
-        return int(raw)
-    if key in _FLOAT_KEYS:
-        return float(raw)
-    if key in _STR_KEYS:
-        return raw
-    raise ConfigError(f"unknown config key {key!r}")
+    if key not in _FIELD_TYPES:
+        raise ConfigError(f"unknown config key {key!r}")
+    return _FIELD_TYPES[key](raw)
 
 
 def load_config_file(path: str) -> dict:
@@ -99,24 +94,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_OVERRIDE_KEYS = (
-    "seed", "vartheta", "strategy", "block_size", "penalty", "lam", "delta",
-    "kappa", "tau", "noise_sigma", "image_size", "kernel_size", "n_dim",
-    "n_samples", "operator", "sgd_scale", "out",
-)
-
-
 def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     values = load_config_file(args.config) if args.config else {}
-    values.pop("experiment", None)
-    unknown = set(values) - set(_FIELD_TYPES)
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    for key in _OVERRIDE_KEYS:
+    # the subcommand sets ``experiment``, overriding any value in the file
+    for key in _FIELD_TYPES:
         flag = getattr(args, key, None)
         if flag is not None:
             values[key] = flag
-    return ExperimentConfig(experiment=args.experiment, **values)
+    return ExperimentConfig(**values)
 
 
 def _fail(code: int, kind: str, exc: Exception) -> int:
@@ -129,12 +114,12 @@ def main(argv=None) -> int:
     try:
         config = config_from_args(args)
         resolved = resolve_config(config)
-    except ConfigError as exc:
-        return _fail(2, "config", exc)
     except ValueError as exc:
         return _fail(2, "config", exc)
     try:
         trace = run_experiment(resolved, measure_time=not args.no_wall_time)
+    except ConfigError as exc:
+        return _fail(2, "config", exc)
     except DivergenceError as exc:
         print(
             json.dumps({"error": "divergence", "iteration": exc.iteration, "detail": str(exc)}),

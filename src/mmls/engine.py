@@ -8,9 +8,10 @@ quadratic surrogate of the streamed objective over a small subspace:
 
 where ``A(h)`` and ``c(h)`` are the surrogate curvature and normal-equation
 right-hand side (see :mod:`mmls.moments`).  The memory-gradient subspace
-spans the negative gradient, the current iterate, and the last step; with
-it the per-step cost stays at a few matrix-vector products because every
-product of the basis with the curvature pieces is carried recursively:
+spans the negative gradient, the current iterate, and the last step;
+gradient-only is the same subspace without the step column.  For both the
+per-step cost stays at a few matrix-vector products because every product
+of the basis with the curvature pieces is carried recursively:
 
 * the gradient is reconstructed as ``A(h) basis_prev coords_prev - c(h)``,
   folding the new block into the cached ``autocorr @ basis_prev`` product
@@ -96,8 +97,8 @@ class EngineState:
     ``basis``, with coordinates ``coords``), ``h_prev`` the previous one,
     ``grad`` the gradient at ``h_prev`` under the latest statistics.  The
     three basis caches hold ``autocorr @ basis``, ``quad @ basis`` and
-    ``op @ basis``; the three ``*_h_prev`` vectors hold the matching
-    images of ``h_prev`` and seed the next refresh.
+    ``op @ basis``; in the low-dimensional subspaces column 1 of each
+    is the image of ``h_prev`` and seeds the next step column.
     """
 
     step: int
@@ -109,9 +110,6 @@ class EngineState:
     quad_basis: np.ndarray
     op_basis: np.ndarray
     grad: np.ndarray
-    op_h_prev: np.ndarray
-    quad_h_prev: np.ndarray
-    autocorr_h_prev: np.ndarray
 
     @classmethod
     def initial(cls, reg: Regularizer, h1=None) -> "EngineState":
@@ -145,9 +143,6 @@ class EngineState:
             quad_basis=reg.quad @ basis,
             op_basis=reg.op @ basis,
             grad=np.zeros(n),
-            op_h_prev=reg.op @ h,
-            quad_h_prev=reg.quad @ h,
-            autocorr_h_prev=np.zeros(n),
         )
 
 
@@ -224,8 +219,8 @@ def mm_step(state, mstate, reg, sample, strategy):
     evaluate the half-quadratic weights and right-hand side at the
     current iterate, reconstruct the gradient from the previous caches
     plus the new rank-``block`` term, build the new basis, refresh the
-    caches (recursively under the memory-gradient strategy), and solve
-    the reduced system.
+    caches (recursively under both low-dimensional strategies), and
+    solve the reduced system.
 
     A gradient that vanishes exactly short-circuits to ``h_next = h``
     so stationary points are fixed points bit for bit; the report then
@@ -233,7 +228,7 @@ def mm_step(state, mstate, reg, sample, strategy):
     """
     strategy = SubspaceStrategy(strategy)
     new_m = moments.update(mstate, sample)
-    X, y = sample.X, sample.y
+    X = sample.X
     step = new_m.count
     inv_w = 1.0 / new_m.weight_total
 
@@ -262,40 +257,31 @@ def mm_step(state, mstate, reg, sample, strategy):
 
     basis = build_subspace(strategy, grad, state.h, state.h_prev, step)
 
-    if strategy is SubspaceStrategy.MEMORY_GRADIENT:
-        neg = -grad
-        grad_cols = (new_m.autocorr @ neg, reg.quad @ neg, reg.op @ neg)
-        if step == 1:
-            autocorr_basis = np.column_stack([grad_cols[0], autocorr_h])
-            quad_basis = np.column_stack([grad_cols[1], quad_h])
-            op_basis = np.column_stack([grad_cols[2], op_h])
-        else:
-            # the previous iterate normally sits at column 1 of the old
-            # basis, so its product with the new block was already formed
-            # above; a state not built by this strategy loses that reuse
-            if state.basis.shape[1] > 1 and np.array_equal(state.basis[:, 1], state.h_prev):
-                xt_h_old = XtD[:, 1]
-            else:
-                xt_h_old = X.T @ state.h_prev
-            autocorr_h_old = (1.0 - inv_w) * state.autocorr_h_prev + inv_w * (X @ xt_h_old)
-            autocorr_basis = np.column_stack(
-                [grad_cols[0], autocorr_h, autocorr_h - autocorr_h_old]
-            )
-            quad_basis = np.column_stack([grad_cols[1], quad_h, quad_h - state.quad_h_prev])
-            op_basis = np.column_stack([grad_cols[2], op_h, op_h - state.op_h_prev])
-    elif strategy is SubspaceStrategy.FULL_SPACE:
+    if strategy is SubspaceStrategy.FULL_SPACE:
         autocorr_basis = new_m.autocorr.copy()
         quad_basis = reg.quad.copy()
         op_basis = reg.op.copy()
+        anchor = state.h
     else:
-        autocorr_basis = new_m.autocorr @ basis
-        quad_basis = reg.quad @ basis
-        op_basis = reg.op @ basis
+        neg = -grad
+        autocorr_cols = [new_m.autocorr @ neg, autocorr_h]
+        quad_cols = [reg.quad @ neg, quad_h]
+        op_cols = [reg.op @ neg, op_h]
+        if basis.shape[1] == 3:
+            # h_prev is column 1 of the old basis, hence of the old caches and XtD
+            autocorr_h_old = (1.0 - inv_w) * state.autocorr_basis[:, 1] + inv_w * (X @ XtD[:, 1])
+            autocorr_cols.append(autocorr_h - autocorr_h_old)
+            quad_cols.append(quad_h - state.quad_basis[:, 1])
+            op_cols.append(op_h - state.op_basis[:, 1])
+        autocorr_basis = np.column_stack(autocorr_cols)
+        quad_basis = np.column_stack(quad_cols)
+        op_basis = np.column_stack(op_cols)
+        anchor = np.eye(basis.shape[1])[1]
 
     reduced = reduced_matrix(basis, autocorr_basis, quad_basis, op_basis, weights)
 
     if not np.any(grad):
-        coords = _anchor_coords(strategy, basis.shape[1], state.h)
+        coords = anchor
         h_next = state.h.copy()
         step_quadratic = 0.0
         rank = 0
@@ -304,7 +290,7 @@ def mm_step(state, mstate, reg, sample, strategy):
         h_next = basis @ coords
         if not np.all(np.isfinite(h_next)) or float(np.linalg.norm(h_next)) > DIVERGENCE_NORM:
             raise DivergenceError(step)
-        shifted = coords - _anchor_coords(strategy, basis.shape[1], state.h)
+        shifted = coords - anchor
         step_quadratic = float(shifted @ (reduced @ shifted))
 
     objective = (
@@ -332,19 +318,8 @@ def mm_step(state, mstate, reg, sample, strategy):
         quad_basis=quad_basis,
         op_basis=op_basis,
         grad=grad,
-        op_h_prev=op_h,
-        quad_h_prev=quad_h,
-        autocorr_h_prev=autocorr_h,
     )
     return new_state, new_m, report
-
-
-def _anchor_coords(strategy: SubspaceStrategy, dim: int, h: np.ndarray) -> np.ndarray:
-    if strategy is SubspaceStrategy.FULL_SPACE:
-        return h
-    unit = np.zeros(dim)
-    unit[1] = 1.0
-    return unit
 
 
 class MMEngine:

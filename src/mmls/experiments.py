@@ -117,12 +117,14 @@ def resolve_config(config: ExperimentConfig) -> ExperimentConfig:
         raise ConfigError(f"unknown strategy {merged.strategy!r}; expected one of {ALGORITHMS}")
     if not (0.0 < merged.vartheta <= 1.0):
         raise ConfigError(f"vartheta must lie in (0, 1], got {merged.vartheta}")
+    if not merged.sgd_scale > 0.0:
+        raise ConfigError(f"sgd_scale must be positive, got {merged.sgd_scale}")
     for name in ("image_size", "kernel_size", "n_dim", "n_samples", "block_size"):
         value = getattr(merged, name)
         if value is not None and int(value) < 1:
             raise ConfigError(f"{name} must be positive")
-    if merged.noise_sigma < 0:
-        raise ConfigError("noise_sigma must be nonnegative")
+    if not 0.0 <= merged.noise_sigma < np.inf:
+        raise ConfigError(f"noise_sigma must be finite and nonnegative, got {merged.noise_sigma}")
     # dense autocorrelation storage: keep the coefficient dimension sane
     effective_dim = merged.kernel_size**2 if merged.experiment == "deconv2d" else merged.n_dim
     if effective_dim > 4096:
@@ -323,7 +325,10 @@ def run_experiment(config: ExperimentConfig, measure_time: bool = True) -> RunTr
     is set, writes the CSV trace and a JSON sidecar next to it.
     """
     cfg = resolve_config(config)
-    truth_at, stream, reg, n_dim = _build_problem(cfg)
+    try:
+        truth_at, stream, reg, n_dim = _build_problem(cfg)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     q = int(cfg.block_size)
     total = stream.n_blocks(q)
     if total < 1:

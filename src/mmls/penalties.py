@@ -313,8 +313,8 @@ def _coerce_quad(quad, n_dim):
         return np.zeros((n_dim, n_dim))
     if np.isscalar(quad):
         tau = float(quad)
-        if tau < 0.0:
-            raise ValueError("scalar quad must be nonnegative")
+        if not 0.0 <= tau < np.inf:
+            raise ValueError(f"scalar quad must be finite and nonnegative, got {tau}")
         return tau * np.eye(n_dim)
     quad = np.asarray(quad, dtype=float)
     if quad.shape != (n_dim, n_dim):

@@ -100,6 +100,34 @@ def test_oversized_deconv_config_exits_2(capsys):
     assert json.loads(capsys.readouterr().err.strip())["error"] == "config"
 
 
+@pytest.mark.parametrize("argv", [
+    ["deconv2d", "--kernel-size", "4", "--image-size", "32"],
+    ["adaptive", "--lambda", "-1", "--samples", "300"],
+    ["adaptive", "--operator", "tv2d", "--samples", "300"],
+    ["synthetic", "--tau", "-1"],
+    ["synthetic", "--operator", "identity"],
+    ["synthetic", "--samples", "3", "--blocksize", "5"],
+    ["adaptive", "--n-dim", "300", "--samples", "200"],
+    ["synthetic", "--strategy", "sgd", "--sgd-scale", "0", "--samples", "10"],
+])
+def test_invalid_problem_config_exits_2(argv, capsys):
+    rc = main(argv)
+    assert rc == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "config"
+
+
+@pytest.mark.parametrize("argv", [
+    ["synthetic", "--noise-sigma", "nan", "--samples", "20"],
+    ["synthetic", "--noise-sigma", "inf", "--samples", "20"],
+    ["synthetic", "--tau", "nan", "--samples", "20"],
+])
+def test_non_finite_config_value_exits_2(argv, capsys):
+    assert main(argv) == 2
+    assert json.loads(capsys.readouterr().err.strip())["error"] == "config"
+
+
 def test_load_config_rejects_malformed_line(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("this is not a pair\n")

@@ -1,5 +1,7 @@
 """Subspace engine: recursions, descent, optimality, edge cases."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -134,6 +136,23 @@ def test_recursive_gradient_and_caches_match_direct(rng, strategy, forgetting):
         ):
             ref = mat @ state.basis
             assert np.linalg.norm(cache - ref) <= 1e-8 * (1.0 + np.linalg.norm(ref))
+
+
+def test_gradient_only_shares_memory_gradient_refresh(rng):
+    # at the first step both subspaces are [-grad, h]; one refresh recipe
+    # must then yield the same state bit for bit
+    reg = random_regularizer(rng, 12, kind="huber")
+    h1 = rng.standard_normal(12)
+    X = rng.standard_normal((12, 4))
+    y = rng.standard_normal(4)
+    states = []
+    for strategy in ("gradient-only", "memory-gradient"):
+        engine = MMEngine(reg, strategy=strategy, forgetting=0.99, h1=h1)
+        engine.step(X, y)
+        states.append(engine.state)
+    for field in dataclasses.fields(states[0]):
+        name = field.name
+        assert np.array_equal(getattr(states[0], name), getattr(states[1], name)), name
 
 
 def test_recursive_gradient_quadratic_closed_form_second_step(rng):
