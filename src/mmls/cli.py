@@ -96,7 +96,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     values = load_config_file(args.config) if args.config else {}
-    # the subcommand sets ``experiment``, overriding any value in the file
+    if values.get("experiment", args.experiment) != args.experiment:
+        raise ConfigError(
+            f"config file names experiment {values['experiment']!r}, "
+            f"not the subcommand {args.experiment!r}"
+        )
     for key in _FIELD_TYPES:
         flag = getattr(args, key, None)
         if flag is not None:

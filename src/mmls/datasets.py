@@ -120,16 +120,8 @@ def _smooth_field(rng, size: int) -> np.ndarray:
 def _patch_matrix(image: np.ndarray, size: int) -> np.ndarray:
     """Rows are zero-padded, reversed windows so that rows @ vec(kernel)
     equals the "same" convolution of the image with the kernel."""
-    half = size // 2
-    rows, cols = image.shape
-    padded = np.pad(image, half)
-    out = np.empty((rows * cols, size * size))
-    for a in range(size):
-        for b in range(size):
-            out[:, a * size + b] = padded[
-                2 * half - a : 2 * half - a + rows, 2 * half - b : 2 * half - b + cols
-            ].ravel()
-    return out
+    windows = np.lib.stride_tricks.sliding_window_view(np.pad(image, size // 2), (size, size))
+    return windows[..., ::-1, ::-1].reshape(-1, size * size)
 
 
 def gen_deconv2d(seed, image_size=256, kernel_size=7, sigma=0.03):

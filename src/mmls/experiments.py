@@ -218,6 +218,9 @@ class RunTrace:
     ``objective`` and ``grad_norm`` are evaluated at the pre-step iterate
     under the statistics including block ``n``; ``nrmse`` measures the
     post-step iterate against the truth in effect at block ``n``.
+    ``moments`` holds the final statistics behind ``final_objective`` and
+    ``truth`` the vector behind ``final_nrmse``; both are ``None`` for a
+    trace read back from CSV.
     """
 
     n: np.ndarray
@@ -228,6 +231,8 @@ class RunTrace:
     h_final: np.ndarray
     final_objective: float
     final_nrmse: float
+    moments: MomentState | None = None
+    truth: np.ndarray | None = None
 
     def __len__(self) -> int:
         return self.n.shape[0]
@@ -306,6 +311,8 @@ def _regularizer_for(cfg: ExperimentConfig, n_dim, grid):
     if cfg.operator == "tv2d":
         if grid is None:
             raise ConfigError("operator 'tv2d' requires a 2-D coefficient grid")
+        if cfg.penalty != "l2lkappa-power" or cfg.kappa != 1.0:
+            raise ConfigError("operator 'tv2d' takes only penalty 'l2lkappa-power' with kappa 1")
         return build_isotropic_tv_regularizer(grid[0], grid[1], cfg.lam, cfg.delta, tau=cfg.tau)
     if cfg.operator == "identity":
         if cfg.penalty in (None, "none"):
@@ -366,6 +373,8 @@ def run_experiment(config: ExperimentConfig, measure_time: bool = True) -> RunTr
         h_final=final_h,
         final_objective=moments_mod.objective(final_state, reg, final_h),
         final_nrmse=float(errors[-1]),
+        moments=final_state,
+        truth=truth_at(total * q),
     )
     if cfg.out:
         trace.write_csv(cfg.out)

@@ -102,12 +102,6 @@ class MomentState:
         return self.cross.shape[0]
 
 
-def _mirror_lower(mat: np.ndarray) -> np.ndarray:
-    """Exactly symmetric copy of ``mat`` built from its lower triangle."""
-    lower = np.tril(mat)
-    return lower + lower.T - np.diag(np.diagonal(mat))
-
-
 def update(state: MomentState, sample: Sample) -> MomentState:
     """Fold one block into the statistics, returning the new state."""
     if sample.n_dim != state.n_dim:
@@ -118,7 +112,9 @@ def update(state: MomentState, sample: Sample) -> MomentState:
         )
     weight_total = 1.0 + state.forgetting * state.weight_total
     cross = state.cross + (sample.X @ sample.y - state.cross) / weight_total
-    outer = _mirror_lower(sample.X @ sample.X.T)
+    # numpy's product of a strided ``X`` can be asymmetric by a few ulps
+    outer = sample.X @ sample.X.T
+    outer = 0.5 * (outer + outer.T)
     autocorr = state.autocorr + (outer - state.autocorr) / weight_total
     power = state.power + (float(sample.y @ sample.y) - state.power) / weight_total
     return MomentState(

@@ -40,6 +40,18 @@ def test_config_file_with_overrides(tmp_path, capsys):
     assert meta["config"]["image_size"] == 32
 
 
+@pytest.mark.parametrize("experiment, rc", [("deconv2d", 2), ("synthetic", 0)])
+def test_config_file_experiment_must_match_subcommand(tmp_path, capsys, experiment, rc):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"experiment = {experiment}\nn_samples = 20\n")
+    assert main(["synthetic", "--config", str(cfg)]) == rc
+    captured = capsys.readouterr()
+    if rc:
+        assert json.loads(captured.err.strip())["error"] == "config"
+    else:
+        assert json.loads(captured.out.strip())["experiment"] == "synthetic"
+
+
 def test_reruns_are_bit_identical(tmp_path):
     args = ["synthetic", "--seed", "3", "--n-dim", "5", "--samples", "90", "--no-wall-time"]
     outs = []
@@ -109,6 +121,8 @@ def test_oversized_deconv_config_exits_2(capsys):
     ["synthetic", "--samples", "3", "--blocksize", "5"],
     ["adaptive", "--n-dim", "300", "--samples", "200"],
     ["synthetic", "--strategy", "sgd", "--sgd-scale", "0", "--samples", "10"],
+    ["deconv2d", "--image-size", "32", "--kernel-size", "3", "--penalty", "welsch"],
+    ["deconv2d", "--image-size", "32", "--kernel-size", "3", "--kappa", "2"],
 ])
 def test_invalid_problem_config_exits_2(argv, capsys):
     rc = main(argv)

@@ -26,6 +26,20 @@ class TestDeconv2d:
         direct = convolve2d(image, kernel, mode="same", boundary="fill")
         assert_allclose(patches @ kernel.ravel(), direct.ravel(), rtol=1e-12, atol=1e-12)
 
+    @pytest.mark.parametrize("size", [5, 1])
+    def test_patch_matrix_matches_definition_exactly(self, size):
+        image = np.random.default_rng(2).standard_normal((9, 13))
+        h = size // 2
+        padded = np.pad(image, h)
+        expected = [
+            [padded[2 * h - a + i, 2 * h - b + j] for a in range(size) for b in range(size)]
+            for i in range(9)
+            for j in range(13)
+        ]
+        patches = _patch_matrix(image, size)
+        assert patches.flags.c_contiguous
+        assert np.array_equal(patches, np.array(expected))
+
     def test_blocks_satisfy_observation_equation(self):
         kernel, stream = gen_deconv2d(7, image_size=32, kernel_size=5, sigma=0.1)
         noise = stream.info["noise"]

@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from conftest import brute_force_moments, make_sample_log, random_regularizer, stream_moments
-from mmls import Regularizer
+from mmls import ArrayStream, Regularizer
 from mmls.moments import (
     MomentState,
     Sample,
@@ -62,11 +62,37 @@ def test_weight_total_closed_form():
         assert state.weight_total == pytest.approx((1 - 0.9**k) / (1 - 0.9), rel=1e-12)
 
 
-def test_autocorr_exactly_symmetric_and_psd(rng):
-    samples = make_sample_log(rng, 6, 2, 25)
+def _stream_blocks(rng, q):
+    """Blocks as ``ArrayStream`` yields them: transposed row slices."""
+    stream = ArrayStream(rng.standard_normal((3 * q, 100)), rng.standard_normal(3 * q))
+    return list(stream.blocks(q))
+
+
+# At n_dim 100 numpy multiplies the two strided views without BLAS and the
+# product comes out asymmetric by a few ulps: they need the symmetrization.
+_BLOCK_LAYOUTS = {
+    "c-ordered": lambda rng: make_sample_log(rng, 6, 2, 25),
+    "stream-q1": lambda rng: _stream_blocks(rng, 1),
+    "stream-q7": lambda rng: _stream_blocks(rng, 7),
+    "stream-q64": lambda rng: _stream_blocks(rng, 64),
+    "column-step-2": lambda rng: [
+        Sample(rng.standard_normal((100, 128))[:, ::2], rng.standard_normal(64)) for _ in range(3)
+    ],
+    "negative-stride": lambda rng: [
+        Sample(rng.standard_normal((100, 64))[:, ::-1], rng.standard_normal(64)) for _ in range(3)
+    ],
+}
+
+
+@pytest.mark.parametrize("layout", list(_BLOCK_LAYOUTS))
+def test_autocorr_exactly_symmetric_and_psd(rng, layout):
+    samples = _BLOCK_LAYOUTS[layout](rng)
+    if layout.startswith("stream"):
+        X = samples[0].X
+        assert np.array_equal(update(MomentState.zeros(X.shape[0]), samples[0]).autocorr, X @ X.T)
     state = stream_moments(samples, 0.95)
     assert np.array_equal(state.autocorr, state.autocorr.T)
-    z = rng.standard_normal((100, 6))
+    z = rng.standard_normal((100, state.n_dim))
     quad = np.einsum("ij,jk,ik->i", z, state.autocorr, z)
     assert np.all(quad >= -1e-10 * np.linalg.norm(state.autocorr) * (z * z).sum(axis=1))
 
