@@ -1,19 +1,23 @@
 """Stochastic majorize-minimize subspace iteration.
 
 Each incoming block updates the running statistics and then minimizes the
-quadratic surrogate of the streamed objective over a small subspace:
+quadratic surrogate of the streamed objective over a small subspace that
+contains the current iterate.  The iterate has coordinates ``anchor`` in
+the new basis (``basis @ anchor == h``), and the step is taken straight
+from the gradient:
 
-    h_next = basis @ coords,   coords = pinv(B) @ basis' c(h),
+    h_next = basis @ (anchor + u),   u = -pinv(B) @ basis' grad(h),
     B = basis' A(h) basis,
 
-where ``A(h)`` and ``c(h)`` are the surrogate curvature and normal-equation
-right-hand side (see :mod:`mmls.moments`).  The memory-gradient subspace
-spans the negative gradient, the current iterate, and the last step;
-gradient-only is the same subspace without the step column.  For both the
-per-step cost stays at a few matrix-vector products because every product
-of the basis with the curvature pieces is carried recursively:
+where ``A(h)`` is the surrogate curvature at ``h`` (see :mod:`mmls.moments`).
+The memory-gradient subspace spans the negative gradient, the current
+iterate, and the last step; gradient-only is the same subspace without the
+step column.  For both the per-step cost stays at a few matrix-vector
+products because every product of the basis with the curvature pieces is
+carried recursively:
 
-* the gradient is reconstructed as ``A(h) basis_prev coords_prev - c(h)``,
+* the gradient ``autocorr h + quad h + op' W (op h - shift) - cross - lin``
+  is assembled from the images of ``h`` under the three curvature pieces,
   folding the new block into the cached ``autocorr @ basis_prev`` product
   instead of touching the dense autocorrelation matrix;
 * images of the iterate columns under ``op``, the quadratic matrix and the
@@ -21,7 +25,7 @@ of the basis with the curvature pieces is carried recursively:
   fresh gradient column requires full products.
 
 The reduced system is solved by a symmetric eigendecomposition
-pseudo-inverse (minimum-norm solution; eigenvalues below 1e-12 of the
+pseudo-inverse (minimum-norm step ``u``; eigenvalues below 1e-12 of the
 largest are treated as zero), so rank-deficient subspaces -- a zero
 gradient column, a zero step, the zero initial iterate -- need no special
 casing.
@@ -216,15 +220,15 @@ def mm_step(state, mstate, reg, sample, strategy):
     """Advance one block: returns ``(state, moment_state, report)``.
 
     Follows the recursive schedule: fold the block into the statistics,
-    evaluate the half-quadratic weights and right-hand side at the
-    current iterate, reconstruct the gradient from the previous caches
-    plus the new rank-``block`` term, build the new basis, refresh the
-    caches (recursively under both low-dimensional strategies), and
-    solve the reduced system.
+    carry the images of the current iterate forward, evaluate the
+    half-quadratic weights and the gradient at the iterate from those
+    images, build the new basis, refresh the caches (recursively under
+    both low-dimensional strategies), and solve the reduced system for
+    the step from the iterate's coordinates.
 
-    A gradient that vanishes exactly short-circuits to ``h_next = h``
-    so stationary points are fixed points bit for bit; the report then
-    carries ``rank = 0``.
+    A gradient that vanishes exactly gives a zero step, so
+    ``h_next = basis @ anchor = h`` and stationary points are fixed
+    points bit for bit; the report then carries ``rank = 0``.
     """
     strategy = SubspaceStrategy(strategy)
     new_m = moments.update(mstate, sample)
@@ -232,28 +236,20 @@ def mm_step(state, mstate, reg, sample, strategy):
     step = new_m.count
     inv_w = 1.0 / new_m.weight_total
 
-    # weights, penalty block norms and normal-equation rhs at the current h
-    op_h = state.op_basis @ state.coords
-    norms = reg.block_norms(op_h - reg.shift)
-    weights = reg.weights_from_norms(norms)
-    rhs_vec = new_m.cross + reg.lin + reg.op.T @ (weights * reg.shift)
-
-    # curvature image of the *previous* basis with the new block folded in
-    XtD = X.T @ state.basis
-    curv_prev = (
-        (1.0 - inv_w) * state.autocorr_basis
-        + inv_w * (X @ XtD)
-        + state.quad_basis
-        + reg.op.T @ (weights[:, None] * state.op_basis)
-    )
-    grad = curv_prev @ state.coords - rhs_vec
-    if not np.all(np.isfinite(grad)):
-        raise DivergenceError(step, f"non-finite gradient at iteration {step}")
-
     # images of the current iterate, carried forward recursively
+    op_h = state.op_basis @ state.coords
     quad_h = state.quad_basis @ state.coords
+    XtD = X.T @ state.basis
     Xt_h = XtD @ state.coords
     autocorr_h = (1.0 - inv_w) * (state.autocorr_basis @ state.coords) + inv_w * (X @ Xt_h)
+
+    # weights, penalty block norms and gradient at the current h
+    residual = op_h - reg.shift
+    norms = reg.block_norms(residual)
+    weights = reg.weights_from_norms(norms)
+    grad = autocorr_h + quad_h - new_m.cross - reg.lin + reg.op.T @ (weights * residual)
+    if not np.all(np.isfinite(grad)):
+        raise DivergenceError(step, f"non-finite gradient at iteration {step}")
 
     basis = build_subspace(strategy, grad, state.h, state.h_prev, step)
 
@@ -280,18 +276,15 @@ def mm_step(state, mstate, reg, sample, strategy):
 
     reduced = reduced_matrix(basis, autocorr_basis, quad_basis, op_basis, weights)
 
-    if not np.any(grad):
-        coords = anchor
-        h_next = state.h.copy()
-        step_quadratic = 0.0
-        rank = 0
+    if np.any(grad):
+        shifted, rank = _pinv_psd_solve(reduced, -(basis.T @ grad))
     else:
-        coords, rank = _pinv_psd_solve(reduced, basis.T @ rhs_vec)
-        h_next = basis @ coords
-        if not np.all(np.isfinite(h_next)) or float(np.linalg.norm(h_next)) > DIVERGENCE_NORM:
-            raise DivergenceError(step)
-        shifted = coords - anchor
-        step_quadratic = float(shifted @ (reduced @ shifted))
+        shifted, rank = np.zeros(basis.shape[1]), 0
+    coords = anchor + shifted
+    h_next = basis @ coords
+    if not np.all(np.isfinite(h_next)) or float(np.linalg.norm(h_next)) > DIVERGENCE_NORM:
+        raise DivergenceError(step)
+    step_quadratic = float(shifted @ (reduced @ shifted))
 
     objective = (
         0.5 * new_m.power

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
 import time
 from dataclasses import dataclass
 
@@ -329,9 +330,13 @@ def run_experiment(config: ExperimentConfig, measure_time: bool = True) -> RunTr
 
     With ``measure_time=False`` the wall-time column is all zeros and the
     CSV output of two identical runs is bit-identical.  If ``config.out``
-    is set, writes the CSV trace and a JSON sidecar next to it.
+    is set, writes the CSV trace and a JSON sidecar next to it; a path
+    that is a directory or lies in a missing directory is rejected before
+    the stream starts.
     """
     cfg = resolve_config(config)
+    if cfg.out and (os.path.isdir(cfg.out) or not os.path.isdir(os.path.dirname(cfg.out) or ".")):
+        raise ConfigError(f"out path {cfg.out!r} is not a file in an existing directory")
     try:
         truth_at, stream, reg, n_dim = _build_problem(cfg)
     except ValueError as exc:

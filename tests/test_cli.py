@@ -142,6 +142,17 @@ def test_non_finite_config_value_exits_2(argv, capsys):
     assert json.loads(capsys.readouterr().err.strip())["error"] == "config"
 
 
+@pytest.mark.parametrize("target", ["missing-dir/run.csv", "."])
+def test_unwritable_out_exits_2_before_streaming(tmp_path, capsys, target):
+    # a missing parent directory, or a directory in place of the file
+    rc = main(["synthetic", "--samples", "50", "--n-dim", "4", "--out", str(tmp_path / target)])
+    assert rc == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "config"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_load_config_rejects_malformed_line(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("this is not a pair\n")

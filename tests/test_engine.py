@@ -270,9 +270,10 @@ def test_descent_inequality_every_step(rng, strategy):
         assert after + 0.5 * report.step_quadratic <= before + 1e-9 * max(1.0, abs(before))
 
 
-def test_subspace_optimality_after_each_step(rng):
+@pytest.mark.parametrize("strategy", ["memory-gradient", "gradient-only", "full-space"])
+def test_subspace_optimality_after_each_step(rng, strategy):
     reg = random_regularizer(rng, 6, kind="welsch", tau=1e-2)
-    engine = MMEngine(reg, strategy="memory-gradient")
+    engine = MMEngine(reg, strategy=strategy)
     for _ in range(80):
         engine.step(rng.standard_normal((6, 2)), rng.standard_normal(2))
         state = engine.state
@@ -280,7 +281,7 @@ def test_subspace_optimality_after_each_step(rng):
         reduced = reduced_matrix(
             state.basis, state.autocorr_basis, state.quad_basis, state.op_basis, weights
         )
-        shifted = state.coords - anchor_coords("memory-gradient", state)
+        shifted = state.coords - anchor_coords(strategy, state)
         residual = state.basis.T @ state.grad + reduced @ shifted
         scale = max(1.0, np.linalg.norm(state.basis.T @ state.grad))
         assert np.linalg.norm(residual) <= 1e-8 * scale
@@ -297,11 +298,12 @@ def test_full_space_quadratic_matches_closed_form(rng):
             assert_allclose(engine.h, closed, rtol=1e-8, atol=1e-12)
 
 
-def test_stationary_point_is_exact_fixed_point():
+@pytest.mark.parametrize("strategy", ["memory-gradient", "gradient-only", "full-space"])
+def test_stationary_point_is_exact_fixed_point(strategy):
     # a consistent scalar system is solved after one step; replaying the
     # same block makes the gradient exactly zero and the iterate must not move
     reg = Regularizer(1)
-    engine = MMEngine(reg, strategy="full-space")
+    engine = MMEngine(reg, strategy=strategy)
     engine.step([[1.0]], [2.0])
     assert engine.h[0] == 2.0
     report = engine.step([[1.0]], [2.0])
