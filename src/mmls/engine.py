@@ -229,6 +229,11 @@ def mm_step(state, mstate, reg, sample, strategy):
     A gradient that vanishes exactly gives a zero step, so
     ``h_next = basis @ anchor = h`` and stationary points are fixed
     points bit for bit; the report then carries ``rank = 0``.
+
+    The block is folded into ``mstate`` in place (see
+    :func:`mmls.moments.update`) and ``mstate`` itself is returned, so
+    ``state`` carries its own copy of anything it keeps from the
+    statistics.
     """
     strategy = SubspaceStrategy(strategy)
     new_m = moments.update(mstate, sample)
@@ -254,6 +259,7 @@ def mm_step(state, mstate, reg, sample, strategy):
     basis = build_subspace(strategy, grad, state.h, state.h_prev, step)
 
     if strategy is SubspaceStrategy.FULL_SPACE:
+        # a copy: the next update overwrites ``new_m.autocorr`` in place
         autocorr_basis = new_m.autocorr.copy()
         quad_basis = reg.quad.copy()
         op_basis = reg.op.copy()
@@ -340,7 +346,14 @@ class MMEngine:
         return self.state.h
 
     def step(self, X, y) -> IterationReport:
-        """Consume one block and return its report."""
+        """Consume one block and return its report.
+
+        The statistics take the block before the step is solved.  If the
+        step at block ``k`` raises :class:`DivergenceError`, ``moments``
+        already includes block ``k`` (``moments.count == k``) while
+        ``state`` is still the one after block ``k - 1``
+        (``state.step == k - 1``); the engine should be discarded then.
+        """
         sample = Sample(X, y)
         self.state, self.moments, report = mm_step(
             self.state, self.moments, self.reg, sample, self.strategy

@@ -13,9 +13,15 @@ curvature matrix ``A(h) = autocorr + Q + op' Diag(b(h)) op`` and the
 normal-equation right-hand side ``c(h) = cross + q + op' Diag(b(h)) shift``
 so that ``grad F(h) = A(h) h - c(h)``.
 
-Everything here is the direct (dense) evaluation path; the engine module
-reproduces the gradient and curvature products through low-rank
-recursions and is tested against these references.
+``update`` folds each block into the state's own buffers in place: one
+BLAS ``dsyrk`` blends ``X X'`` into one triangle of ``autocorr`` and an
+exact copy fills the other, so ``autocorr`` stays a full, exactly
+symmetric array and no N x N temporary is formed.  A caller that needs
+the statistics before a block must copy them first.
+
+Apart from ``update``, everything here is the direct (dense) evaluation
+path; the engine module reproduces the gradient and curvature products
+through low-rank recursions and is tested against these references.
 """
 
 from __future__ import annotations
@@ -23,6 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.blas import dsyrk
 
 from .penalties import Regularizer
 
@@ -74,6 +81,10 @@ class MomentState:
     otherwise.  It is carried by the running recursion
     ``weight_total <- 1 + forgetting * weight_total`` so no power of the
     forgetting factor is ever formed.
+
+    The state owns ``cross`` and ``autocorr``: the constructor copies them
+    into fresh C-contiguous float64 arrays, the layout ``update`` writes
+    into in place (BLAS would silently work on a copy of any other).
     """
 
     power: float
@@ -83,6 +94,15 @@ class MomentState:
     forgetting: float
     weight_total: float
     block_size: int | None = None
+
+    def __post_init__(self):
+        self.cross = np.array(self.cross, dtype=np.float64, order="C")
+        self.autocorr = np.array(self.autocorr, dtype=np.float64, order="C")
+        n = self.cross.shape[0] if self.cross.ndim == 1 else -1
+        if self.autocorr.shape != (n, n):
+            raise ValueError(
+                f"autocorr shape {self.autocorr.shape} does not match cross shape {self.cross.shape}"
+            )
 
     @classmethod
     def zeros(cls, n_dim: int, forgetting: float = 1.0) -> "MomentState":
@@ -103,7 +123,15 @@ class MomentState:
 
 
 def update(state: MomentState, sample: Sample) -> MomentState:
-    """Fold one block into the statistics, returning the new state."""
+    """Fold one block into ``state`` in place and return ``state``.
+
+    With ``w`` the new ``weight_total``, ``autocorr <- (1 - 1/w) autocorr
+    + (1/w) X X'`` is one ``dsyrk`` on the upper triangle followed by an
+    exact mirror onto the lower one; ``cross`` and ``power`` move toward
+    the block's ``X y`` and ``y'y`` by ``1/w`` of the difference.  A
+    rejected block (dimension mismatch or block-size change) raises
+    before any field changes.
+    """
     if sample.n_dim != state.n_dim:
         raise ValueError(f"sample dimension {sample.n_dim} != state dimension {state.n_dim}")
     if state.block_size is not None and sample.block_size != state.block_size:
@@ -111,21 +139,38 @@ def update(state: MomentState, sample: Sample) -> MomentState:
             f"block size changed mid-stream: {sample.block_size} != {state.block_size}"
         )
     weight_total = 1.0 + state.forgetting * state.weight_total
-    cross = state.cross + (sample.X @ sample.y - state.cross) / weight_total
-    # numpy's product of a strided ``X`` can be asymmetric by a few ulps
-    outer = sample.X @ sample.X.T
-    outer = 0.5 * (outer + outer.T)
-    autocorr = state.autocorr + (outer - state.autocorr) / weight_total
-    power = state.power + (float(sample.y @ sample.y) - state.power) / weight_total
-    return MomentState(
-        power=power,
-        cross=cross,
-        autocorr=autocorr,
-        count=state.count + 1,
-        forgetting=state.forgetting,
-        weight_total=weight_total,
-        block_size=sample.block_size,
-    )
+    inv_w = 1.0 / weight_total
+    X = sample.X
+    state.cross += (X @ sample.y - state.cross) / weight_total
+    # ``autocorr.T`` is the Fortran-order view BLAS writes through; its lower
+    # triangle is the upper triangle of ``autocorr`` and, mirrored, equals
+    # numpy's ``X @ X.T`` bit for bit.  Stream blocks are Fortran-ordered
+    # row slices, so f2py copies only ``X`` of other layouts.
+    dsyrk(inv_w, X, beta=1.0 - inv_w, c=state.autocorr.T, lower=1, overwrite_c=1)
+    _mirror_upper(state.autocorr)
+    state.power += (float(sample.y @ sample.y) - state.power) / weight_total
+    state.count += 1
+    state.weight_total = weight_total
+    state.block_size = sample.block_size
+    return state
+
+
+_TILE = 64
+_TILE_LOWER = np.tri(_TILE, k=-1, dtype=bool)
+
+
+def _mirror_upper(mat: np.ndarray) -> None:
+    """Copy the upper triangle of square ``mat`` onto its lower one, exactly.
+
+    Works in 64-wide column panels so that each transposed read stays in
+    cache; the panel below a diagonal tile never overlaps its source, so
+    only the diagonal tiles are copied through a temporary.
+    """
+    for lo in range(0, mat.shape[0], _TILE):
+        hi = lo + _TILE
+        tile = mat[lo:hi, lo:hi]
+        np.copyto(tile, tile.T, where=_TILE_LOWER[: tile.shape[0], : tile.shape[0]])
+        mat[hi:, lo:hi] = mat[lo:hi, hi:].T
 
 
 def objective(state: MomentState, reg: Regularizer, h) -> float:

@@ -321,6 +321,21 @@ def test_divergence_guard_raises_with_iteration():
     assert info.value.iteration == 1
 
 
+def test_divergence_leaves_statistics_one_block_ahead():
+    reg = Regularizer(1)
+    engine = MMEngine(reg, strategy="memory-gradient")
+    engine.step([[1.0]], [1.0])
+    engine.step([[1.0]], [1.0])
+    h_before = engine.h.copy()
+    with pytest.raises(DivergenceError) as info:
+        engine.step([[1.0]], [1e13])
+    assert info.value.iteration == 3
+    assert engine.moments.count == 3
+    assert engine.state.step == 2
+    assert engine.moments.cross[0] == pytest.approx((2.0 + 1e13) / 3.0)
+    assert np.array_equal(engine.h, h_before)
+
+
 def test_forgetting_validated():
     with pytest.raises(ValueError):
         MMEngine(Regularizer(2), forgetting=0.0)

@@ -1,5 +1,7 @@
 """Running statistics and direct objective/gradient evaluation."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -69,7 +71,8 @@ def _stream_blocks(rng, q):
 
 
 # At n_dim 100 numpy multiplies the two strided views without BLAS and the
-# product comes out asymmetric by a few ulps: they need the symmetrization.
+# product comes out asymmetric by a few ulps; the update must still leave
+# an exactly symmetric matrix.
 _BLOCK_LAYOUTS = {
     "c-ordered": lambda rng: make_sample_log(rng, 6, 2, 25),
     "stream-q1": lambda rng: _stream_blocks(rng, 1),
@@ -106,6 +109,60 @@ def test_block_size_change_rejected(rng):
 def test_dimension_mismatch_rejected(rng):
     with pytest.raises(ValueError):
         update(MomentState.zeros(3), Sample(rng.standard_normal((4, 1)), rng.standard_normal(1)))
+
+
+def test_rejected_update_leaves_state_untouched(rng):
+    state = stream_moments(make_sample_log(rng, 4, 3, 5), 0.9)
+    before = (state.power, state.cross.copy(), state.autocorr.copy())
+    counters = (state.count, state.weight_total, state.block_size)
+    for n_dim, block in ((5, 3), (4, 2)):  # dimension mismatch, block-size change
+        with pytest.raises(ValueError):
+            update(state, Sample(rng.standard_normal((n_dim, block)), rng.standard_normal(block)))
+        assert state.power == before[0]
+        assert np.array_equal(state.cross, before[1])
+        assert np.array_equal(state.autocorr, before[2])
+        assert (state.count, state.weight_total, state.block_size) == counters
+
+
+@pytest.mark.parametrize("layout", ["fortran", "integer"])
+def test_update_lands_in_coerced_buffers(rng, layout):
+    # BLAS works on a copy of a buffer that is not Fortran-ordered float64
+    # (autocorr.T here), so the constructor must hand it an owned C array
+    n_dim = 6
+    if layout == "fortran":
+        cross, autocorr = np.zeros(n_dim), np.zeros((n_dim, n_dim), order="F")
+    else:
+        cross, autocorr = np.zeros(n_dim, dtype=int), np.zeros((n_dim, n_dim), dtype=int)
+    state = MomentState(power=0.0, cross=cross, autocorr=autocorr, count=0,
+                        forgetting=0.97, weight_total=0.0)
+    samples = make_sample_log(rng, n_dim, 3, 20)
+    for sample in samples:
+        assert update(state, sample) is state
+    power, cross, autocorr, total = brute_force_moments(samples, 0.97)
+    assert state.power == pytest.approx(power, rel=1e-10)
+    assert_allclose(state.cross, cross, rtol=1e-10)
+    assert_allclose(state.autocorr, autocorr, rtol=1e-10)
+    assert state.weight_total == pytest.approx(total, rel=1e-12)
+
+
+def test_state_rejects_mismatched_buffers():
+    with pytest.raises(ValueError):
+        MomentState(power=0.0, cross=np.zeros(3), autocorr=np.zeros((3, 4)), count=0,
+                    forgetting=1.0, weight_total=0.0)
+
+
+def test_update_allocates_no_square_temporary(rng):
+    n_dim, block = 300, 16
+    state = MomentState.zeros(n_dim, 0.99)
+    samples = make_sample_log(rng, n_dim, block, 2)
+    update(state, samples[0])
+    tracemalloc.start()
+    try:
+        update(state, samples[1])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < n_dim * n_dim * 8 / 4
 
 
 def test_non_finite_sample_rejected():
