@@ -10,7 +10,6 @@ the package.
 
 from .datasets import (
     ArrayStream,
-    PiecewiseTruth,
     gen_adaptive,
     gen_deconv2d,
     gen_synthetic,
@@ -25,7 +24,6 @@ from .engine import (
     SubspaceStrategy,
     build_subspace,
     majorant_value,
-    mm_step,
     reduced_matrix,
     reduced_solve,
 )
@@ -66,7 +64,6 @@ __all__ = [
     "MomentState",
     "PENALTY_KINDS",
     "PenaltySpec",
-    "PiecewiseTruth",
     "Regularizer",
     "RunTrace",
     "Sample",
@@ -81,7 +78,6 @@ __all__ = [
     "identity_blocks_regularizer",
     "instantaneous_gradient",
     "majorant_value",
-    "mm_step",
     "nrmse",
     "quadratic_closed_form",
     "read_records",

@@ -21,7 +21,6 @@ from .moments import Sample
 
 __all__ = [
     "ArrayStream",
-    "PiecewiseTruth",
     "FULL_SCALE_REFERENCE",
     "gen_deconv2d",
     "gen_adaptive",

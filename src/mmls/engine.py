@@ -22,7 +22,8 @@ carried recursively:
   instead of touching the dense autocorrelation matrix;
 * images of the iterate columns under ``op``, the quadratic matrix and the
   autocorrelation transfer from one iteration to the next, so only the
-  fresh gradient column requires full products.
+  fresh gradient column requires full products; the images are assembled
+  by the same column recipe as the basis (:func:`build_subspace`).
 
 The reduced system is solved by a symmetric eigendecomposition
 pseudo-inverse (minimum-norm step ``u``; eigenvalues below 1e-12 of the
@@ -52,7 +53,6 @@ __all__ = [
     "reduced_matrix",
     "reduced_solve",
     "majorant_value",
-    "mm_step",
 ]
 
 RANK_CUTOFF = 1e-12
@@ -119,31 +119,25 @@ class EngineState:
     def initial(cls, reg: Regularizer, h1=None) -> "EngineState":
         """State before any block.
 
-        The default start ``h = 0`` is encoded as a single zero basis
-        column with coordinate 0; a user-supplied start as the column
-        ``h1`` with coordinate 1.  Either way the first gradient
+        The start ``h`` (zero by default) is encoded as the basis
+        ``[0, h]`` with coordinates ``[0, 1]``, so column 1 holds the
+        image of ``h_prev`` from the first step on and the first gradient
         reconstruction is exact.
         """
         n = reg.n_dim
-        if h1 is None:
-            h = np.zeros(n)
-            basis = np.zeros((n, 1))
-            coords = np.zeros(1)
-        else:
-            h = np.asarray(h1, dtype=float).reshape(-1).copy()
-            if h.shape[0] != n:
-                raise ValueError(f"h1 must have length {n}")
-            if not np.all(np.isfinite(h)):
-                raise ValueError("h1 must be finite")
-            basis = h[:, None].copy()
-            coords = np.ones(1)
+        h = np.zeros(n) if h1 is None else np.asarray(h1, dtype=float).reshape(-1).copy()
+        if h.shape[0] != n:
+            raise ValueError(f"h1 must have length {n}")
+        if not np.all(np.isfinite(h)):
+            raise ValueError("h1 must be finite")
+        basis = np.column_stack([np.zeros(n), h])
         return cls(
             step=0,
             h=h,
             h_prev=h.copy(),
-            coords=coords,
+            coords=np.array([0.0, 1.0]),
             basis=basis,
-            autocorr_basis=np.zeros((n, 1)),
+            autocorr_basis=np.zeros((n, 2)),
             quad_basis=reg.quad @ basis,
             op_basis=reg.op @ basis,
             grad=np.zeros(n),
@@ -156,6 +150,10 @@ def build_subspace(strategy, grad, h, h_prev, step) -> np.ndarray:
     Memory gradient uses ``[-grad, h, h - h_prev]`` (two columns at the
     first step), gradient-only ``[-grad, h]``, full space the identity.
     Degenerate columns are kept; the pseudo-inverse absorbs them.
+
+    The low-dimensional recipes are linear in ``(grad, h, h_prev)``, so
+    the engine also builds the cached images with it: passing
+    ``M @ grad``, ``M @ h`` and ``M @ h_prev`` yields ``M @ basis``.
     """
     strategy = SubspaceStrategy(strategy)
     if strategy is SubspaceStrategy.FULL_SPACE:
@@ -216,111 +214,6 @@ def majorant_value(state: MomentState, reg: Regularizer, anchor, h) -> float:
     )
 
 
-def mm_step(state, mstate, reg, sample, strategy):
-    """Advance one block: returns ``(state, moment_state, report)``.
-
-    Follows the recursive schedule: fold the block into the statistics,
-    carry the images of the current iterate forward, evaluate the
-    half-quadratic weights and the gradient at the iterate from those
-    images, build the new basis, refresh the caches (recursively under
-    both low-dimensional strategies), and solve the reduced system for
-    the step from the iterate's coordinates.
-
-    A gradient that vanishes exactly gives a zero step, so
-    ``h_next = basis @ anchor = h`` and stationary points are fixed
-    points bit for bit; the report then carries ``rank = 0``.
-
-    The block is folded into ``mstate`` in place (see
-    :func:`mmls.moments.update`) and ``mstate`` itself is returned, so
-    ``state`` carries its own copy of anything it keeps from the
-    statistics.
-    """
-    strategy = SubspaceStrategy(strategy)
-    new_m = moments.update(mstate, sample)
-    X = sample.X
-    step = new_m.count
-    inv_w = 1.0 / new_m.weight_total
-
-    # images of the current iterate, carried forward recursively
-    op_h = state.op_basis @ state.coords
-    quad_h = state.quad_basis @ state.coords
-    XtD = X.T @ state.basis
-    Xt_h = XtD @ state.coords
-    autocorr_h = (1.0 - inv_w) * (state.autocorr_basis @ state.coords) + inv_w * (X @ Xt_h)
-
-    # weights, penalty block norms and gradient at the current h
-    residual = op_h - reg.shift
-    norms = reg.block_norms(residual)
-    weights = reg.weights_from_norms(norms)
-    grad = autocorr_h + quad_h - new_m.cross - reg.lin + reg.op.T @ (weights * residual)
-    if not np.all(np.isfinite(grad)):
-        raise DivergenceError(step, f"non-finite gradient at iteration {step}")
-
-    basis = build_subspace(strategy, grad, state.h, state.h_prev, step)
-
-    if strategy is SubspaceStrategy.FULL_SPACE:
-        # a copy: the next update overwrites ``new_m.autocorr`` in place
-        autocorr_basis = new_m.autocorr.copy()
-        quad_basis = reg.quad.copy()
-        op_basis = reg.op.copy()
-        anchor = state.h
-    else:
-        neg = -grad
-        autocorr_cols = [new_m.autocorr @ neg, autocorr_h]
-        quad_cols = [reg.quad @ neg, quad_h]
-        op_cols = [reg.op @ neg, op_h]
-        if basis.shape[1] == 3:
-            # h_prev is column 1 of the old basis, hence of the old caches and XtD
-            autocorr_h_old = (1.0 - inv_w) * state.autocorr_basis[:, 1] + inv_w * (X @ XtD[:, 1])
-            autocorr_cols.append(autocorr_h - autocorr_h_old)
-            quad_cols.append(quad_h - state.quad_basis[:, 1])
-            op_cols.append(op_h - state.op_basis[:, 1])
-        autocorr_basis = np.column_stack(autocorr_cols)
-        quad_basis = np.column_stack(quad_cols)
-        op_basis = np.column_stack(op_cols)
-        anchor = np.eye(basis.shape[1])[1]
-
-    reduced = reduced_matrix(basis, autocorr_basis, quad_basis, op_basis, weights)
-
-    if np.any(grad):
-        shifted, rank = _pinv_psd_solve(reduced, -(basis.T @ grad))
-    else:
-        shifted, rank = np.zeros(basis.shape[1]), 0
-    coords = anchor + shifted
-    h_next = basis @ coords
-    if not np.all(np.isfinite(h_next)) or float(np.linalg.norm(h_next)) > DIVERGENCE_NORM:
-        raise DivergenceError(step)
-    step_quadratic = float(shifted @ (reduced @ shifted))
-
-    objective = (
-        0.5 * new_m.power
-        - float(new_m.cross @ state.h)
-        + 0.5 * float(state.h @ autocorr_h)
-        + 0.5 * float(state.h @ quad_h)
-        - float(reg.lin @ state.h)
-        + reg.penalty_sum(norms)
-    )
-    report = IterationReport(
-        objective=objective,
-        grad_norm=float(np.linalg.norm(grad)),
-        step_quadratic=step_quadratic,
-        subspace_dim=basis.shape[1],
-        rank=rank,
-    )
-    new_state = EngineState(
-        step=step,
-        h=h_next,
-        h_prev=state.h,
-        coords=coords,
-        basis=basis,
-        autocorr_basis=autocorr_basis,
-        quad_basis=quad_basis,
-        op_basis=op_basis,
-        grad=grad,
-    )
-    return new_state, new_m, report
-
-
 class MMEngine:
     """Single-owner driver pairing an :class:`EngineState` with statistics.
 
@@ -348,14 +241,94 @@ class MMEngine:
     def step(self, X, y) -> IterationReport:
         """Consume one block and return its report.
 
-        The statistics take the block before the step is solved.  If the
-        step at block ``k`` raises :class:`DivergenceError`, ``moments``
-        already includes block ``k`` (``moments.count == k``) while
-        ``state`` is still the one after block ``k - 1``
+        Folds the block into the statistics in place (see
+        :func:`mmls.moments.update`), reconstructs the gradient at ``h``
+        from the carried images, builds the basis and its cached images
+        with :func:`build_subspace`, and solves the reduced system for the
+        step.  A gradient that vanishes exactly gives a zero step
+        (``rank = 0``), so stationary points are fixed points bit for bit.
+
+        If the step at block ``k`` raises :class:`DivergenceError`,
+        ``moments`` already includes block ``k`` (``moments.count == k``)
+        while ``state`` is still the one after block ``k - 1``
         (``state.step == k - 1``); the engine should be discarded then.
         """
+        state, reg, strategy = self.state, self.reg, self.strategy
         sample = Sample(X, y)
-        self.state, self.moments, report = mm_step(
-            self.state, self.moments, self.reg, sample, self.strategy
+        stats = moments.update(self.moments, sample)
+        X = sample.X
+        step = stats.count
+        inv_w = 1.0 / stats.weight_total
+
+        # images of the current iterate, carried forward recursively
+        op_h = state.op_basis @ state.coords
+        quad_h = state.quad_basis @ state.coords
+        XtD = X.T @ state.basis
+        Xt_h = XtD @ state.coords
+        autocorr_h = (1.0 - inv_w) * (state.autocorr_basis @ state.coords) + inv_w * (X @ Xt_h)
+
+        # weights, penalty block norms and gradient at the current h
+        residual = op_h - reg.shift
+        norms = reg.block_norms(residual)
+        weights = reg.weights_from_norms(norms)
+        grad = autocorr_h + quad_h - stats.cross - reg.lin + reg.op.T @ (weights * residual)
+        if not np.all(np.isfinite(grad)):
+            raise DivergenceError(step, f"non-finite gradient at iteration {step}")
+
+        basis = build_subspace(strategy, grad, state.h, state.h_prev, step)
+
+        if strategy is SubspaceStrategy.FULL_SPACE:
+            # a copy: the next update overwrites ``stats.autocorr`` in place
+            autocorr_basis = stats.autocorr.copy()
+            quad_basis = reg.quad.copy()
+            op_basis = reg.op.copy()
+            anchor = state.h
+        else:
+            # the recipe is linear: applied to the images of grad, h and
+            # h_prev (column 1 of the old basis) it gives M @ basis
+            autocorr_h_prev = (1.0 - inv_w) * state.autocorr_basis[:, 1] + inv_w * (X @ XtD[:, 1])
+            autocorr_basis = build_subspace(
+                strategy, stats.autocorr @ grad, autocorr_h, autocorr_h_prev, step
+            )
+            quad_basis = build_subspace(strategy, reg.quad @ grad, quad_h, state.quad_basis[:, 1], step)
+            op_basis = build_subspace(strategy, reg.op @ grad, op_h, state.op_basis[:, 1], step)
+            anchor = np.eye(basis.shape[1])[1]
+
+        reduced = reduced_matrix(basis, autocorr_basis, quad_basis, op_basis, weights)
+
+        if np.any(grad):
+            shifted, rank = _pinv_psd_solve(reduced, -(basis.T @ grad))
+        else:
+            shifted, rank = np.zeros(basis.shape[1]), 0
+        coords = anchor + shifted
+        h_next = basis @ coords
+        if not np.all(np.isfinite(h_next)) or float(np.linalg.norm(h_next)) > DIVERGENCE_NORM:
+            raise DivergenceError(step)
+        step_quadratic = float(shifted @ (reduced @ shifted))
+
+        objective = (
+            0.5 * stats.power
+            - float(stats.cross @ state.h)
+            + 0.5 * float(state.h @ autocorr_h)
+            + 0.5 * float(state.h @ quad_h)
+            - float(reg.lin @ state.h)
+            + reg.penalty_sum(norms)
         )
-        return report
+        self.state = EngineState(
+            step=step,
+            h=h_next,
+            h_prev=state.h,
+            coords=coords,
+            basis=basis,
+            autocorr_basis=autocorr_basis,
+            quad_basis=quad_basis,
+            op_basis=op_basis,
+            grad=grad,
+        )
+        return IterationReport(
+            objective=objective,
+            grad_norm=float(np.linalg.norm(grad)),
+            step_quadratic=step_quadratic,
+            subspace_dim=basis.shape[1],
+            rank=rank,
+        )

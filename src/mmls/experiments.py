@@ -111,9 +111,15 @@ def resolve_config(config: ExperimentConfig) -> ExperimentConfig:
     for key, value in _DEFAULTS[config.experiment].items():
         if getattr(merged, key) is None:
             setattr(merged, key, value)
-    # adaptive streams are inherently single-sample
+    # adaptive streams are inherently single-sample; deconv2d identifies the whole kernel grid
     if merged.experiment == "adaptive":
         merged.block_size = 1
+    if merged.experiment == "deconv2d":
+        merged.n_dim = merged.kernel_size**2
+    for field in dataclasses.fields(merged):
+        value = getattr(merged, field.name)
+        if isinstance(value, float) and not np.isfinite(value):
+            raise ConfigError(f"{field.name} must be finite, got {value}")
     if merged.strategy not in ALGORITHMS:
         raise ConfigError(f"unknown strategy {merged.strategy!r}; expected one of {ALGORITHMS}")
     if not (0.0 < merged.vartheta <= 1.0):
@@ -124,14 +130,13 @@ def resolve_config(config: ExperimentConfig) -> ExperimentConfig:
         value = getattr(merged, name)
         if value is not None and int(value) < 1:
             raise ConfigError(f"{name} must be positive")
-    if not 0.0 <= merged.noise_sigma < np.inf:
-        raise ConfigError(f"noise_sigma must be finite and nonnegative, got {merged.noise_sigma}")
+    if merged.noise_sigma < 0.0:
+        raise ConfigError(f"noise_sigma must be nonnegative, got {merged.noise_sigma}")
     # dense autocorrelation storage: keep the coefficient dimension sane
-    effective_dim = merged.kernel_size**2 if merged.experiment == "deconv2d" else merged.n_dim
-    if effective_dim > 4096:
-        raise ConfigError(f"coefficient dimension {effective_dim} exceeds the dense-storage cap 4096")
+    if merged.n_dim > 4096:
+        raise ConfigError(f"coefficient dimension {merged.n_dim} exceeds the dense-storage cap 4096")
     if merged.experiment == "deconv2d":
-        patch_bytes = 8 * merged.image_size**2 * merged.kernel_size**2
+        patch_bytes = 8 * merged.image_size**2 * merged.n_dim
         if patch_bytes > 2**31:
             raise ConfigError(
                 f"patch matrix would need {patch_bytes / 2**30:.1f} GiB; "
@@ -285,7 +290,7 @@ def meta_path(csv_path: str) -> str:
 
 
 def _build_problem(cfg: ExperimentConfig):
-    """Instantiate (truth lookup, stream, regularizer, n_dim) for a config."""
+    """Instantiate (truth lookup, stream, regularizer) for a config."""
     if cfg.experiment == "deconv2d":
         kernel, stream = gen_deconv2d(
             cfg.seed, image_size=cfg.image_size, kernel_size=cfg.kernel_size,
@@ -293,19 +298,19 @@ def _build_problem(cfg: ExperimentConfig):
         )
         truth = kernel.ravel()
         reg = _regularizer_for(cfg, truth.size, grid=(cfg.kernel_size, cfg.kernel_size))
-        return (lambda n: truth), stream, reg, truth.size
+        return (lambda n: truth), stream, reg
     if cfg.experiment == "adaptive":
         truth, stream = gen_adaptive(
             cfg.seed, n_taps=cfg.n_dim, n_samples=cfg.n_samples,
             noise_var=cfg.noise_sigma**2, change_point=cfg.change_point,
         )
         reg = _regularizer_for(cfg, cfg.n_dim, grid=None)
-        return truth.at, stream, reg, cfg.n_dim
+        return truth.at, stream, reg
     truth, stream = gen_synthetic(
         cfg.seed, n_dim=cfg.n_dim, n_rows=cfg.n_samples, sigma=cfg.noise_sigma
     )
     reg = _regularizer_for(cfg, cfg.n_dim, grid=None)
-    return (lambda n: truth), stream, reg, cfg.n_dim
+    return (lambda n: truth), stream, reg
 
 
 def _regularizer_for(cfg: ExperimentConfig, n_dim, grid):
@@ -338,7 +343,7 @@ def run_experiment(config: ExperimentConfig, measure_time: bool = True) -> RunTr
     if cfg.out and (os.path.isdir(cfg.out) or not os.path.isdir(os.path.dirname(cfg.out) or ".")):
         raise ConfigError(f"out path {cfg.out!r} is not a file in an existing directory")
     try:
-        truth_at, stream, reg, n_dim = _build_problem(cfg)
+        truth_at, stream, reg = _build_problem(cfg)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     q = int(cfg.block_size)

@@ -12,7 +12,7 @@ import numpy as np
 import scipy.linalg
 
 from . import moments
-from .engine import SubspaceStrategy, _pinv_psd_solve, build_subspace
+from .engine import SubspaceStrategy
 from .moments import MomentState
 from .penalties import Regularizer
 
@@ -107,8 +107,9 @@ def subspace_mm_path(state, reg, h0, strategy=SubspaceStrategy.MEMORY_GRADIENT,
                      n_steps=25) -> list[np.ndarray]:
     """Subspace-restricted surrogate descent on frozen statistics.
 
-    Direct (non-recursive) evaluation of the same step rule the engine
-    applies online; returns the iterates ``[h0, h1, ..., h_{n_steps}]``.
+    Direct (non-recursive) evaluation of the step rule the engine applies
+    online, with its own basis and a ``pinvh`` solve of the normal
+    equations; returns the iterates ``[h0, h1, ..., h_{n_steps}]``.
     """
     strategy = SubspaceStrategy(strategy)
     h = np.asarray(h0, dtype=float).reshape(-1).copy()
@@ -116,11 +117,16 @@ def subspace_mm_path(state, reg, h0, strategy=SubspaceStrategy.MEMORY_GRADIENT,
     path = [h.copy()]
     for step in range(1, n_steps + 1):
         grad = moments.gradient(state, reg, h)
-        basis = build_subspace(strategy, grad, h, h_prev, step)
+        if strategy is SubspaceStrategy.FULL_SPACE:
+            basis = np.eye(h.shape[0])
+        elif strategy is SubspaceStrategy.MEMORY_GRADIENT and step > 1:
+            basis = np.column_stack([-grad, h, h - h_prev])
+        else:
+            basis = np.column_stack([-grad, h])
         curv = moments.normal_matrix(state, reg, h)
         rhs = moments.normal_rhs(state, reg, h)
         reduced = basis.T @ (curv @ basis)
-        coords, _ = _pinv_psd_solve(0.5 * (reduced + reduced.T), basis.T @ rhs)
+        coords = scipy.linalg.pinvh(reduced, rtol=1e-12) @ (basis.T @ rhs)
         h_prev, h = h, basis @ coords
         path.append(h.copy())
     return path

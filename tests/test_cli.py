@@ -136,6 +136,10 @@ def test_invalid_problem_config_exits_2(argv, capsys):
     ["synthetic", "--noise-sigma", "nan", "--samples", "20"],
     ["synthetic", "--noise-sigma", "inf", "--samples", "20"],
     ["synthetic", "--tau", "nan", "--samples", "20"],
+    ["synthetic", "--operator", "identity", "--penalty", "huber", "--kappa", "nan",
+     "--samples", "20"],
+    ["adaptive", "--kappa", "inf", "--n-dim", "20", "--samples", "300"],
+    ["synthetic", "--sgd-scale", "inf", "--samples", "20"],
 ])
 def test_non_finite_config_value_exits_2(argv, capsys):
     assert main(argv) == 2

@@ -17,6 +17,7 @@ from mmls import (
     quadratic_closed_form,
     reduced_matrix,
     reduced_solve,
+    subspace_mm_path,
 )
 from mmls import moments as mom
 
@@ -106,10 +107,11 @@ def test_first_step_gradient_is_negative_rhs(rng):
     assert_allclose(engine.state.grad, -rhs, rtol=1e-12)
 
 
-def test_user_initial_iterate(rng):
+@pytest.mark.parametrize("strategy", ["memory-gradient", "gradient-only", "full-space"])
+def test_user_initial_iterate(rng, strategy):
     reg = random_regularizer(rng, 5)
     h1 = rng.standard_normal(5)
-    engine = MMEngine(reg, strategy="memory-gradient", h1=h1)
+    engine = MMEngine(reg, strategy=strategy, h1=h1)
     X = rng.standard_normal((5, 2))
     y = rng.standard_normal(2)
     engine.step(X, y)
@@ -136,6 +138,20 @@ def test_recursive_gradient_and_caches_match_direct(rng, strategy, forgetting):
         ):
             ref = mat @ state.basis
             assert np.linalg.norm(cache - ref) <= 1e-8 * (1.0 + np.linalg.norm(ref))
+
+
+@pytest.mark.parametrize("strategy", ["memory-gradient", "gradient-only", "full-space"])
+def test_replayed_block_follows_frozen_reference_path(rng, strategy):
+    # at unit forgetting a replayed block freezes the statistics at its own
+    # moments, so the online iterates must retrace the direct reference path
+    reg = random_regularizer(rng, 6, kind="huber", lam=0.3, delta=0.2, tau=1e-2)
+    sample = mom.Sample(rng.standard_normal((6, 8)), rng.standard_normal(8))
+    frozen = mom.update(mom.MomentState.zeros(6), sample)
+    path = subspace_mm_path(frozen, reg, np.zeros(6), strategy, 30)
+    engine = MMEngine(reg, strategy=strategy, forgetting=1.0)
+    for expected in path[1:]:
+        engine.step(sample.X, sample.y)
+        assert np.linalg.norm(engine.h - expected) <= 1e-8 * np.linalg.norm(expected)
 
 
 def test_gradient_only_shares_memory_gradient_refresh(rng):

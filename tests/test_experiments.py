@@ -132,6 +132,12 @@ class TestConfig:
         cfg = resolve_config(ExperimentConfig(experiment="adaptive", block_size=16))
         assert cfg.block_size == 1
 
+    def test_deconv2d_records_kernel_dimension(self):
+        cfg = resolve_config(
+            ExperimentConfig(experiment="deconv2d", image_size=16, kernel_size=3, n_dim=999)
+        )
+        assert cfg.n_dim == 9
+
     def test_unknown_experiment(self):
         with pytest.raises(ConfigError):
             resolve_config(ExperimentConfig(experiment="mystery"))
