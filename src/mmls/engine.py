@@ -280,15 +280,15 @@ class MMEngine:
         if strategy is SubspaceStrategy.FULL_SPACE:
             # a copy: the next update overwrites ``stats.autocorr`` in place
             autocorr_basis = stats.autocorr.copy()
-            quad_basis = reg.quad.copy()
-            op_basis = reg.op.copy()
+            quad_basis = reg.quad.toarray()
+            op_basis = reg.op.toarray()
             anchor = state.h
         else:
             # the recipe is linear: applied to the images of grad, h and
             # h_prev (column 1 of the old basis) it gives M @ basis
             autocorr_h_prev = (1.0 - inv_w) * state.autocorr_basis[:, 1] + inv_w * (X @ XtD[:, 1])
             autocorr_basis = build_subspace(
-                strategy, stats.autocorr @ grad, autocorr_h, autocorr_h_prev, step
+                strategy, moments.autocorr_matvec(stats, grad), autocorr_h, autocorr_h_prev, step
             )
             quad_basis = build_subspace(strategy, reg.quad @ grad, quad_h, state.quad_basis[:, 1], step)
             op_basis = build_subspace(strategy, reg.op @ grad, op_h, state.op_basis[:, 1], step)

@@ -14,14 +14,18 @@ normal-equation right-hand side ``c(h) = cross + q + op' Diag(b(h)) shift``
 so that ``grad F(h) = A(h) h - c(h)``.
 
 ``update`` folds each block into the state's own buffers in place: one
-BLAS ``dsyrk`` blends ``X X'`` into one triangle of ``autocorr`` and an
-exact copy fills the other, so ``autocorr`` stays a full, exactly
-symmetric array and no N x N temporary is formed.  A caller that needs
-the statistics before a block must copy them first.
+BLAS ``dsyrk`` blends ``X X'`` into the upper triangle of ``autocorr``,
+and no N x N temporary is formed.  The lower triangle is filled by an
+exact copy of the upper one on the first read of ``autocorr`` after an
+update, so every reader still sees a full, exactly symmetric array;
+``autocorr_matvec`` multiplies by the stored triangle without that
+copy.  A caller that needs the statistics before a block must copy them
+first.
 
-Apart from ``update``, everything here is the direct (dense) evaluation
-path; the engine module reproduces the gradient and curvature products
-through low-rank recursions and is tested against these references.
+Apart from ``update`` and ``autocorr_matvec``, everything here is the
+direct (dense) evaluation path; the engine module reproduces the
+gradient and curvature products through low-rank recursions and is
+tested against these references.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.blas import dsyrk
+from scipy.linalg.blas import dsymv, dsyrk
 
 from .penalties import Regularizer
 
@@ -37,6 +41,7 @@ __all__ = [
     "Sample",
     "MomentState",
     "update",
+    "autocorr_matvec",
     "objective",
     "normal_rhs",
     "normal_matrix",
@@ -72,7 +77,6 @@ class Sample:
         return self.X.shape[1]
 
 
-@dataclass
 class MomentState:
     """Exponentially weighted statistics after ``count`` blocks.
 
@@ -85,24 +89,33 @@ class MomentState:
     The state owns ``cross`` and ``autocorr``: the constructor copies them
     into fresh C-contiguous float64 arrays, the layout ``update`` writes
     into in place (BLAS would silently work on a copy of any other).
+    Reading ``autocorr`` returns the array given to the constructor, or,
+    after an update, mirrors the upper triangle in place first.
     """
 
-    power: float
-    cross: np.ndarray
-    autocorr: np.ndarray
-    count: int
-    forgetting: float
-    weight_total: float
-    block_size: int | None = None
-
-    def __post_init__(self):
-        self.cross = np.array(self.cross, dtype=np.float64, order="C")
-        self.autocorr = np.array(self.autocorr, dtype=np.float64, order="C")
+    def __init__(self, power: float, cross, autocorr, count: int, forgetting: float,
+                 weight_total: float, block_size: int | None = None):
+        self.power = power
+        self.cross = np.array(cross, dtype=np.float64, order="C")
+        self._autocorr = np.array(autocorr, dtype=np.float64, order="C")
+        self._mirrored = True
+        self.count = count
+        self.forgetting = forgetting
+        self.weight_total = weight_total
+        self.block_size = block_size
         n = self.cross.shape[0] if self.cross.ndim == 1 else -1
-        if self.autocorr.shape != (n, n):
+        if self._autocorr.shape != (n, n):
             raise ValueError(
-                f"autocorr shape {self.autocorr.shape} does not match cross shape {self.cross.shape}"
+                f"autocorr shape {self._autocorr.shape} does not match cross shape {self.cross.shape}"
             )
+
+    @property
+    def autocorr(self) -> np.ndarray:
+        """The full autocorrelation matrix, exactly symmetric after an update (owned, not a copy)."""
+        if not self._mirrored:
+            _mirror_upper(self._autocorr)
+            self._mirrored = True
+        return self._autocorr
 
     @classmethod
     def zeros(cls, n_dim: int, forgetting: float = 1.0) -> "MomentState":
@@ -126,11 +139,11 @@ def update(state: MomentState, sample: Sample) -> MomentState:
     """Fold one block into ``state`` in place and return ``state``.
 
     With ``w`` the new ``weight_total``, ``autocorr <- (1 - 1/w) autocorr
-    + (1/w) X X'`` is one ``dsyrk`` on the upper triangle followed by an
-    exact mirror onto the lower one; ``cross`` and ``power`` move toward
-    the block's ``X y`` and ``y'y`` by ``1/w`` of the difference.  A
-    rejected block (dimension mismatch or block-size change) raises
-    before any field changes.
+    + (1/w) X X'`` is one ``dsyrk`` on the upper triangle; the lower one
+    is left stale until ``autocorr`` is next read, which mirrors it.
+    ``cross`` and ``power`` move toward the block's ``X y`` and ``y'y`` by
+    ``1/w`` of the difference.  A rejected block (dimension mismatch or
+    block-size change) raises before any field changes.
     """
     if sample.n_dim != state.n_dim:
         raise ValueError(f"sample dimension {sample.n_dim} != state dimension {state.n_dim}")
@@ -146,13 +159,22 @@ def update(state: MomentState, sample: Sample) -> MomentState:
     # triangle is the upper triangle of ``autocorr`` and, mirrored, equals
     # numpy's ``X @ X.T`` bit for bit.  Stream blocks are Fortran-ordered
     # row slices, so f2py copies only ``X`` of other layouts.
-    dsyrk(inv_w, X, beta=1.0 - inv_w, c=state.autocorr.T, lower=1, overwrite_c=1)
-    _mirror_upper(state.autocorr)
+    dsyrk(inv_w, X, beta=1.0 - inv_w, c=state._autocorr.T, lower=1, overwrite_c=1)
+    state._mirrored = False
     state.power += (float(sample.y @ sample.y) - state.power) / weight_total
     state.count += 1
     state.weight_total = weight_total
     state.block_size = sample.block_size
     return state
+
+
+def autocorr_matvec(state: MomentState, vec) -> np.ndarray:
+    """``autocorr @ vec`` from the upper triangle alone, by one BLAS ``dsymv``.
+
+    Reads the stored triangle directly, so it needs no mirror after an
+    update.  Agrees with ``state.autocorr @ vec`` up to roundoff.
+    """
+    return dsymv(1.0, state._autocorr.T, vec, lower=1)
 
 
 _TILE = 64
@@ -195,7 +217,8 @@ def normal_matrix(state: MomentState, reg: Regularizer, h) -> np.ndarray:
     """
     h = _check_vec(state, reg, h)
     b = reg.weights(h)
-    mat = state.autocorr + reg.quad + (reg.op * b[:, None]).T @ reg.op
+    op = reg.op.toarray()
+    mat = state.autocorr + reg.quad.toarray() + (op * b[:, None]).T @ op
     return 0.5 * (mat + mat.T)
 
 

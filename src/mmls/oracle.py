@@ -45,7 +45,7 @@ class HalfQuadraticError(RuntimeError):
 
 
 def _require_positive_definite(state: MomentState, reg: Regularizer) -> None:
-    base = state.autocorr + reg.quad
+    base = state.autocorr + reg.quad.toarray()
     if float(np.linalg.eigvalsh(base).min()) <= 0.0:
         raise ValueError("autocorr + quad must be positive definite for a batch solve")
 

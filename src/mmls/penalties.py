@@ -22,8 +22,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse
 
-__all__ = ["PENALTY_KINDS", "PenaltySpec", "Regularizer"]
+__all__ = ["PENALTY_KINDS", "PenaltySpec", "Operator", "Regularizer"]
 
 _LOG2 = float(np.log(2.0))
 _SQRT6 = float(np.sqrt(6.0))
@@ -202,6 +203,49 @@ def _unwrap(out):
     return float(arr) if arr.ndim == 0 else arr
 
 
+class Operator:
+    """A fixed matrix stored as a scaled identity ``s * I`` or in CSR form.
+
+    The form is picked from the dense matrix given: a square matrix with
+    a constant diagonal and a zero off-diagonal becomes ``s * I``, whose
+    product ``s * x`` is a fresh array (bit-exact for ``s = 1``); any
+    other matrix is converted to CSR once, and its transpose is built
+    from that CSR copy.  Supports ``@`` on 1-D and 2-D right sides,
+    ``.T``, ``.shape`` and ``toarray()``; dense array arithmetic on an
+    operator raises ``TypeError``.  ``scale`` is ``s`` for the scaled
+    identity and ``None`` for CSR.
+    """
+
+    __array_ufunc__ = None
+
+    def __init__(self, mat):
+        mat = np.asarray(mat, dtype=float)
+        self.shape = mat.shape
+        diag = np.diagonal(mat)
+        if (mat.shape[0] == mat.shape[1] and np.all(diag == diag[0])
+                and np.count_nonzero(mat) == np.count_nonzero(diag)):
+            self.scale, self._csr, self.T = float(diag[0]), None, self
+        else:
+            self.scale, self._csr = None, scipy.sparse.csr_array(mat)
+            transpose = object.__new__(Operator)
+            transpose.shape, transpose.scale = self.shape[::-1], None
+            transpose._csr, transpose.T = self._csr.T.tocsr(), self
+            self.T = transpose
+
+    def __matmul__(self, x):
+        if self._csr is not None:
+            return self._csr @ x
+        if np.shape(x)[:1] != self.shape[1:]:
+            raise ValueError(f"operand of shape {np.shape(x)} does not match operator {self.shape}")
+        return self.scale * x
+
+    def toarray(self) -> np.ndarray:
+        """The matrix as a dense array."""
+        if self._csr is None:
+            return self.scale * np.eye(self.shape[0])
+        return self._csr.toarray()
+
+
 class Regularizer:
     """Elastic-net quadratic plus penalty blocks on affine residuals.
 
@@ -219,13 +263,18 @@ class Regularizer:
         matrix.
     lin : None or (n_dim,) array
         Linear part ``q`` in ``-q' h``.
+
+    Every entry of the block operators, shifts, ``quad`` and ``lin`` must
+    be finite.  The stacked block operator ``op`` (``total_rows`` by
+    ``n_dim``) and ``quad`` are :class:`Operator` instances: they support
+    ``@``, ``.T @``, ``toarray()`` and ``shape``.
     """
 
     def __init__(self, n_dim, blocks=(), quad=None, lin=None):
         self.n_dim = int(n_dim)
         if self.n_dim < 1:
             raise ValueError("n_dim must be at least 1")
-        self.quad = _coerce_quad(quad, self.n_dim)
+        self.quad = Operator(_coerce_quad(quad, self.n_dim))
         self.lin = _coerce_vector(lin, self.n_dim, "lin")
 
         ops, shifts, specs, sizes = [], [], [], []
@@ -245,11 +294,15 @@ class Regularizer:
         self.block_sizes = np.asarray(sizes, dtype=int)
         self.offsets = np.concatenate([[0], np.cumsum(self.block_sizes)]).astype(int)
         if specs:
-            self.op = np.vstack(ops)
+            op = np.vstack(ops)
             self.shift = np.concatenate(shifts)
         else:
-            self.op = np.zeros((0, self.n_dim))
+            op = np.zeros((0, self.n_dim))
             self.shift = np.zeros(0)
+        for name, arr in (("block op", op), ("shift", self.shift), ("lin", self.lin)):
+            if not np.all(np.isfinite(arr)):
+                raise ValueError(f"{name} must be finite")
+        self.op = Operator(op)
 
         # group blocks sharing a spec so weights evaluate vectorized
         groups: dict[PenaltySpec, list[int]] = {}
@@ -319,6 +372,8 @@ def _coerce_quad(quad, n_dim):
     quad = np.asarray(quad, dtype=float)
     if quad.shape != (n_dim, n_dim):
         raise ValueError(f"quad must be ({n_dim}, {n_dim}), got {quad.shape}")
+    if not np.all(np.isfinite(quad)):
+        raise ValueError("quad must be finite")
     if not np.allclose(quad, quad.T, rtol=0.0, atol=1e-12 * max(1.0, np.abs(quad).max())):
         raise ValueError("quad must be symmetric")
     quad = 0.5 * (quad + quad.T)

@@ -10,9 +10,12 @@ from conftest import make_sample_log, random_regularizer
 from mmls import (
     DivergenceError,
     MMEngine,
+    PenaltySpec,
     Regularizer,
     SubspaceStrategy,
+    build_isotropic_tv_regularizer,
     build_subspace,
+    identity_blocks_regularizer,
     majorant_value,
     quadratic_closed_form,
     reduced_matrix,
@@ -118,13 +121,45 @@ def test_user_initial_iterate(rng, strategy):
     assert_allclose(engine.state.grad, mom.gradient(engine.moments, reg, h1), rtol=1e-10)
 
 
+def _dense_quad_regularizer(rng):
+    spec = PenaltySpec("huber", lam=0.2, delta=0.3)
+    root = rng.standard_normal((8, 8))
+    blocks = [(rng.standard_normal((2, 8)), None, spec) for _ in range(3)]
+    return Regularizer(8, blocks, quad=0.05 * root @ root.T, lin=0.01 * rng.standard_normal(8))
+
+
+# one regularizer per operator form: CSR blocks and s I ridge, s I blocks
+# and ridge, CSR finite differences with all-zero boundary rows, CSR quad
+_STRUCTURES = {
+    "dense-blocks": lambda rng: random_regularizer(
+        rng, 8, kind="huber", n_blocks=3, lam=0.2, delta=0.3
+    ),
+    "identity-ridge": lambda rng: identity_blocks_regularizer(
+        8, PenaltySpec("huber", lam=0.2, delta=0.3), tau=1e-2
+    ),
+    "tv2d": lambda rng: build_isotropic_tv_regularizer(3, 4, lam=0.2, delta=0.3),
+    "dense-quad": _dense_quad_regularizer,
+}
+
+
 @pytest.mark.parametrize("strategy", ["memory-gradient", "gradient-only", "full-space"])
-@pytest.mark.parametrize("forgetting", [1.0, 0.99])
-def test_recursive_gradient_and_caches_match_direct(rng, strategy, forgetting):
-    reg = random_regularizer(rng, 8, kind="huber", n_blocks=3, lam=0.2, delta=0.3)
+@pytest.mark.parametrize(
+    "structure, forgetting",
+    [
+        # the dense-block case keeps the ids it had before structures were added
+        pytest.param(
+            name, forgetting, id=str(forgetting) if name == "dense-blocks" else f"{name}-{forgetting}"
+        )
+        for name in _STRUCTURES
+        for forgetting in (1.0, 0.99)
+    ],
+)
+def test_recursive_gradient_and_caches_match_direct(rng, strategy, structure, forgetting):
+    reg = _STRUCTURES[structure](rng)
+    n_dim = reg.n_dim
     engine = MMEngine(reg, strategy=strategy, forgetting=forgetting)
     for _ in range(120):
-        X = rng.standard_normal((8, 2))
+        X = rng.standard_normal((n_dim, 2))
         y = rng.standard_normal(2)
         h_before = engine.h.copy()
         engine.step(X, y)
@@ -233,7 +268,7 @@ def test_reduced_matrix_without_blocks(rng):
     reduced = reduced_matrix(
         state.basis, state.autocorr_basis, state.quad_basis, state.op_basis, np.zeros(0)
     )
-    expected = state.basis.T @ ((engine.moments.autocorr + reg.quad) @ state.basis)
+    expected = state.basis.T @ ((engine.moments.autocorr + reg.quad.toarray()) @ state.basis)
     assert_allclose(reduced, 0.5 * (expected + expected.T), rtol=1e-9, atol=1e-12)
 
 

@@ -11,6 +11,7 @@ from mmls import ArrayStream, Regularizer
 from mmls.moments import (
     MomentState,
     Sample,
+    autocorr_matvec,
     gradient,
     normal_matrix,
     normal_rhs,
@@ -165,6 +166,37 @@ def test_update_allocates_no_square_temporary(rng):
     assert peak < n_dim * n_dim * 8 / 4
 
 
+def test_lazy_mirror_matches_reading_after_every_update(rng):
+    # n_dim 130 spans a partial 64-wide mirror panel
+    samples = make_sample_log(rng, 130, 5, 3)
+    lazy, eager = MomentState.zeros(130, 0.9), MomentState.zeros(130, 0.9)
+    for sample in samples:
+        update(eager, sample)
+        eager.autocorr  # each read mirrors the triangle written since the last one
+    update(lazy, samples[0])
+    lazy.autocorr
+    update(lazy, samples[1])
+    update(lazy, samples[2])
+    assert np.array_equal(lazy.autocorr, eager.autocorr)
+    assert np.array_equal(lazy.autocorr, lazy.autocorr.T)
+
+
+@pytest.mark.parametrize("n_dim", [3, 441])
+def test_autocorr_matvec_reads_the_stored_triangle(rng, n_dim):
+    state = stream_moments(make_sample_log(rng, n_dim, 8, 3), 0.95)
+    vec = rng.standard_normal(n_dim)
+    product = autocorr_matvec(state, vec)  # before any read mirrors the triangle
+    expected = state.autocorr @ vec
+    assert np.linalg.norm(product - expected) <= 1e-13 * np.linalg.norm(expected)
+
+
+def test_constructed_autocorr_reads_back_exactly(rng):
+    autocorr = rng.standard_normal((5, 5))
+    state = MomentState(power=0.0, cross=np.zeros(5), autocorr=autocorr, count=0,
+                        forgetting=1.0, weight_total=0.0)
+    assert np.array_equal(state.autocorr, autocorr)
+
+
 def test_non_finite_sample_rejected():
     with pytest.raises(ValueError):
         Sample(np.array([[np.inf]]), np.array([1.0]))
@@ -266,7 +298,7 @@ def test_curvature_psd_and_dominates_base(rng):
     h = rng.standard_normal(5)
     mat = normal_matrix(state, reg, h)
     assert np.array_equal(mat, mat.T)
-    extra = mat - state.autocorr - reg.quad
+    extra = mat - state.autocorr - reg.quad.toarray()
     vals = np.linalg.eigvalsh(extra)
     assert vals.min() >= -1e-10 * max(1.0, vals.max())
 

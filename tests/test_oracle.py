@@ -16,7 +16,7 @@ def test_quadratic_case_converges_in_one_iteration(rng):
     reg = Regularizer(6, quad=0.1, lin=rng.standard_normal(6))
     sol = batch_half_quadratic(state, reg, tol=1e-10)
     assert sol.iterations == 1
-    expected = np.linalg.solve(state.autocorr + reg.quad, state.cross + reg.lin)
+    expected = np.linalg.solve(state.autocorr + reg.quad.toarray(), state.cross + reg.lin)
     assert_allclose(sol.h_star, expected, rtol=1e-10)
 
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from mmls import PENALTY_KINDS, PenaltySpec, Regularizer
+from mmls import PENALTY_KINDS, PenaltySpec, Regularizer, build_isotropic_tv_regularizer
 
 ALL_SPECS = [
     PenaltySpec(kind, lam=0.7, delta=0.4, kappa=1.5) for kind in PENALTY_KINDS
@@ -255,9 +255,71 @@ def test_blocks_stack_in_declaration_order(rng):
     second = rng.standard_normal((3, 4))
     shifts = (rng.standard_normal(2), rng.standard_normal(3))
     reg = Regularizer(4, [(first, shifts[0], spec), (second, shifts[1], spec)])
-    assert_allclose(reg.op, np.vstack([first, second]))
+    assert_allclose(reg.op.toarray(), np.vstack([first, second]))
     assert_allclose(reg.shift, np.concatenate(shifts))
     assert list(reg.offsets) == [0, 2, 5]
+
+
+def test_operator_form_follows_the_matrix(rng):
+    n = 5
+    spec = PenaltySpec("huber", lam=1.0, delta=1.0)
+    h, hs = rng.standard_normal(n), rng.standard_normal((n, 2))
+    eye = np.eye(n)
+    # scaled identity: identity blocks, a scalar ridge, a dense 2 I, no quad
+    ident = Regularizer(n, [(eye[s : s + 1], None, spec) for s in range(n)], quad=0.3)
+    assert (ident.op.scale, ident.quad.scale) == (1.0, 0.3)
+    assert Regularizer(n, quad=2.0 * eye).quad.scale == 2.0
+    assert np.array_equal(ident.op.toarray(), eye)
+    assert np.array_equal(ident.quad.toarray(), 0.3 * np.eye(n))
+    product = ident.op @ h
+    assert np.array_equal(product, h) and product is not h
+    assert np.array_equal(ident.quad @ hs, 0.3 * hs)
+    with pytest.raises(ValueError):
+        ident.quad @ np.ones(n + 1)
+    bare = Regularizer(n)
+    assert bare.quad.scale == 0.0
+    assert np.array_equal(bare.quad.toarray(), np.zeros((n, n)))
+    assert bare.op.scale is None and bare.op.shape == (0, n)
+    assert (bare.op @ h).shape == (0,)
+    assert np.array_equal(bare.op.T @ np.zeros(0), np.zeros(n))
+    # CSR: dense blocks, a constant diagonal with off-diagonal entries, a
+    # non-constant diagonal, finite differences
+    ops = [rng.standard_normal((2, n)), rng.standard_normal((3, n))]
+    quad = 2.0 * eye + 0.5 * (np.eye(n, k=1) + np.eye(n, k=-1))
+    dense = Regularizer(n, [(op, None, spec) for op in ops], quad=quad)
+    assert Regularizer(n, quad=np.diag(np.arange(1.0, n + 1))).quad.scale is None
+    stacked = np.vstack(ops)
+    assert dense.op.scale is None and dense.quad.scale is None
+    assert np.array_equal(dense.op.toarray(), stacked)
+    assert np.array_equal(dense.op.T.toarray(), stacked.T)
+    assert np.array_equal(dense.quad.toarray(), quad)
+    assert dense.op.shape == (5, n) and dense.op.T.shape == (n, 5)
+    assert_allclose(dense.op @ hs, stacked @ hs, rtol=1e-12, atol=1e-13)
+    residual = rng.standard_normal(5)
+    assert_allclose(dense.op.T @ residual, stacked.T @ residual, rtol=1e-12, atol=1e-13)
+    tv = build_isotropic_tv_regularizer(3, 4, lam=1.0, delta=1.0)
+    assert tv.op.scale is None and tv.quad.scale == 1e-10
+    with pytest.raises(TypeError):
+        eye + ident.quad
+
+
+_HUBER = PenaltySpec("huber", lam=1.0, delta=1.0)
+
+
+@pytest.mark.parametrize(
+    "kwargs, name",
+    [
+        pytest.param({"blocks": [(np.array([[np.nan, 1.0]]), None, _HUBER)]}, "block op", id="op"),
+        pytest.param(
+            {"blocks": [(np.array([[1.0, 0.0]]), np.array([np.inf]), _HUBER)]}, "shift", id="shift"
+        ),
+        pytest.param({"lin": np.array([0.0, np.nan])}, "lin", id="lin"),
+        pytest.param({"quad": np.array([[1.0, np.nan], [np.nan, 1.0]])}, "quad", id="quad"),
+    ],
+)
+def test_non_finite_inputs_rejected(kwargs, name):
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        Regularizer(2, **kwargs)
 
 
 def test_empty_block_list_degenerates_to_quadratic():
