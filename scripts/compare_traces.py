@@ -1,0 +1,110 @@
+#!/usr/bin/env python3
+"""Compare the CSV traces of this checkout with those of another checkout.
+
+    python3 scripts/compare_traces.py PARENT_ROOT
+
+Runs each of :data:`COMMANDS` through the ``mmls`` command line with
+``--no-wall-time``, once on the sources of this checkout and once on those
+under ``PARENT_ROOT/src``, each run in a fresh interpreter with BLAS on one
+thread.  For each command it prints ``identical`` when the two traces are
+byte-identical, and otherwise the largest relative deviation of each column
+from the parent's value.  Exits 1 if any pair of traces differs or any run
+fails, 0 otherwise.
+"""
+
+from __future__ import annotations
+
+import argparse
+import io
+import math
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+# every experiment, every strategy and both block regimes, at sizes that run in seconds
+COMMANDS = (
+    "adaptive --seed 1",
+    "deconv2d --seed 1",
+    "deconv2d --seed 1 --kernel-size 21",
+    "synthetic --seed 2",
+    "synthetic --seed 2 --strategy gradient-only",
+    "synthetic --seed 2 --strategy full-space --n-dim 16 --samples 500",
+    "deconv2d --seed 3 --image-size 64 --kernel-size 5 --blocksize 7 --strategy gradient-only",
+    "synthetic --seed 4 --blocksize 5 --vartheta 0.99",
+    "deconv2d --seed 3 --image-size 64 --kernel-size 5 --strategy sgd",
+)
+ONE_BLAS_THREAD = {var: "1" for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+
+
+def compare_csv(parent: str, change: str) -> dict | None:
+    """``None`` for byte-identical traces, else the largest relative deviation per column.
+
+    A value ``c`` deviates from its parent value ``p`` by ``|c - p| / |p|``,
+    which is infinite where ``p`` is 0 and ``c`` is not.  Traces whose
+    headers or shapes differ deviate by ``inf`` in every parent column.
+    """
+    if parent == change:
+        return None
+    names = parent.partition("\n")[0].split(",")
+    old, new = _table(parent), _table(change)
+    if old.shape != new.shape or change.partition("\n")[0].split(",") != names:
+        return dict.fromkeys(names, math.inf)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        deviation = np.abs(new - old) / np.abs(old)
+    deviation[old == new] = 0.0
+    return {name: float(value) for name, value in zip(names, deviation.max(axis=0, initial=0.0))}
+
+
+def _table(text: str) -> np.ndarray:
+    return np.loadtxt(io.StringIO(text), delimiter=",", skiprows=1, ndmin=2)
+
+
+def run_trace(src: Path, command: str, out: Path) -> str:
+    """Run one command line on the package under ``src``; return its CSV trace."""
+    env = {**os.environ, **ONE_BLAS_THREAD, "PYTHONPATH": str(src)}
+    argv = [sys.executable, "-m", "mmls.cli", *command.split(), "--no-wall-time", "--out", str(out)]
+    done = subprocess.run(argv, cwd=out.parent, env=env, capture_output=True, text=True, check=False)
+    if done.returncode != 0:
+        raise RuntimeError(f"exit {done.returncode}: {done.stderr.strip()}")
+    return out.read_text(encoding="utf-8")
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("parent_root", type=Path, help="root of the checkout to compare against")
+    args = parser.parse_args(argv)
+    parent_src = args.parent_root.resolve() / "src"
+    if not (parent_src / "mmls" / "__init__.py").is_file():
+        parser.error(f"no mmls sources under {parent_src}")
+
+    status = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        for index, command in enumerate(COMMANDS):
+            traces = []
+            for side, src in (("parent", parent_src), ("change", ROOT / "src")):
+                run_dir = Path(tmp) / f"{side}{index}"
+                run_dir.mkdir()
+                try:
+                    traces.append(run_trace(src, command, run_dir / "trace.csv"))
+                except RuntimeError as exc:
+                    print(f"{command}: {side} failed, {exc}")
+                    status = 1
+                    break
+            else:
+                deviation = compare_csv(*traces)
+                if deviation is None:
+                    print(f"{command}: identical")
+                else:
+                    status = 1
+                    columns = ", ".join(f"{name} {value:.3g}" for name, value in deviation.items())
+                    print(f"{command}: max relative deviation {columns}")
+    return status
+
+
+if __name__ == "__main__":
+    sys.exit(main())

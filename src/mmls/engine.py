@@ -29,12 +29,15 @@ The reduced system is solved by a symmetric eigendecomposition
 pseudo-inverse (minimum-norm step ``u``; eigenvalues below 1e-12 of the
 largest are treated as zero), so rank-deficient subspaces -- a zero
 gradient column, a zero step, the zero initial iterate -- need no special
-casing.
+casing.  One pass gives the penalty weights and value
+(:meth:`Regularizer.weights_and_penalty`), one dot product the gradient norm
+and its screen for non-finite entries.  No array of an old state is written.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,6 +60,8 @@ __all__ = [
 
 RANK_CUTOFF = 1e-12
 DIVERGENCE_NORM = 1e12
+_ANCHOR = np.array([0.0, 1.0, 0.0])  # coordinates of h in a low-dimensional basis
+_ANCHOR.flags.writeable = False
 
 
 class SubspaceStrategy(str, enum.Enum):
@@ -148,19 +153,25 @@ def build_subspace(strategy, grad, h, h_prev, step) -> np.ndarray:
     """Assemble the basis for iteration ``step`` (columns in fixed order).
 
     Memory gradient uses ``[-grad, h, h - h_prev]`` (two columns at the
-    first step), gradient-only ``[-grad, h]``, full space the identity.
-    Degenerate columns are kept; the pseudo-inverse absorbs them.
+    first step), gradient-only ``[-grad, h]``, full space the identity,
+    always as a new C-ordered array.  Degenerate columns are kept; the
+    pseudo-inverse absorbs them.
 
     The low-dimensional recipes are linear in ``(grad, h, h_prev)``, so
     the engine also builds the cached images with it: passing
     ``M @ grad``, ``M @ h`` and ``M @ h_prev`` yields ``M @ basis``.
     """
-    strategy = SubspaceStrategy(strategy)
+    if type(strategy) is not SubspaceStrategy:
+        strategy = SubspaceStrategy(strategy)
     if strategy is SubspaceStrategy.FULL_SPACE:
         return np.eye(h.shape[0])
-    if strategy is SubspaceStrategy.MEMORY_GRADIENT and step > 1:
-        return np.column_stack([-grad, h, h - h_prev])
-    return np.column_stack([-grad, h])
+    memory = strategy is SubspaceStrategy.MEMORY_GRADIENT and step > 1
+    basis = np.empty((h.shape[0], 3 if memory else 2))
+    np.negative(grad, out=basis[:, 0])
+    basis[:, 1] = h
+    if memory:
+        np.subtract(h, h_prev, out=basis[:, 2])
+    return basis
 
 
 def reduced_matrix(basis, autocorr_basis, quad_basis, op_basis, weights) -> np.ndarray:
@@ -270,9 +281,10 @@ class MMEngine:
         # weights, penalty block norms and gradient at the current h
         residual = op_h - reg.shift
         norms = reg.block_norms(residual)
-        weights = reg.weights_from_norms(norms)
+        weights, penalty = reg.weights_and_penalty(norms)
         grad = autocorr_h + quad_h - stats.cross - reg.lin + reg.op.T @ (weights * residual)
-        if not np.all(np.isfinite(grad)):
+        grad_sq = float(grad @ grad)
+        if not grad_sq < math.inf and not np.isfinite(grad).all():
             raise DivergenceError(step, f"non-finite gradient at iteration {step}")
 
         basis = build_subspace(strategy, grad, state.h, state.h_prev, step)
@@ -292,17 +304,19 @@ class MMEngine:
             )
             quad_basis = build_subspace(strategy, reg.quad @ grad, quad_h, state.quad_basis[:, 1], step)
             op_basis = build_subspace(strategy, reg.op @ grad, op_h, state.op_basis[:, 1], step)
-            anchor = np.eye(basis.shape[1])[1]
+            anchor = _ANCHOR[: basis.shape[1]]
 
         reduced = reduced_matrix(basis, autocorr_basis, quad_basis, op_basis, weights)
 
-        if np.any(grad):
+        # the sum of squares can underflow to 0 on a nonzero gradient
+        if grad_sq > 0.0 or grad.any():
             shifted, rank = _pinv_psd_solve(reduced, -(basis.T @ grad))
         else:
             shifted, rank = np.zeros(basis.shape[1]), 0
         coords = anchor + shifted
         h_next = basis @ coords
-        if not np.all(np.isfinite(h_next)) or float(np.linalg.norm(h_next)) > DIVERGENCE_NORM:
+        # false for a NaN entry too; an infinite one makes the norm infinite
+        if not math.sqrt(float(h_next @ h_next)) <= DIVERGENCE_NORM:
             raise DivergenceError(step)
         step_quadratic = float(shifted @ (reduced @ shifted))
 
@@ -312,7 +326,7 @@ class MMEngine:
             + 0.5 * float(state.h @ autocorr_h)
             + 0.5 * float(state.h @ quad_h)
             - float(reg.lin @ state.h)
-            + reg.penalty_sum(norms)
+            + penalty
         )
         self.state = EngineState(
             step=step,
@@ -327,7 +341,7 @@ class MMEngine:
         )
         return IterationReport(
             objective=objective,
-            grad_norm=float(np.linalg.norm(grad)),
+            grad_norm=math.sqrt(grad_sq),
             step_quadratic=step_quadratic,
             subspace_dim=basis.shape[1],
             rank=rank,

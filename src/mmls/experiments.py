@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import os
 import time
 from dataclasses import dataclass
@@ -205,13 +206,15 @@ def instantaneous_gradient(reg, X, y, h):
 def nrmse(estimate, truth) -> float:
     """Normalized error ``||estimate - truth|| / ||truth||``."""
     estimate = np.asarray(estimate, dtype=float).reshape(-1)
-    truth = np.asarray(truth, dtype=float).reshape(-1)
+    # contiguous, as ``np.linalg.norm`` makes it, so the dot sums in its order
+    truth = np.asarray(truth, dtype=float).ravel()
     if estimate.shape != truth.shape:
         raise ValueError("estimate and truth must have equal length")
-    scale = float(np.linalg.norm(truth))
+    scale = math.sqrt(truth @ truth)
     if scale == 0.0:
         raise ValueError("truth has zero norm")
-    return float(np.linalg.norm(estimate - truth)) / scale
+    error = estimate - truth
+    return math.sqrt(error @ error) / scale
 
 
 # --- trace -------------------------------------------------------------------

@@ -57,15 +57,18 @@ class Sample:
     y: np.ndarray
 
     def __post_init__(self):
-        self.X = np.atleast_2d(np.asarray(self.X, dtype=float))
-        self.y = np.asarray(self.y, dtype=float).reshape(-1)
+        # the arrays of another ``Sample`` pass through as they are
+        if not (type(self.X) is np.ndarray and self.X.dtype == np.float64 and self.X.ndim == 2):
+            self.X = np.atleast_2d(np.asarray(self.X, dtype=float))
+        if not (type(self.y) is np.ndarray and self.y.dtype == np.float64 and self.y.ndim == 1):
+            self.y = np.asarray(self.y, dtype=float).reshape(-1)
         if self.X.shape[1] != self.y.shape[0]:
             raise ValueError(
                 f"block mismatch: X has {self.X.shape[1]} columns, y has {self.y.shape[0]} entries"
             )
         if self.y.shape[0] < 1:
             raise ValueError("block size must be at least 1")
-        if not (np.all(np.isfinite(self.X)) and np.all(np.isfinite(self.y))):
+        if not (np.isfinite(self.X).all() and np.isfinite(self.y).all()):
             raise ValueError("sample entries must be finite")
 
     @property

@@ -14,7 +14,9 @@ anchor t,
 
 The catalog covers the classical robust/sparsity-promoting families.  All
 potentials are even, vanish at 0, have ``psi(sqrt(.))`` concave, and have
-``nu`` nonnegative, bounded, and maximal at 0.
+``nu`` nonnegative, bounded, and maximal at 0.  Each entry yields ``psi``
+and ``nu`` together; ``Regularizer.weights_and_penalty``, the engine's
+per-step call, evaluates both for every block in one pass.
 """
 
 from __future__ import annotations
@@ -32,104 +34,72 @@ _SQRT6 = float(np.sqrt(6.0))
 
 # --- potential catalog -------------------------------------------------
 #
-# Each entry maps a kind tag to (value, weight) callables evaluated at
-# a = |t| >= 0, *without* the overall multiplier lam.  ``kappa`` is only
-# meaningful for the two power-law families and ignored elsewhere.
+# Each entry maps a kind tag to one callable returning (value, weight) at
+# a = |t| >= 0, *without* the overall multiplier lam; a subexpression both
+# need is computed once.  ``kappa`` is only meaningful for the two
+# power-law families and ignored elsewhere.
 
 
-def _value_l2l1_log(a, d, k):
-    return a - d * np.log1p(a / d)
+def _l2l1_log(a, d, k):
+    return a - d * np.log1p(a / d), 1.0 / (a + d)
 
 
-def _weight_l2l1_log(a, d, k):
-    return 1.0 / (a + d)
-
-
-def _value_huber(a, d, k):
+def _huber(a, d, k):
     # quadratic core, linear tails; the seam |t| = d belongs to the core
-    return np.where(a <= d, a * a, 2.0 * d * a - d * d)
+    core = a <= d
+    return np.where(core, a * a, 2.0 * d * a - d * d), np.where(core, 2.0, 2.0 * d / np.maximum(a, d))
 
 
-def _weight_huber(a, d, k):
-    return np.where(a <= d, 2.0, 2.0 * d / np.maximum(a, d))
-
-
-def _value_green(a, d, k):
+def _green(a, d, k):
     # log(cosh(a)) written to survive large a where cosh overflows
-    return a - _LOG2 + np.log1p(np.exp(-2.0 * a))
+    positive = a > 0.0
+    safe = np.where(positive, a, 1.0)
+    return a - _LOG2 + np.log1p(np.exp(-2.0 * a)), np.where(positive, np.tanh(a) / safe, 1.0)
 
 
-def _weight_green(a, d, k):
-    safe = np.where(a > 0.0, a, 1.0)
-    return np.where(a > 0.0, np.tanh(a) / safe, 1.0)
+def _power(a, d, k):
+    base = 1.0 + (a / d) ** 2
+    return np.power(base, 0.5 * k) - 1.0, (k / d**2) * np.power(base, 0.5 * k - 1.0)
 
 
-def _value_power(a, d, k):
-    return np.power(1.0 + (a / d) ** 2, 0.5 * k) - 1.0
+def _welsch(a, d, k):
+    kernel = np.exp(-(a * a) / (2.0 * d * d))
+    return 1.0 - kernel, kernel / (d * d)
 
 
-def _weight_power(a, d, k):
-    return (k / d**2) * np.power(1.0 + (a / d) ** 2, 0.5 * k - 1.0)
+def _geman_mcclure(a, d, k):
+    core = a <= _SQRT6 * d
+    rest = 1.0 - a * a / (6.0 * d * d)
+    return np.where(core, 1.0 - rest**3, 1.0), np.where(core, rest**2 / (d * d), 0.0)
 
 
-def _value_welsch(a, d, k):
-    return 1.0 - np.exp(-(a * a) / (2.0 * d * d))
-
-
-def _weight_welsch(a, d, k):
-    return np.exp(-(a * a) / (2.0 * d * d)) / (d * d)
-
-
-def _value_geman_mcclure(a, d, k):
-    u = a * a / (6.0 * d * d)
-    return np.where(a <= _SQRT6 * d, 1.0 - (1.0 - u) ** 3, 1.0)
-
-
-def _weight_geman_mcclure(a, d, k):
-    u = a * a / (6.0 * d * d)
-    return np.where(a <= _SQRT6 * d, (1.0 - u) ** 2 / (d * d), 0.0)
-
-
-def _value_tukey(a, d, k):
-    return np.tanh(a * a / (2.0 * d * d))
-
-
-def _weight_tukey(a, d, k):
-    # sech(x)^2 / d^2 with x >= 0, written against exp overflow
+def _tukey(a, d, k):
+    # the weight is sech(x)^2 / d^2 with x >= 0, written against exp overflow
     x = a * a / (2.0 * d * d)
     sech = 2.0 * np.exp(-x) / (1.0 + np.exp(-2.0 * x))
-    return sech * sech / (d * d)
+    return np.tanh(x), sech * sech / (d * d)
 
 
-def _value_hyperbolic_log(a, d, k):
-    return np.log1p((a / d) ** 2)
+def _hyperbolic_log(a, d, k):
+    return np.log1p((a / d) ** 2), 2.0 / (a * a + d * d)
 
 
-def _weight_hyperbolic_log(a, d, k):
-    return 2.0 / (a * a + d * d)
-
-
-def _value_cauchy(a, d, k):
-    p = np.power(1.0 + a * a / (2.0 * d * d), 0.5 * k)
-    return 1.0 - np.exp(1.0 - p)
-
-
-def _weight_cauchy(a, d, k):
+def _cauchy(a, d, k):
     base = 1.0 + a * a / (2.0 * d * d)
-    p = np.power(base, 0.5 * k)
-    return (k / (2.0 * d * d)) * np.power(base, 0.5 * k - 1.0) * np.exp(1.0 - p)
+    tail = np.exp(1.0 - np.power(base, 0.5 * k))
+    return 1.0 - tail, (k / (2.0 * d * d)) * np.power(base, 0.5 * k - 1.0) * tail
 
 
 _CATALOG = {
-    "l2l1-log": (_value_l2l1_log, _weight_l2l1_log),
-    "huber": (_value_huber, _weight_huber),
-    "green": (_value_green, _weight_green),
-    "l2lkappa-power": (_value_power, _weight_power),
-    "welsch": (_value_welsch, _weight_welsch),
-    "gemanmcclure": (_value_geman_mcclure, _weight_geman_mcclure),
-    "tukeybiweight": (_value_tukey, _weight_tukey),
-    "hyperboliclog": (_value_hyperbolic_log, _weight_hyperbolic_log),
-    "cauchy": (_value_cauchy, _weight_cauchy),
+    "l2l1-log": _l2l1_log,
+    "huber": _huber,
+    "green": _green,
+    "l2lkappa-power": _power,
+    "welsch": _welsch,
+    "gemanmcclure": _geman_mcclure,
+    "tukeybiweight": _tukey,
+    "hyperboliclog": _hyperbolic_log,
+    "cauchy": _cauchy,
 }
 
 PENALTY_KINDS = tuple(_CATALOG)
@@ -172,28 +142,28 @@ class PenaltySpec:
         if self.kind in _KAPPA_KINDS and not (1.0 <= self.kappa <= 2.0):
             raise ValueError(f"kappa must lie in [1, 2], got {self.kappa}")
 
+    def value_and_weight(self, t):
+        """``(value(t), weight(t))`` from one catalog call."""
+        a = _abs_checked(t)
+        value, weight = _CATALOG[self.kind](a, self.delta, self.kappa)
+        return _unwrap(self.lam * value), _unwrap(self.lam * weight)
+
     def value(self, t):
         """Evaluate the potential at ``t`` (scalar or array, any sign)."""
-        a = _abs_checked(t)
-        fn = _CATALOG[self.kind][0]
-        return _unwrap(self.lam * fn(a, self.delta, self.kappa))
+        return self.value_and_weight(t)[0]
 
     def weight(self, t):
         """Half-quadratic weight ``lam * nu(|t|)``, continuous at 0."""
-        a = _abs_checked(t)
-        fn = _CATALOG[self.kind][1]
-        return _unwrap(self.lam * fn(a, self.delta, self.kappa))
+        return self.value_and_weight(t)[1]
 
     def derivative(self, t):
         """Derivative of the potential, recovered as ``weight(|t|) * t``."""
-        a = _abs_checked(t)
-        fn = _CATALOG[self.kind][1]
-        return _unwrap(self.lam * fn(a, self.delta, self.kappa) * np.asarray(t, dtype=float))
+        return _unwrap(self.weight(t) * np.asarray(t, dtype=float))
 
 
 def _abs_checked(t):
     arr = np.asarray(t, dtype=float)
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError("penalty argument must be finite")
     return np.abs(arr)
 
@@ -309,6 +279,7 @@ class Regularizer:
         for i, spec in enumerate(self.specs):
             groups.setdefault(spec, []).append(i)
         self._groups = [(spec, np.asarray(idx, dtype=int)) for spec, idx in groups.items()]
+        self._row_block = np.repeat(np.arange(self.n_blocks), self.block_sizes)  # block of each row
 
     @property
     def n_blocks(self) -> int:
@@ -346,6 +317,15 @@ class Regularizer:
         for spec, idx in self._groups:
             total += float(np.sum(spec.value(norms[idx])))
         return total
+
+    def weights_and_penalty(self, norms):
+        """``(weights_from_norms(norms), penalty_sum(norms))``, bit for bit, from one catalog pass."""
+        per_block = np.empty(self.n_blocks)
+        total = 0.0
+        for spec, idx in self._groups:
+            value, per_block[idx] = spec.value_and_weight(norms[idx])
+            total += float(value.sum())
+        return per_block[self._row_block], total
 
     def value(self, h):
         """Evaluate the full regularizer at ``h``."""

@@ -65,6 +65,33 @@ class TestBuildSubspace:
         assert_allclose(basis, np.eye(3))
 
 
+@pytest.mark.parametrize("strategy", ["memory-gradient", "gradient-only"])
+@pytest.mark.parametrize("step", [1, 4])
+def test_build_subspace_matches_column_stack(rng, strategy, step):
+    grad, h, h_prev = rng.standard_normal((3, 7))
+    basis = build_subspace(SubspaceStrategy(strategy), grad, h, h_prev, step)
+    columns = [-grad, h] + ([h - h_prev] if strategy == "memory-gradient" and step > 1 else [])
+    assert np.array_equal(basis, np.column_stack(columns))
+    assert basis.flags.c_contiguous
+    for arg in (grad, h, h_prev):
+        assert not np.shares_memory(basis, arg)
+
+
+@pytest.mark.parametrize("strategy", list(SubspaceStrategy))
+def test_step_leaves_the_previous_state_unchanged(rng, strategy):
+    reg = random_regularizer(rng, 6, kind="huber")
+    engine = MMEngine(reg, strategy=strategy, forgetting=0.9)
+    for _ in range(4):
+        previous = engine.state
+        snapshot = {field.name: np.copy(getattr(previous, field.name))
+                    for field in dataclasses.fields(previous) if field.name != "step"}
+        report = engine.step(rng.standard_normal((6, 2)), rng.standard_normal(2))
+        for name, array in snapshot.items():
+            assert np.array_equal(getattr(previous, name), array), name
+        # the report's norm is np.linalg.norm of the stored gradient, bit for bit
+        assert report.grad_norm == float(np.linalg.norm(engine.state.grad))
+
+
 class TestReducedSolve:
     def test_rank_deficient_minimum_norm(self):
         u = reduced_solve(np.diag([4.0, 0.0]), np.array([4.0, 0.0]))
@@ -370,6 +397,17 @@ def test_divergence_guard_raises_with_iteration():
     with pytest.raises(DivergenceError) as info:
         engine.step([[1.0]], [1e13])
     assert info.value.iteration == 1
+
+
+def test_gradient_screens_survive_underflow_and_overflow():
+    # a nonzero gradient whose sum of squares underflows still reaches the solve
+    engine = MMEngine(Regularizer(1), strategy="memory-gradient")
+    report = engine.step([[1e150]], [1e-313])
+    assert engine.state.grad[0] != 0.0 and report.grad_norm == 0.0 and report.rank == 1
+    # a finite gradient whose sum of squares overflows is not reported as non-finite
+    engine = MMEngine(Regularizer(1), strategy="memory-gradient")
+    with np.errstate(all="ignore"), pytest.raises(DivergenceError, match="^divergence detected"):
+        engine.step([[1e-150]], [1e305])
 
 
 def test_divergence_leaves_statistics_one_block_ahead():

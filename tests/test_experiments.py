@@ -116,6 +116,12 @@ class TestNrmse:
         truth = np.array([3.0, 4.0])
         assert nrmse(2 * truth, truth) == pytest.approx(1.0)
 
+    def test_equals_the_norm_ratio(self, rng):
+        base = rng.standard_normal((3, 400))
+        for estimate, truth in ((base[0], base[1]), (base[0, ::2], base[2, ::-2]), (base[:, :4].T, base[:, 4:8])):
+            expected = float(np.linalg.norm(np.ravel(estimate) - np.ravel(truth))) / float(np.linalg.norm(truth))
+            assert nrmse(estimate, truth) == expected
+
     def test_zero_truth_rejected(self):
         with pytest.raises(ValueError):
             nrmse(np.ones(2), np.zeros(2))

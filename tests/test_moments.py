@@ -202,6 +202,41 @@ def test_non_finite_sample_rejected():
         Sample(np.array([[np.inf]]), np.array([1.0]))
 
 
+@pytest.mark.parametrize(
+    "layout", ["list", "integer", "1-d", "fortran-view", "negative-stride", "stream", "column-y"]
+)
+def test_sample_coerces_as_defined(rng, layout):
+    base = rng.standard_normal((6, 8))
+    X, y = {
+        "list": (base[:3, :4].tolist(), base[4, :4].tolist()),
+        "integer": (np.arange(12).reshape(3, 4), np.arange(4)),
+        "1-d": (base[0, :5], base[1, :5]),
+        "fortran-view": (np.asfortranarray(base)[1:4, 2:6], np.asfortranarray(base)[1:4, 2:6][0]),
+        "negative-stride": (base[::-1, ::-2], base[0, ::-2]),
+        "stream": (base[2:5].T, base[0, 2:5]),
+        "column-y": (base[:3, :4], base[:4, 5:6]),
+    }[layout]
+    sample = Sample(X, y)
+    # the coercion every Sample applies, written out
+    for got, given, want in ((sample.X, X, np.atleast_2d(np.asarray(X, dtype=float))),
+                             (sample.y, y, np.asarray(y, dtype=float).reshape(-1))):
+        assert type(got) is np.ndarray and got.dtype == np.float64
+        assert got.shape == want.shape and got.strides == want.strides
+        assert np.array_equal(got, want)
+        assert np.shares_memory(got, given) == np.shares_memory(want, given)
+
+
+@pytest.mark.parametrize(
+    "X, y",
+    [([[1.0, np.nan]], [0.0, 1.0]), (np.ones((2, 2)), np.array([np.inf, 0.0])),
+     (np.array([[-np.inf, 1.0]]), [1, 2])],
+    ids=["list-X", "array-y", "array-X"],
+)
+def test_non_finite_sample_entries_rejected(X, y):
+    with pytest.raises(ValueError, match="finite"):
+        Sample(X, y)
+
+
 def test_invalid_forgetting_rejected():
     with pytest.raises(ValueError):
         MomentState.zeros(2, 0.0)

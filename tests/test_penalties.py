@@ -180,6 +180,20 @@ def test_invalid_spec_rejected(kwargs):
 # --- Regularizer --------------------------------------------------------
 
 
+def test_weights_and_penalty_equal_the_separate_passes(rng):
+    delta = ALL_SPECS[0].delta
+    # the origin, a norm whose square underflows, the Huber and Geman-McClure seams, a far tail
+    probes = [0.0, 1e-300, delta, np.sqrt(6.0) * delta, 1e3 * delta]
+    # every kind in one regularizer, kinds interleaved, one- and two-row blocks
+    specs = ALL_SPECS * len(probes)
+    reg = Regularizer(3, [(rng.standard_normal((1 + i % 2, 3)), None, spec) for i, spec in enumerate(specs)])
+    norms = np.repeat(probes, len(ALL_SPECS))
+    weights, total = reg.weights_and_penalty(norms)
+    np.testing.assert_array_equal(weights, reg.weights_from_norms(norms))
+    assert total == reg.penalty_sum(norms)
+    assert weights.shape == (reg.total_rows,)
+
+
 def test_weights_all_ones_for_unit_welsch_at_zero():
     n = 5
     spec = PenaltySpec("welsch", lam=1.0, delta=1.0)
