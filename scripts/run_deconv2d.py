@@ -1,13 +1,19 @@
 #!/usr/bin/env python3
-"""Desk-scale 2D blur-kernel identification run.
+"""2D blur-kernel identification run.
 
-Streams a 256x256 blurred image through the memory-gradient solver with
-the isotropic smoothness penalty and compares the result against the
-batch half-quadratic solution on the run's final statistics.
+Streams a blurred image (256x256 by default) through the memory-gradient
+solver with the isotropic smoothness penalty and compares the result
+against the batch half-quadratic solution on the run's final statistics.
+Prints wall time and the process's peak resident memory.  The full-scale
+configuration is
+
+    python3 scripts/run_deconv2d.py --image-size 4096 --kernel-size 21
 """
 
 import argparse
 import pathlib
+import resource
+import time
 
 from mmls import (
     ExperimentConfig,
@@ -36,6 +42,7 @@ def main():
         experiment="deconv2d", seed=args.seed, image_size=args.image_size,
         kernel_size=args.kernel_size, block_size=args.blocksize, out=str(out),
     )
+    start = time.perf_counter()
     trace = run_experiment(cfg)
     print(f"streamed: final nrmse {trace.final_nrmse:.4f} "
           f"objective {trace.final_objective:.6f} ({trace.wall_time[-1]:.1f}s)")
@@ -47,7 +54,13 @@ def main():
     batch = batch_half_quadratic(trace.moments, reg, tol=1e-8)
     print(f"batch reference: nrmse {nrmse(batch.h_star, trace.truth):.4f} "
           f"objective {batch.objective:.6f} ({batch.iterations} solves)")
+    print(f"wall time {time.perf_counter() - start:.1f}s, peak RSS {_peak_rss_mib():.0f} MiB")
     print(f"trace written to {out}")
+
+
+def _peak_rss_mib() -> float:
+    """Peak resident memory of this process so far (``ru_maxrss`` is in KiB on Linux)."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
 if __name__ == "__main__":

@@ -1,8 +1,12 @@
 """Synthetic data generators and the on-disk sample-record format.
 
-Streams are materialized as row matrices: row ``l`` holds the regressor
+A stream is a sequence of feature rows: row ``l`` holds the regressor
 producing observation ``l``, so a block of size ``q`` is the transposed
-row slice paired with its observations.
+row slice paired with its observations.  The adaptive and synthetic
+streams keep their rows as one matrix.  The deconvolution stream keeps
+only the flipped, zero-padded image and cuts each block's patch rows
+from it when the block is read, so its memory does not grow with the
+kernel size.
 
 Record format (owned by this module): one record per observation, laid
 out as ``n_dim`` feature values followed by the observation value.  In
@@ -12,6 +16,7 @@ comma-separated line per record, full ``%.17g`` precision, no header.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,6 +26,7 @@ from .moments import Sample
 
 __all__ = [
     "ArrayStream",
+    "PatchStream",
     "FULL_SCALE_REFERENCE",
     "gen_deconv2d",
     "gen_adaptive",
@@ -57,7 +63,7 @@ class ArrayStream:
 
     @property
     def n_rows(self) -> int:
-        return self.features.shape[0]
+        return self.observations.shape[0]
 
     @property
     def n_dim(self) -> int:
@@ -66,12 +72,16 @@ class ArrayStream:
     def n_blocks(self, block_size: int) -> int:
         return self.n_rows // int(block_size)
 
+    def _rows(self, start: int, stop: int) -> np.ndarray:
+        """Feature rows ``start:stop`` as a (rows, n_dim) array."""
+        return self.features[start:stop]
+
     def block(self, index: int, block_size: int) -> Sample:
         start = index * int(block_size)
         stop = start + int(block_size)
-        if stop > self.n_rows:
+        if index < 0 or stop > self.n_rows:
             raise IndexError(f"block {index} of size {block_size} exceeds {self.n_rows} rows")
-        return Sample(self.features[start:stop].T, self.observations[start:stop])
+        return Sample(self._rows(start, stop).T, self.observations[start:stop])
 
     def blocks(self, block_size: int):
         """Yield consecutive blocks; a trailing partial block is dropped."""
@@ -118,9 +128,71 @@ def _smooth_field(rng, size: int) -> np.ndarray:
 
 def _patch_matrix(image: np.ndarray, size: int) -> np.ndarray:
     """Rows are zero-padded, reversed windows so that rows @ vec(kernel)
-    equals the "same" convolution of the image with the kernel."""
+    equals the "same" convolution of the image with the kernel.
+
+    The reference for :class:`PatchStream`, which cuts the same rows
+    block by block."""
     windows = np.lib.stride_tricks.sliding_window_view(np.pad(image, size // 2), (size, size))
     return windows[..., ::-1, ::-1].reshape(-1, size * size)
+
+
+# rows per patch chunk when the observations are formed: 14 MB at a 21x21 kernel
+_OBSERVATION_CHUNK = 4096
+
+
+class PatchStream(ArrayStream):
+    """Deconvolution stream that cuts its patch rows from the image.
+
+    Row ``l`` equals row ``l`` of :func:`_patch_matrix`: the reversed
+    ``size x size`` window of the zero-padded image at raster pixel
+    ``(i, j)``.  That is the forward window of the flipped padded image
+    at the mirrored pixel ``(height-1-i, width-1-j)``, so rows
+    ``start:stop`` are one window slice per image row they touch, copied
+    into a fresh C-ordered array.  A block's ``X`` is that array's
+    transpose: the values and Fortran layout of a patch-matrix slice.
+
+    The stream keeps the flipped padded image, not the patch matrix;
+    ``features`` cuts the whole matrix on every read.
+    """
+
+    def __init__(self, image: np.ndarray, size: int, observations: np.ndarray, info=None):
+        height, width = image.shape
+        # padding is symmetric, so this is the padded image flipped on both axes
+        self.padded = np.pad(image[::-1, ::-1], size // 2)
+        # (height, width, size, size); window (a, b) serves pixel (height-1-a, width-1-b)
+        self.windows = np.lib.stride_tricks.sliding_window_view(self.padded, (size, size))
+        self.observations = np.asarray(observations, dtype=float).reshape(-1)
+        self.info = {} if info is None else info
+        if self.observations.shape[0] != height * width:
+            raise ValueError("features and observations disagree on the number of rows")
+
+    def __repr__(self) -> str:
+        # the inherited dataclass repr would cut and print the whole patch matrix
+        height, width, size, _ = self.windows.shape
+        return f"PatchStream(image={height}x{width}, kernel={size}x{size})"
+
+    @property
+    def features(self) -> np.ndarray:
+        """The whole (pixels, size**2) patch matrix, cut afresh on each read."""
+        return self._rows(0, self.n_rows)
+
+    @property
+    def n_dim(self) -> int:
+        return self.windows.shape[2] * self.windows.shape[3]
+
+    def _rows(self, start: int, stop: int) -> np.ndarray:
+        height, width, size, _ = self.windows.shape
+        out = np.empty((stop - start, size * size))
+        row = start
+        while row < stop:
+            i, j = divmod(row, width)
+            count = min(stop - row, width - j)
+            # pixels (i, j) .. (i, j+count-1) mirror windows (height-1-i, width-j-1 .. width-j-count)
+            first = width - j - count
+            cut = out[row - start : row - start + count].reshape(count, size, size)
+            cut[...] = self.windows[height - 1 - i, first : first + count][::-1]
+            row += count
+        return out
 
 
 def gen_deconv2d(seed, image_size=256, kernel_size=7, sigma=0.03):
@@ -131,7 +203,8 @@ def gen_deconv2d(seed, image_size=256, kernel_size=7, sigma=0.03):
     Gaussian noise of standard deviation ``sigma``.  The stream rows are
     the image patches producing each output pixel, in raster order, so
     every block satisfies its own observation equation exactly at zero
-    noise.
+    noise.  The stream is a :class:`PatchStream`: no patch matrix is
+    built, here or while streaming.
 
     Returns ``(kernel, stream)`` with ``kernel`` the 2-D ground truth;
     ``stream.info`` keeps the scene and the noise realization.
@@ -143,13 +216,16 @@ def gen_deconv2d(seed, image_size=256, kernel_size=7, sigma=0.03):
     rng = np.random.default_rng(seed)
     kernel = _random_smooth_kernel(rng, kernel_size)
     image = _smooth_field(rng, image_size)
-    patches = _patch_matrix(image, kernel_size)
-    clean = patches @ kernel.ravel()
     noise = rng.standard_normal(image_size * image_size)
-    obs = clean + sigma * noise
-    stream = ArrayStream(
-        patches, obs, info={"image": image, "noise": noise, "noise_sigma": float(sigma)}
+    stream = PatchStream(
+        image, kernel_size, np.empty(noise.shape),
+        info={"image": image, "noise": noise, "noise_sigma": float(sigma)},
     )
+    # fill the observations from the stream's own cut, a chunk of rows at a time
+    for start in range(0, noise.shape[0], _OBSERVATION_CHUNK):
+        stop = min(start + _OBSERVATION_CHUNK, noise.shape[0])
+        clean = stream._rows(start, stop) @ kernel.ravel()
+        stream.observations[start:stop] = clean + sigma * noise[start:stop]
     return kernel, stream
 
 
@@ -227,12 +303,20 @@ def write_records(stream: ArrayStream, path, fmt="binary") -> None:
 
 
 def read_records(path, n_dim: int, fmt="binary") -> ArrayStream:
-    """Read a stream written by :func:`write_records`."""
+    """Read a stream written by :func:`write_records`.
+
+    A binary file is mapped read-only, not read: the stream's arrays are
+    views of the map, so only the pages a stream touches become resident.
+    """
     if fmt == "binary":
-        flat = np.fromfile(path, dtype="<f8")
-        if flat.size % (n_dim + 1) != 0:
+        record_bytes = 8 * (n_dim + 1)
+        size = os.path.getsize(path)
+        if size % record_bytes != 0:
             raise ValueError(f"file length is not a multiple of {n_dim + 1} values")
-        records = flat.reshape(-1, n_dim + 1)
+        if size == 0:  # an empty file cannot be mapped
+            records = np.zeros((0, n_dim + 1))
+        else:
+            records = np.memmap(path, dtype="<f8", mode="r", shape=(size // record_bytes, n_dim + 1))
     elif fmt == "csv":
         records = np.loadtxt(path, delimiter=",", ndmin=2)
         if records.shape[1] != n_dim + 1:

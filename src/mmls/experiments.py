@@ -26,6 +26,7 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse
 
 from . import moments as moments_mod
 from .datasets import gen_adaptive, gen_deconv2d, gen_synthetic
@@ -51,6 +52,9 @@ EXPERIMENTS = ("deconv2d", "adaptive", "synthetic")
 ALGORITHMS = tuple(s.value for s in SubspaceStrategy) + ("sgd",)
 
 TRACE_COLUMNS = ("n", "objective", "grad_norm", "nrmse", "nrmse_sq", "wall_time_s")
+
+# largest deconv2d footprint accepted, as counted by :func:`deconv2d_resident_bytes`
+RESIDENT_BYTES_CAP = 2**31
 
 
 class ConfigError(ValueError):
@@ -137,13 +141,24 @@ def resolve_config(config: ExperimentConfig) -> ExperimentConfig:
     if merged.n_dim > 4096:
         raise ConfigError(f"coefficient dimension {merged.n_dim} exceeds the dense-storage cap 4096")
     if merged.experiment == "deconv2d":
-        patch_bytes = 8 * merged.image_size**2 * merged.n_dim
-        if patch_bytes > 2**31:
+        resident = deconv2d_resident_bytes(merged.image_size, merged.kernel_size)
+        if resident > RESIDENT_BYTES_CAP:
             raise ConfigError(
-                f"patch matrix would need {patch_bytes / 2**30:.1f} GiB; "
-                "reduce image_size or kernel_size"
+                f"deconv2d stream would keep {resident / 2**30:.1f} GiB resident; "
+                "reduce image_size"
             )
     return merged
+
+
+def deconv2d_resident_bytes(image_size: int, kernel_size: int) -> int:
+    """Bytes of the float64 arrays a deconv2d run keeps for its whole length.
+
+    The image, its zero-padded copy, the noise and the observations, plus
+    the ``kernel_size**2``-square autocorrelation; the patch rows are cut
+    block by block and never held together.
+    """
+    padded = image_size + kernel_size - 1
+    return 8 * (3 * image_size**2 + padded**2 + kernel_size**4)
 
 
 # --- regularizer builders ---------------------------------------------------
@@ -156,31 +171,31 @@ def build_isotropic_tv_regularizer(kernel_rows, kernel_cols, lam, delta, tau=1e-
     differences (zero rows at the right/bottom boundaries); the block
     potential is the kappa = 1 power family, which matches the usual
     hyperbolic smoothness penalty up to an additive constant.  A small
-    ridge ``tau`` keeps the overall objective strongly convex.
+    ridge ``tau`` keeps the overall objective strongly convex.  The
+    stacked difference operator is assembled in CSR form directly.
     """
     rows, cols = int(kernel_rows), int(kernel_cols)
     n = rows * cols
     spec = PenaltySpec("l2lkappa-power", lam=lam, delta=delta, kappa=1.0)
-    blocks = []
-    for i in range(rows):
-        for j in range(cols):
-            idx = i * cols + j
-            op = np.zeros((2, n))
-            if j + 1 < cols:
-                op[0, idx] = -1.0
-                op[0, idx + 1] = 1.0
-            if i + 1 < rows:
-                op[1, idx] = -1.0
-                op[1, idx + cols] = 1.0
-            blocks.append((op, None, spec))
-    return Regularizer(n, blocks, quad=tau, lin=None)
+    pixel = np.arange(n)
+    # operator row 2p is the horizontal difference of pixel p, row 2p + 1 its vertical one;
+    # each is -1 at column p and +1 at the neighbor, or empty at the boundary
+    present = np.column_stack([pixel % cols + 1 < cols, pixel // cols + 1 < rows]).ravel()
+    neighbor = np.column_stack([pixel + 1, pixel + cols]).ravel()
+    indices = np.column_stack([np.repeat(pixel, 2), neighbor])[present].ravel()
+    indptr = np.concatenate([[0], np.cumsum(2 * present)])
+    data = np.tile([-1.0, 1.0], int(present.sum()))
+    # int32 indices: the type scipy picks when it converts a dense matrix of this size
+    op = scipy.sparse.csr_array(
+        (data, indices.astype(np.int32), indptr.astype(np.int32)), shape=(2 * n, n)
+    )
+    return Regularizer.stacked(n, op, np.full(n, 2), [spec] * n, quad=tau)
 
 
 def identity_blocks_regularizer(n_dim, spec: PenaltySpec, tau=0.0):
     """One scalar penalty block per coordinate: ``sum_s psi(|h_s|)``."""
-    eye = np.eye(int(n_dim))
-    blocks = [(eye[s : s + 1], None, spec) for s in range(int(n_dim))]
-    return Regularizer(int(n_dim), blocks, quad=tau, lin=None)
+    n = int(n_dim)
+    return Regularizer.stacked(n, np.eye(n), np.ones(n, dtype=int), [spec] * n, quad=tau)
 
 
 def build_sparsity_regularizer(n_dim, lam, delta):

@@ -176,11 +176,12 @@ def _unwrap(out):
 class Operator:
     """A fixed matrix stored as a scaled identity ``s * I`` or in CSR form.
 
-    The form is picked from the dense matrix given: a square matrix with
+    The form is picked from the matrix given: a dense square matrix with
     a constant diagonal and a zero off-diagonal becomes ``s * I``, whose
     product ``s * x`` is a fresh array (bit-exact for ``s = 1``); any
-    other matrix is converted to CSR once, and its transpose is built
-    from that CSR copy.  Supports ``@`` on 1-D and 2-D right sides,
+    other dense matrix is converted to CSR once, and a scipy sparse
+    matrix is taken in CSR form without densifying it.  The transpose is
+    built from the CSR copy.  Supports ``@`` on 1-D and 2-D right sides,
     ``.T``, ``.shape`` and ``toarray()``; dense array arithmetic on an
     operator raises ``TypeError``.  ``scale`` is ``s`` for the scaled
     identity and ``None`` for CSR.
@@ -189,18 +190,20 @@ class Operator:
     __array_ufunc__ = None
 
     def __init__(self, mat):
-        mat = np.asarray(mat, dtype=float)
+        if not scipy.sparse.issparse(mat):
+            mat = np.asarray(mat, dtype=float)
+            diag = np.diagonal(mat)
+            if (mat.shape[0] == mat.shape[1] and np.all(diag == diag[0])
+                    and np.count_nonzero(mat) == np.count_nonzero(diag)):
+                self.shape = mat.shape
+                self.scale, self._csr, self.T = float(diag[0]), None, self
+                return
         self.shape = mat.shape
-        diag = np.diagonal(mat)
-        if (mat.shape[0] == mat.shape[1] and np.all(diag == diag[0])
-                and np.count_nonzero(mat) == np.count_nonzero(diag)):
-            self.scale, self._csr, self.T = float(diag[0]), None, self
-        else:
-            self.scale, self._csr = None, scipy.sparse.csr_array(mat)
-            transpose = object.__new__(Operator)
-            transpose.shape, transpose.scale = self.shape[::-1], None
-            transpose._csr, transpose.T = self._csr.T.tocsr(), self
-            self.T = transpose
+        self.scale, self._csr = None, scipy.sparse.csr_array(mat, dtype=float)
+        transpose = object.__new__(Operator)
+        transpose.shape, transpose.scale = self.shape[::-1], None
+        transpose._csr, transpose.T = self._csr.T.tocsr(), self
+        self.T = transpose
 
     def __matmul__(self, x):
         if self._csr is not None:
@@ -237,39 +240,57 @@ class Regularizer:
     Every entry of the block operators, shifts, ``quad`` and ``lin`` must
     be finite.  The stacked block operator ``op`` (``total_rows`` by
     ``n_dim``) and ``quad`` are :class:`Operator` instances: they support
-    ``@``, ``.T @``, ``toarray()`` and ``shape``.
+    ``@``, ``.T @``, ``toarray()`` and ``shape``.  :meth:`stacked` takes
+    the blocks already stacked, as a dense or sparse operator.
     """
 
     def __init__(self, n_dim, blocks=(), quad=None, lin=None):
-        self.n_dim = int(n_dim)
-        if self.n_dim < 1:
-            raise ValueError("n_dim must be at least 1")
-        self.quad = Operator(_coerce_quad(quad, self.n_dim))
-        self.lin = _coerce_vector(lin, self.n_dim, "lin")
-
-        ops, shifts, specs, sizes = [], [], [], []
+        n_dim = _coerce_dim(n_dim)
+        ops, shifts, specs = [], [], []
         for op, shift, spec in blocks:
             op = np.atleast_2d(np.asarray(op, dtype=float))
-            if op.shape[1] != self.n_dim or op.shape[0] < 1:
-                raise ValueError(f"block operator shape {op.shape} incompatible with n_dim={self.n_dim}")
-            shift = _coerce_vector(shift, op.shape[0], "shift")
-            if not isinstance(spec, PenaltySpec):
-                raise TypeError("block spec must be a PenaltySpec")
+            if op.shape[1] != n_dim or op.shape[0] < 1:
+                raise ValueError(f"block operator shape {op.shape} incompatible with n_dim={n_dim}")
             ops.append(op)
-            shifts.append(shift)
+            shifts.append(_coerce_vector(shift, op.shape[0], "shift"))
             specs.append(spec)
-            sizes.append(op.shape[0])
+        stacked = np.vstack(ops) if ops else np.zeros((0, n_dim))
+        shift = np.concatenate(shifts) if ops else None
+        self._assemble(n_dim, stacked, [op.shape[0] for op in ops], specs, shift, quad, lin)
 
+    @classmethod
+    def stacked(cls, n_dim, op, block_sizes, specs, shift=None, quad=None, lin=None):
+        """Regularizer whose block ``s`` is rows ``offsets[s]:offsets[s+1]`` of ``op``.
+
+        ``op`` is a dense array or a scipy sparse matrix of
+        ``sum(block_sizes)`` rows and ``n_dim`` columns; a sparse one is
+        kept sparse.  ``specs`` holds one :class:`PenaltySpec` per block
+        and ``shift`` (``None`` means zero) one value per row.
+        """
+        n_dim = _coerce_dim(n_dim)
+        reg = object.__new__(cls)
+        op = op if scipy.sparse.issparse(op) else np.atleast_2d(np.asarray(op, dtype=float))
+        sizes = np.asarray(block_sizes, dtype=int)
+        if op.shape != (int(sizes.sum()), n_dim) or np.any(sizes < 1):
+            raise ValueError(f"block operator shape {op.shape} incompatible with "
+                             f"n_dim={n_dim} and block sizes summing to {sizes.sum()}")
+        reg._assemble(n_dim, op, sizes, list(specs), shift, quad, lin)
+        return reg
+
+    def _assemble(self, n_dim, op, block_sizes, specs, shift, quad, lin):
+        self.n_dim = n_dim
+        self.quad = Operator(_coerce_quad(quad, n_dim))
+        self.lin = _coerce_vector(lin, n_dim, "lin")
+        if not all(isinstance(spec, PenaltySpec) for spec in specs):
+            raise TypeError("block spec must be a PenaltySpec")
+        if len(specs) != len(block_sizes):
+            raise ValueError(f"{len(specs)} specs for {len(block_sizes)} blocks")
         self.specs = tuple(specs)
-        self.block_sizes = np.asarray(sizes, dtype=int)
+        self.block_sizes = np.asarray(block_sizes, dtype=int)
         self.offsets = np.concatenate([[0], np.cumsum(self.block_sizes)]).astype(int)
-        if specs:
-            op = np.vstack(ops)
-            self.shift = np.concatenate(shifts)
-        else:
-            op = np.zeros((0, self.n_dim))
-            self.shift = np.zeros(0)
-        for name, arr in (("block op", op), ("shift", self.shift), ("lin", self.lin)):
+        self.shift = _coerce_vector(shift, op.shape[0], "shift")
+        entries = op.data if scipy.sparse.issparse(op) else op
+        for name, arr in (("block op", entries), ("shift", self.shift), ("lin", self.lin)):
             if not np.all(np.isfinite(arr)):
                 raise ValueError(f"{name} must be finite")
         self.op = Operator(op)
@@ -339,6 +360,13 @@ class Regularizer:
         res = self.residual(h)
         b = self.weights_from_norms(self.block_norms(res))
         return self.quad @ h - self.lin + self.op.T @ (b * res)
+
+
+def _coerce_dim(n_dim):
+    n_dim = int(n_dim)
+    if n_dim < 1:
+        raise ValueError("n_dim must be at least 1")
+    return n_dim
 
 
 def _coerce_quad(quad, n_dim):

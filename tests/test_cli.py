@@ -107,7 +107,7 @@ def test_divergent_sgd_run_exits_3(capsys):
 
 
 def test_oversized_deconv_config_exits_2(capsys):
-    rc = main(["deconv2d", "--image-size", "4096", "--kernel-size", "21"])
+    rc = main(["deconv2d", "--image-size", "16384", "--kernel-size", "21"])
     assert rc == 2
     assert json.loads(capsys.readouterr().err.strip())["error"] == "config"
 

@@ -1,12 +1,14 @@
 """Generators, streams, and the record format."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy.signal import convolve2d
 
 from mmls import gen_adaptive, gen_deconv2d, gen_synthetic, read_records, write_records
-from mmls.datasets import FULL_SCALE_REFERENCE, ArrayStream, _patch_matrix
+from mmls.datasets import FULL_SCALE_REFERENCE, ArrayStream, PatchStream, _patch_matrix
 
 
 class TestDeconv2d:
@@ -64,6 +66,60 @@ class TestDeconv2d:
             gen_deconv2d(0, image_size=16, kernel_size=4, sigma=0.0)
         with pytest.raises(ValueError):
             gen_deconv2d(0, image_size=4, kernel_size=7, sigma=0.0)
+
+    @pytest.mark.parametrize("block_size", [1, 7, 24, 100, 576])
+    def test_blocks_are_patch_rows_bit_for_bit(self, block_size):
+        # 24 pixels a raster row: blocks of 7 straddle rows, blocks of 100 span several
+        _, stream = gen_deconv2d(4, image_size=24, kernel_size=5, sigma=0.1)
+        patches = _patch_matrix(stream.info["image"], 5)
+        blocks = list(stream.blocks(block_size))
+        assert len(blocks) == 576 // block_size
+        for index, sample in enumerate(blocks):
+            rows = slice(index * block_size, (index + 1) * block_size)
+            assert sample.X.flags.f_contiguous and patches[rows].T.flags.f_contiguous
+            assert np.array_equal(sample.X, patches[rows].T)
+            assert np.array_equal(sample.y, stream.observations[rows])
+        with pytest.raises(IndexError):
+            stream.block(len(blocks), block_size)
+        with pytest.raises(IndexError):
+            stream.block(-1, block_size)
+
+    def test_observations_bit_for_bit(self):
+        # 10,000 pixels: the observations are formed over three chunks, the last partial
+        kernel, stream = gen_deconv2d(6, image_size=100, kernel_size=7, sigma=0.05)
+        patches = _patch_matrix(stream.info["image"], 7)
+        expected = patches @ kernel.ravel() + 0.05 * stream.info["noise"]
+        assert np.array_equal(stream.observations, expected)
+
+    def test_features_are_cut_on_read(self, monkeypatch):
+        _, stream = gen_deconv2d(8, image_size=20, kernel_size=5, sigma=0.0)
+        assert isinstance(stream, PatchStream)
+        first = stream.features
+        assert first.flags.c_contiguous
+        assert np.array_equal(first, _patch_matrix(stream.info["image"], 5))
+        assert stream.features is not first
+        # the stream holds the padded image and views of it, nothing the matrix's size
+        assert stream.padded.nbytes < first.nbytes
+        for held in vars(stream).values():
+            if isinstance(held, np.ndarray):
+                assert np.shares_memory(held, stream.padded) or held.nbytes < first.nbytes
+
+        def refuse(self):
+            raise AssertionError("the patch matrix was built")
+
+        monkeypatch.setattr(PatchStream, "features", property(refuse))
+        assert (stream.n_rows, stream.n_dim, stream.n_blocks(64)) == (400, 25, 6)
+        assert stream.block(5, 64).X.shape == (25, 64)
+
+    def test_generation_never_holds_the_patch_matrix(self):
+        # the patch matrix alone is 65,536 x 441 doubles, 221 MiB
+        tracemalloc.start()
+        try:
+            gen_deconv2d(1, image_size=256, kernel_size=21, sigma=0.03)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
 
     def test_full_scale_reference_metadata(self):
         assert FULL_SCALE_REFERENCE["image_size"] == 4096
@@ -146,6 +202,26 @@ def test_record_round_trip(tmp_path, fmt):
     back = read_records(path, 5, fmt=fmt)
     assert_allclose(back.features, stream.features, rtol=0, atol=0)
     assert_allclose(back.observations, stream.observations, rtol=0, atol=0)
+
+
+def test_binary_records_are_mapped_not_read(tmp_path):
+    stream = ArrayStream(np.arange(12.0).reshape(4, 3), np.arange(4.0))
+    path = tmp_path / "records.bin"
+    write_records(stream, path, fmt="binary")
+    back = read_records(path, 3, fmt="binary")
+    for array in (back.features, back.observations):
+        assert not array.flags.writeable
+        base = array
+        while not isinstance(base, np.memmap):
+            base = base.base
+        assert np.shares_memory(array, base)
+    assert np.array_equal(back.block(1, 2).X, stream.features[2:4].T)
+
+
+def test_empty_binary_file_reads_as_empty_stream(tmp_path):
+    path = tmp_path / "empty.bin"
+    path.write_bytes(b"")
+    assert read_records(path, 3, fmt="binary").n_rows == 0
 
 
 def test_binary_record_layout(tmp_path):

@@ -14,7 +14,8 @@ from mmls import (
     run_experiment,
     sgd_step,
 )
-from mmls.experiments import ConfigError, meta_path, resolve_config
+from mmls.datasets import FULL_SCALE_REFERENCE
+from mmls.experiments import ConfigError, deconv2d_resident_bytes, meta_path, resolve_config
 
 
 class TestIsotropicTV:
@@ -143,6 +144,17 @@ class TestConfig:
             ExperimentConfig(experiment="deconv2d", image_size=16, kernel_size=3, n_dim=999)
         )
         assert cfg.n_dim == 9
+
+    def test_full_scale_deconv2d_config_resolves(self):
+        reference = {key: FULL_SCALE_REFERENCE[key] for key in ("image_size", "kernel_size")}
+        cfg = resolve_config(ExperimentConfig(
+            experiment="deconv2d", noise_sigma=FULL_SCALE_REFERENCE["noise_sigma"], **reference
+        ))
+        assert cfg.n_dim == 21 * 21
+        # image, padded image, noise, observations and autocorrelation: about half a GiB
+        assert 2**29 < deconv2d_resident_bytes(4096, 21) < 2**30
+        with pytest.raises(ConfigError, match="GiB resident"):
+            resolve_config(ExperimentConfig(experiment="deconv2d", image_size=8192, kernel_size=21))
 
     def test_unknown_experiment(self):
         with pytest.raises(ConfigError):

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
@@ -315,6 +316,58 @@ def test_operator_form_follows_the_matrix(rng):
     assert tv.op.scale is None and tv.quad.scale == 1e-10
     with pytest.raises(TypeError):
         eye + ident.quad
+
+
+def _dense_tv_operator(rows, cols):
+    """The isotropic TV operator as dense 2 x n blocks, one per pixel, stacked."""
+    n = rows * cols
+    blocks = []
+    for i in range(rows):
+        for j in range(cols):
+            idx = i * cols + j
+            op = np.zeros((2, n))
+            if j + 1 < cols:
+                op[0, idx], op[0, idx + 1] = -1.0, 1.0
+            if i + 1 < rows:
+                op[1, idx], op[1, idx + cols] = -1.0, 1.0
+            blocks.append(op)
+    return np.vstack(blocks)
+
+
+@pytest.mark.parametrize("rows, cols", [(1, 1), (1, 5), (4, 1), (3, 4), (21, 21)])
+def test_tv_operator_is_the_csr_of_its_dense_blocks(rows, cols):
+    tv = build_isotropic_tv_regularizer(rows, cols, lam=0.3, delta=0.1)
+    reference = scipy.sparse.csr_array(_dense_tv_operator(rows, cols))
+    for got, expected in ((tv.op._csr, reference), (tv.op.T._csr, reference.T.tocsr())):
+        assert got.shape == expected.shape
+        for name in ("indptr", "indices", "data"):
+            mine, theirs = getattr(got, name), getattr(expected, name)
+            assert mine.dtype == theirs.dtype and np.array_equal(mine, theirs)
+    assert np.array_equal(tv.block_sizes, np.full(rows * cols, 2))
+    rng = np.random.default_rng(5)
+    h, r = rng.standard_normal(rows * cols), rng.standard_normal(2 * rows * cols)
+    assert np.array_equal(tv.op @ h, reference @ h)
+    assert np.array_equal(tv.op.T @ r, reference.T.tocsr() @ r)
+
+
+def test_stacked_blocks_match_block_list():
+    rng = np.random.default_rng(6)
+    spec, other = PenaltySpec("huber", lam=1.0, delta=0.5), PenaltySpec("welsch", lam=0.2, delta=1.0)
+    ops = [rng.standard_normal((2, 4)), rng.standard_normal((1, 4))]
+    shift = rng.standard_normal(3)
+    listed = Regularizer(4, [(ops[0], shift[:2], spec), (ops[1], shift[2:], other)], quad=0.1)
+    for op in (np.vstack(ops), scipy.sparse.csr_array(np.vstack(ops))):
+        stacked = Regularizer.stacked(4, op, [2, 1], [spec, other], shift=shift, quad=0.1)
+        assert np.array_equal(stacked.op.toarray(), listed.op.toarray())
+        h = rng.standard_normal(4)
+        assert stacked.value(h) == pytest.approx(listed.value(h), rel=1e-14)
+        assert_allclose(stacked.gradient(h), listed.gradient(h), rtol=1e-14)
+    with pytest.raises(ValueError, match="incompatible"):
+        Regularizer.stacked(4, np.vstack(ops), [2, 2], [spec, other])
+    with pytest.raises(ValueError, match="specs"):
+        Regularizer.stacked(4, np.vstack(ops), [2, 1], [spec])
+    with pytest.raises(ValueError, match="^block op must be finite"):
+        Regularizer.stacked(2, scipy.sparse.csr_array(np.array([[np.nan, 1.0]])), [1], [spec])
 
 
 _HUBER = PenaltySpec("huber", lam=1.0, delta=1.0)

@@ -26,6 +26,7 @@ def test_run_deconv2d_script(tmp_path):
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()
     assert any(line.startswith("batch reference: nrmse ") for line in lines)
+    assert lines[-2].startswith("wall time ") and " peak RSS " in lines[-2]
     trace = tmp_path / "deconv2d_seed42.csv"
     assert lines[-1] == f"trace written to {trace}"
     rows = trace.read_text().splitlines()
