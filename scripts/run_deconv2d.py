@@ -15,14 +15,7 @@ import pathlib
 import resource
 import time
 
-from mmls import (
-    ExperimentConfig,
-    batch_half_quadratic,
-    build_isotropic_tv_regularizer,
-    nrmse,
-    run_experiment,
-)
-from mmls.experiments import resolve_config
+from mmls import ExperimentConfig, batch_half_quadratic, nrmse, run_experiment
 
 
 def main():
@@ -47,11 +40,7 @@ def main():
     print(f"streamed: final nrmse {trace.final_nrmse:.4f} "
           f"objective {trace.final_objective:.6f} ({trace.wall_time[-1]:.1f}s)")
 
-    res = resolve_config(cfg)
-    reg = build_isotropic_tv_regularizer(
-        res.kernel_size, res.kernel_size, res.lam, res.delta, tau=res.tau
-    )
-    batch = batch_half_quadratic(trace.moments, reg, tol=1e-8)
+    batch = batch_half_quadratic(trace.moments, trace.regularizer, tol=1e-8)
     print(f"batch reference: nrmse {nrmse(batch.h_star, trace.truth):.4f} "
           f"objective {batch.objective:.6f} ({batch.iterations} solves)")
     print(f"wall time {time.perf_counter() - start:.1f}s, peak RSS {_peak_rss_mib():.0f} MiB")

@@ -20,7 +20,6 @@ from .experiments import (
     EXPERIMENTS,
     ConfigError,
     ExperimentConfig,
-    resolve_config,
     run_experiment,
 )
 
@@ -117,11 +116,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = config_from_args(args)
-        resolved = resolve_config(config)
     except ValueError as exc:
         return _fail(2, "config", exc)
     try:
-        trace = run_experiment(resolved, measure_time=not args.no_wall_time)
+        trace = run_experiment(config, measure_time=not args.no_wall_time)
     except ConfigError as exc:
         return _fail(2, "config", exc)
     except DivergenceError as exc:
@@ -130,7 +128,7 @@ def main(argv=None) -> int:
             file=sys.stderr,
         )
         return 3
-    print(json.dumps({"experiment": resolved.experiment, **trace.summary()}))
+    print(json.dumps({"experiment": args.experiment, **trace.summary()}))
     return 0
 
 

@@ -12,6 +12,7 @@ Record format (owned by this module): one record per observation, laid
 out as ``n_dim`` feature values followed by the observation value.  In
 binary mode records are raw little-endian 64-bit floats; in CSV mode one
 comma-separated line per record, full ``%.17g`` precision, no header.
+An empty file is an empty stream in either format.
 """
 
 from __future__ import annotations
@@ -308,19 +309,20 @@ def read_records(path, n_dim: int, fmt="binary") -> ArrayStream:
     A binary file is mapped read-only, not read: the stream's arrays are
     views of the map, so only the pages a stream touches become resident.
     """
-    if fmt == "binary":
+    if n_dim < 1:
+        raise ValueError(f"n_dim must be at least 1, got {n_dim}")
+    if fmt not in ("binary", "csv"):
+        raise ValueError(f"unknown record format {fmt!r}")
+    size = os.path.getsize(path)
+    if size == 0:  # cannot be mapped, and ``loadtxt`` warns on it
+        records = np.zeros((0, n_dim + 1))
+    elif fmt == "binary":
         record_bytes = 8 * (n_dim + 1)
-        size = os.path.getsize(path)
         if size % record_bytes != 0:
             raise ValueError(f"file length is not a multiple of {n_dim + 1} values")
-        if size == 0:  # an empty file cannot be mapped
-            records = np.zeros((0, n_dim + 1))
-        else:
-            records = np.memmap(path, dtype="<f8", mode="r", shape=(size // record_bytes, n_dim + 1))
-    elif fmt == "csv":
+        records = np.memmap(path, dtype="<f8", mode="r", shape=(size // record_bytes, n_dim + 1))
+    else:
         records = np.loadtxt(path, delimiter=",", ndmin=2)
         if records.shape[1] != n_dim + 1:
             raise ValueError(f"expected {n_dim + 1} columns, found {records.shape[1]}")
-    else:
-        raise ValueError(f"unknown record format {fmt!r}")
     return ArrayStream(records[:, :n_dim], records[:, n_dim])

@@ -30,14 +30,15 @@ import scipy.sparse
 
 from . import moments as moments_mod
 from .datasets import gen_adaptive, gen_deconv2d, gen_synthetic
-from .engine import DivergenceError, MMEngine, SubspaceStrategy
-from .moments import MomentState
+from .engine import DivergenceError, IterationReport, MMEngine, SubspaceStrategy
+from .moments import MomentState, Sample
 from .penalties import PenaltySpec, Regularizer
 
 __all__ = [
     "ConfigError",
     "ExperimentConfig",
     "RunTrace",
+    "SGDStepper",
     "build_isotropic_tv_regularizer",
     "build_sparsity_regularizer",
     "identity_blocks_regularizer",
@@ -48,7 +49,6 @@ __all__ = [
     "resolve_config",
 ]
 
-EXPERIMENTS = ("deconv2d", "adaptive", "synthetic")
 ALGORITHMS = tuple(s.value for s in SubspaceStrategy) + ("sgd",)
 
 TRACE_COLUMNS = ("n", "objective", "grad_norm", "nrmse", "nrmse_sq", "wall_time_s")
@@ -106,6 +106,7 @@ _DEFAULTS = {
         penalty="none", lam=1e-2, delta=0.1, tau=1e-6, noise_sigma=0.01, sgd_scale=0.1,
     ),
 }
+EXPERIMENTS = tuple(_DEFAULTS)
 
 
 def resolve_config(config: ExperimentConfig) -> ExperimentConfig:
@@ -218,6 +219,34 @@ def instantaneous_gradient(reg, X, y, h):
     return X @ (X.T @ h - y) + reg.gradient(h)
 
 
+class SGDStepper:
+    """Decreasing-step gradient baseline with :class:`MMEngine`'s ``step``, ``h`` and ``moments``.
+
+    Its reports carry the pre-step objective and gradient norm, as the
+    engine's do, and 0 in the MM-only fields ``step_quadratic``,
+    ``subspace_dim`` and ``rank``.  Block ``k`` takes step index ``k``.
+    """
+
+    def __init__(self, reg: Regularizer, scale: float, forgetting: float = 1.0):
+        self.reg = reg
+        self.scale = scale
+        self.moments = MomentState.zeros(reg.n_dim, forgetting)
+        self.h = np.zeros(reg.n_dim)
+
+    def step(self, X, y) -> IterationReport:
+        sample = Sample(X, y)
+        stats = moments_mod.update(self.moments, sample)
+        k = stats.count
+        objective = moments_mod.objective(stats, self.reg, self.h)
+        grad_norm = float(np.linalg.norm(moments_mod.gradient(stats, self.reg, self.h)))
+        g = instantaneous_gradient(self.reg, sample.X, sample.y, self.h)
+        h = sgd_step(self.h, g, self.scale, k)
+        if not np.all(np.isfinite(h)):
+            raise DivergenceError(k, f"sgd iterate became non-finite at step {k}")
+        self.h = h
+        return IterationReport(objective, grad_norm, step_quadratic=0.0, subspace_dim=0, rank=0)
+
+
 def nrmse(estimate, truth) -> float:
     """Normalized error ``||estimate - truth|| / ||truth||``."""
     estimate = np.asarray(estimate, dtype=float).reshape(-1)
@@ -242,9 +271,9 @@ class RunTrace:
     ``objective`` and ``grad_norm`` are evaluated at the pre-step iterate
     under the statistics including block ``n``; ``nrmse`` measures the
     post-step iterate against the truth in effect at block ``n``.
-    ``moments`` holds the final statistics behind ``final_objective`` and
-    ``truth`` the vector behind ``final_nrmse``; both are ``None`` for a
-    trace read back from CSV.
+    ``moments`` and ``regularizer`` are the final statistics and the
+    penalty behind ``final_objective``, ``truth`` the vector behind
+    ``final_nrmse``; all three are ``None`` for a trace read back from CSV.
     """
 
     n: np.ndarray
@@ -257,6 +286,7 @@ class RunTrace:
     final_nrmse: float
     moments: MomentState | None = None
     truth: np.ndarray | None = None
+    regularizer: Regularizer | None = None
 
     def __len__(self) -> int:
         return self.n.shape[0]
@@ -302,6 +332,23 @@ def _write_meta(path, config: ExperimentConfig, trace: RunTrace) -> None:
 
 def meta_path(csv_path: str) -> str:
     return (csv_path[:-4] if csv_path.endswith(".csv") else csv_path) + ".json"
+
+
+def _check_writable(path: str) -> None:
+    """Raise :class:`ConfigError` unless ``path`` opens for writing.
+
+    The probe opens the file (through any symlink) for appending, so an
+    existing file keeps its contents, and removes it again if it made it.
+    """
+    target = os.path.realpath(path)
+    existed = os.path.exists(target)
+    try:
+        with open(target, "a"):
+            pass
+    except OSError as exc:
+        raise ConfigError(f"out path {path!r} cannot be opened for writing: {exc.strerror}") from exc
+    if not existed:
+        os.remove(target)
 
 
 # --- runner -------------------------------------------------------------------
@@ -353,13 +400,14 @@ def run_experiment(config: ExperimentConfig, measure_time: bool = True) -> RunTr
 
     With ``measure_time=False`` the wall-time column is all zeros and the
     CSV output of two identical runs is bit-identical.  If ``config.out``
-    is set, writes the CSV trace and a JSON sidecar next to it; a path
-    that is a directory or lies in a missing directory is rejected before
-    the stream starts.
+    is set, writes the CSV trace and a JSON sidecar next to it; either
+    path failing to open for writing is rejected before the stream starts,
+    and neither file is touched unless the run completes.
     """
     cfg = resolve_config(config)
-    if cfg.out and (os.path.isdir(cfg.out) or not os.path.isdir(os.path.dirname(cfg.out) or ".")):
-        raise ConfigError(f"out path {cfg.out!r} is not a file in an existing directory")
+    if cfg.out:
+        for path in (cfg.out, meta_path(cfg.out)):
+            _check_writable(path)
     try:
         truth_at, stream, reg = _build_problem(cfg)
     except ValueError as exc:
@@ -369,60 +417,38 @@ def run_experiment(config: ExperimentConfig, measure_time: bool = True) -> RunTr
     if total < 1:
         raise ConfigError("stream shorter than one block")
 
-    steps = np.arange(1, total + 1)
     objective = np.zeros(total)
     grad_norm = np.zeros(total)
     errors = np.zeros(total)
     wall = np.zeros(total)
     clock = time.perf_counter if measure_time else None
     started = clock() if clock else 0.0
-
     if cfg.strategy == "sgd":
-        final_h, final_state = _run_sgd(
-            cfg, stream, reg, truth_at, q, objective, grad_norm, errors, wall, clock, started
-        )
+        stepper = SGDStepper(reg, cfg.sgd_scale, forgetting=cfg.vartheta)
     else:
-        engine = MMEngine(reg, strategy=cfg.strategy, forgetting=cfg.vartheta)
-        for i, sample in enumerate(stream.blocks(q)):
-            report = engine.step(sample.X, sample.y)
-            objective[i] = report.objective
-            grad_norm[i] = report.grad_norm
-            errors[i] = nrmse(engine.h, truth_at((i + 1) * q))
-            if clock:
-                wall[i] = clock() - started
-        final_h, final_state = engine.h, engine.moments
+        stepper = MMEngine(reg, strategy=cfg.strategy, forgetting=cfg.vartheta)
+    for i, sample in enumerate(stream.blocks(q)):
+        report = stepper.step(sample.X, sample.y)
+        objective[i] = report.objective
+        grad_norm[i] = report.grad_norm
+        errors[i] = nrmse(stepper.h, truth_at((i + 1) * q))
+        if clock:
+            wall[i] = clock() - started
 
     trace = RunTrace(
-        n=steps,
+        n=np.arange(1, total + 1),
         objective=objective,
         grad_norm=grad_norm,
         nrmse=errors,
         wall_time=wall,
-        h_final=final_h,
-        final_objective=moments_mod.objective(final_state, reg, final_h),
+        h_final=stepper.h,
+        final_objective=moments_mod.objective(stepper.moments, reg, stepper.h),
         final_nrmse=float(errors[-1]),
-        moments=final_state,
+        moments=stepper.moments,
         truth=truth_at(total * q),
+        regularizer=reg,
     )
     if cfg.out:
         trace.write_csv(cfg.out)
         _write_meta(meta_path(cfg.out), cfg, trace)
     return trace
-
-
-def _run_sgd(cfg, stream, reg, truth_at, q, objective, grad_norm, errors, wall, clock, started):
-    """Decreasing-step gradient baseline with the same trace columns."""
-    h = np.zeros(stream.n_dim)
-    stats = MomentState.zeros(stream.n_dim, cfg.vartheta)
-    for i, sample in enumerate(stream.blocks(q)):
-        stats = moments_mod.update(stats, sample)
-        objective[i] = moments_mod.objective(stats, reg, h)
-        grad_norm[i] = float(np.linalg.norm(moments_mod.gradient(stats, reg, h)))
-        g = instantaneous_gradient(reg, sample.X, sample.y, h)
-        h = sgd_step(h, g, cfg.sgd_scale, i + 1)
-        if not np.all(np.isfinite(h)):
-            raise DivergenceError(i + 1, f"sgd iterate became non-finite at step {i + 1}")
-        errors[i] = nrmse(h, truth_at((i + 1) * q))
-        if clock:
-            wall[i] = clock() - started
-    return h, stats

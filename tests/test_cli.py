@@ -146,15 +146,44 @@ def test_non_finite_config_value_exits_2(argv, capsys):
     assert json.loads(capsys.readouterr().err.strip())["error"] == "config"
 
 
-@pytest.mark.parametrize("target", ["missing-dir/run.csv", "."])
+# made before the run: a symlink into a missing directory, and a directory at the sidecar path
+_OUT_OBSTACLES = {
+    "dangling-link.csv": lambda d: (d / "dangling-link.csv").symlink_to(d / "missing-dir" / "run.csv"),
+    "sidecar-dir.csv": lambda d: (d / "sidecar-dir.json").mkdir(),
+}
+
+
+def _tree(root):
+    return sorted(str(path.relative_to(root)) for path in root.rglob("*"))
+
+
+@pytest.mark.parametrize(
+    "target", ["missing-dir/run.csv", ".", "dangling-link.csv", "sidecar-dir.csv"]
+)
 def test_unwritable_out_exits_2_before_streaming(tmp_path, capsys, target):
-    # a missing parent directory, or a directory in place of the file
+    # a missing parent directory, a directory in place of the file, and the two obstacles above
+    _OUT_OBSTACLES.get(target, lambda d: None)(tmp_path)
+    before = _tree(tmp_path)
     rc = main(["synthetic", "--samples", "50", "--n-dim", "4", "--out", str(tmp_path / target)])
     assert rc == 2
     lines = capsys.readouterr().err.strip().splitlines()
     assert len(lines) == 1
     assert json.loads(lines[0])["error"] == "config"
-    assert list(tmp_path.iterdir()) == []
+    assert _tree(tmp_path) == before
+
+
+@pytest.mark.parametrize("argv, rc", [
+    (["--noise-sigma", "1e14"], 3),
+    (["--strategy", "sgd", "--sgd-scale", "1e9"], 3),
+    (["--tau", "-1"], 2),
+])
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_failed_run_leaves_existing_trace_untouched(tmp_path, capsys, argv, rc):
+    out = tmp_path / "run.csv"
+    out.write_text("an earlier trace\n")
+    assert main(["synthetic", "--samples", "50", "--n-dim", "4", "--out", str(out)] + argv) == rc
+    assert out.read_text() == "an earlier trace\n"
+    assert _tree(tmp_path) == ["run.csv"]
 
 
 def test_load_config_rejects_malformed_line(tmp_path):

@@ -196,12 +196,14 @@ class TestStreamBlocks:
 @pytest.mark.parametrize("fmt", ["binary", "csv"])
 def test_record_round_trip(tmp_path, fmt):
     rng = np.random.default_rng(21)
-    stream = ArrayStream(rng.standard_normal((12, 5)), rng.standard_normal(12))
-    path = tmp_path / f"records.{fmt}"
-    write_records(stream, path, fmt=fmt)
-    back = read_records(path, 5, fmt=fmt)
-    assert_allclose(back.features, stream.features, rtol=0, atol=0)
-    assert_allclose(back.observations, stream.observations, rtol=0, atol=0)
+    for rows in (12, 0):
+        stream = ArrayStream(rng.standard_normal((rows, 5)), rng.standard_normal(rows))
+        path = tmp_path / f"records{rows}.{fmt}"
+        write_records(stream, path, fmt=fmt)
+        back = read_records(path, 5, fmt=fmt)
+        assert back.features.shape == (rows, 5)
+        assert_allclose(back.features, stream.features, rtol=0, atol=0)
+        assert_allclose(back.observations, stream.observations, rtol=0, atol=0)
 
 
 def test_binary_records_are_mapped_not_read(tmp_path):
@@ -218,10 +220,21 @@ def test_binary_records_are_mapped_not_read(tmp_path):
     assert np.array_equal(back.block(1, 2).X, stream.features[2:4].T)
 
 
-def test_empty_binary_file_reads_as_empty_stream(tmp_path):
-    path = tmp_path / "empty.bin"
+@pytest.mark.parametrize("fmt", ["binary", "csv"])
+def test_empty_file_reads_as_empty_stream(tmp_path, fmt):
+    path = tmp_path / f"empty.{fmt}"
     path.write_bytes(b"")
-    assert read_records(path, 3, fmt="binary").n_rows == 0
+    stream = read_records(path, 3, fmt=fmt)
+    assert stream.features.shape == (0, 3)
+    assert stream.n_rows == 0
+
+
+@pytest.mark.parametrize("fmt", ["binary", "csv"])
+def test_records_need_a_positive_dimension(tmp_path, fmt):
+    path = tmp_path / f"empty.{fmt}"
+    path.write_bytes(b"")
+    with pytest.raises(ValueError, match="n_dim"):
+        read_records(path, 0, fmt=fmt)
 
 
 def test_binary_record_layout(tmp_path):

@@ -14,8 +14,17 @@ from mmls import (
     run_experiment,
     sgd_step,
 )
+from mmls import moments
 from mmls.datasets import FULL_SCALE_REFERENCE
-from mmls.experiments import ConfigError, deconv2d_resident_bytes, meta_path, resolve_config
+from mmls.engine import DivergenceError
+from mmls.experiments import (
+    ALGORITHMS,
+    ConfigError,
+    SGDStepper,
+    deconv2d_resident_bytes,
+    meta_path,
+    resolve_config,
+)
 
 
 class TestIsotropicTV:
@@ -87,6 +96,20 @@ class TestSGD:
     def test_step_scale_validated(self):
         with pytest.raises(ValueError):
             sgd_step(np.zeros(2), np.zeros(2), 0.0, 1)
+
+    def test_stepper_reports_zero_mm_fields_and_keeps_h_on_divergence(self, rng):
+        reg = build_sparsity_regularizer(3, 0.1, 0.5)
+        stepper = SGDStepper(reg, scale=0.1)
+        X, y = rng.standard_normal((3, 2)), rng.standard_normal(2)
+        report = stepper.step(X, y)
+        assert (report.step_quadratic, report.subspace_dim, report.rank) == (0.0, 0, 0)
+        assert report.objective == moments.objective(stepper.moments, reg, np.zeros(3))
+        h = stepper.h
+        stepper.scale = np.inf
+        with pytest.raises(DivergenceError) as info:
+            stepper.step(X, y)
+        assert info.value.iteration == 2
+        assert stepper.h is h
 
     def test_instantaneous_gradient_matches_block_residual(self):
         rng = np.random.default_rng(5)
@@ -219,6 +242,19 @@ class TestRunExperiment:
         assert meta["config"]["experiment"] == "synthetic"
         assert meta["summary"]["iterations"] == 60
         assert meta_path(str(out)) == str(tmp_path / "trace.json")
+
+    @pytest.mark.parametrize("strategy", ALGORITHMS)
+    def test_one_loop_final_objective_from_trace(self, strategy):
+        cfg = ExperimentConfig(
+            experiment="synthetic", seed=6, n_dim=7, n_samples=40, block_size=2,
+            operator="identity", penalty="welsch", strategy=strategy,
+        )
+        trace = run_experiment(cfg, measure_time=False)
+        assert trace.final_objective == moments.objective(
+            trace.moments, trace.regularizer, trace.h_final
+        )
+        assert trace.regularizer.n_dim == trace.moments.n_dim == 7
+        assert len(trace) == 20
 
     def test_sgd_strategy_runs(self):
         cfg = ExperimentConfig(

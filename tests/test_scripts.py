@@ -34,6 +34,23 @@ def test_run_deconv2d_script(tmp_path):
     assert len(rows) == 1 + 32 * 32 // 16
 
 
+def test_run_adaptive_script(tmp_path):
+    env = {**os.environ, "PYTHONPATH": PACKAGE_PATH}
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "run_adaptive.py"), "--outdir", str(tmp_path)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert [line.split(":")[0] for line in lines] == ["forgetting 0.995", "forgetting 1.0"]
+    traces = sorted(tmp_path.glob("*.csv"))
+    assert [trace.name for trace in traces] == [
+        "adaptive_seed5_vartheta0.995.csv", "adaptive_seed5_vartheta1.0.csv",
+    ]
+    for trace in traces:
+        assert len(trace.read_text().splitlines()) == 1 + 5000
+
+
 def test_compare_traces_reports_the_largest_relative_deviation():
     spec = importlib.util.spec_from_file_location("compare_traces", ROOT / "scripts" / "compare_traces.py")
     script = importlib.util.module_from_spec(spec)
