@@ -13,8 +13,6 @@ from .datasets import (
     gen_adaptive,
     gen_deconv2d,
     gen_synthetic,
-    read_records,
-    write_records,
 )
 from .engine import (
     DivergenceError,
@@ -79,10 +77,8 @@ __all__ = [
     "majorant_value",
     "nrmse",
     "quadratic_closed_form",
-    "read_records",
     "reduced_matrix",
     "run_experiment",
     "sgd_step",
     "subspace_mm_path",
-    "write_records",
 ]

@@ -1,39 +1,32 @@
-"""Synthetic data generators and the on-disk sample-record format.
+"""Synthetic data generators and their sample streams.
 
 A stream is a sequence of feature rows: row ``l`` holds the regressor
 producing observation ``l``, so a block of size ``q`` is the transposed
-row slice paired with its observations.  The adaptive and synthetic
-streams keep their rows as one matrix.  The deconvolution stream keeps
-only the flipped, zero-padded image and cuts each block's patch rows
-from it when the block is read, so its memory does not grow with the
-kernel size.
-
-Record format (owned by this module): one record per observation, laid
-out as ``n_dim`` feature values followed by the observation value.  In
-binary mode records are raw little-endian 64-bit floats; in CSV mode one
-comma-separated line per record, full ``%.17g`` precision, no header.
-An empty file is an empty stream in either format.
+row slice paired with its observations.  Only the synthetic stream keeps
+its rows as one matrix.  The adaptive stream keeps the zero-padded input
+signal and cuts each block's tap-delay rows from it; the deconvolution
+stream keeps the flipped, zero-padded image and cuts each block's patch
+rows from it.  Neither keeps memory that grows with rows times filter
+size, and both form their observations from the same cut, a small chunk
+of rows at a time.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import ndimage
 
 from .moments import Sample
 
 __all__ = [
     "ArrayStream",
     "PatchStream",
+    "TapDelayStream",
     "FULL_SCALE_REFERENCE",
     "gen_deconv2d",
     "gen_adaptive",
     "gen_synthetic",
-    "write_records",
-    "read_records",
 ]
 
 # Known full-scale operating point of the 2D identification setup
@@ -119,10 +112,46 @@ def _random_smooth_kernel(rng, size: int) -> np.ndarray:
     return out / out.sum()
 
 
+def _gaussian_weights() -> np.ndarray:
+    """Sigma-1 Gaussian weights for offsets 0..4, normalized over -4..4."""
+    phi = np.exp(-0.5 * np.arange(-4, 5) ** 2)
+    return (phi / phi.sum())[4:]
+
+
+_BLUR_WEIGHTS = _gaussian_weights()
+
+
+def _blur_axis(x: np.ndarray, axis: int) -> np.ndarray:
+    """Sigma-1 Gaussian correlation of ``x`` along ``axis``, reflected at the edges.
+
+    Bit for bit ``scipy.ndimage.gaussian_filter1d(x, 1.0, axis, mode="reflect")``:
+    the same weights, and each output ``x[0]*w[0]`` plus ``(x[-j] + x[j])*w[j]``
+    added for ``j`` from 4 down to 1, the order of its symmetric-kernel loop.
+    """
+    radius = _BLUR_WEIGHTS.size - 1
+    width = [(0, 0)] * x.ndim
+    width[axis] = (radius, radius)
+    padded = np.pad(x, width, mode="symmetric")
+
+    def shifted(offset):
+        index = [slice(None)] * x.ndim
+        index[axis] = slice(radius + offset, radius + offset + x.shape[axis])
+        return padded[tuple(index)]
+
+    out = shifted(0) * _BLUR_WEIGHTS[0]
+    for j in range(radius, 0, -1):
+        out += (shifted(-j) + shifted(j)) * _BLUR_WEIGHTS[j]
+    return out
+
+
 def _smooth_field(rng, size: int) -> np.ndarray:
-    """Standardized low-pass random field used as the scene."""
+    """Standardized low-pass random field used as the scene.
+
+    The blur is ``ndimage.gaussian_filter(noise, 1.0, mode="reflect")``,
+    done here so that importing the package does not load ``scipy.ndimage``.
+    """
     noise = rng.standard_normal((size, size))
-    img = ndimage.gaussian_filter(noise, sigma=1.0, mode="reflect")
+    img = _blur_axis(_blur_axis(noise, 0), 1)
     img -= img.mean()
     return img / img.std()
 
@@ -137,8 +166,9 @@ def _patch_matrix(image: np.ndarray, size: int) -> np.ndarray:
     return windows[..., ::-1, ::-1].reshape(-1, size * size)
 
 
-# rows per patch chunk when the observations are formed: 14 MB at a 21x21 kernel
-_OBSERVATION_CHUNK = 4096
+# rows cut at a time when a generator forms its observations:
+# 1.7 MiB of patches at a 21x21 kernel, 0.8 MiB of tap-delay rows at 200 taps
+_OBSERVATION_CHUNK = 512
 
 
 class PatchStream(ArrayStream):
@@ -241,6 +271,45 @@ def _sparse_taps(rng, n_taps: int, n_active: int) -> np.ndarray:
     return h
 
 
+class TapDelayStream(ArrayStream):
+    """Adaptive-filter stream that cuts its tap-delay rows from the input signal.
+
+    Row ``l`` is the window ``padded[l : l + n_taps]`` of the input signal
+    preceded by ``n_taps - 1`` zeros.  The stream keeps that padded signal
+    and a window view of it, not the row matrix.  A single-row block's ``X``
+    is the transposed window itself, read-only; a longer block's is the
+    transpose of a fresh C-ordered copy of its rows, so blocks have the
+    values and layout of a row-matrix slice.  ``features`` cuts the whole
+    matrix on every read.
+    """
+
+    def __init__(self, signal: np.ndarray, n_taps: int, observations: np.ndarray):
+        self.padded = np.concatenate([np.zeros(n_taps - 1), np.asarray(signal, dtype=float)])
+        # (samples, n_taps); window l is row l
+        self.windows = np.lib.stride_tricks.sliding_window_view(self.padded, n_taps)
+        self.observations = np.asarray(observations, dtype=float).reshape(-1)
+        self.info = {}
+        if self.observations.shape[0] != self.windows.shape[0]:
+            raise ValueError("features and observations disagree on the number of rows")
+
+    def __repr__(self) -> str:
+        # the inherited dataclass repr would cut and print the whole row matrix
+        return f"TapDelayStream(samples={self.windows.shape[0]}, taps={self.windows.shape[1]})"
+
+    @property
+    def features(self) -> np.ndarray:
+        """The whole (samples, n_taps) row matrix, cut afresh on each read."""
+        return self.windows.copy()
+
+    @property
+    def n_dim(self) -> int:
+        return self.windows.shape[1]
+
+    def _rows(self, start: int, stop: int) -> np.ndarray:
+        rows = self.windows[start:stop]
+        return rows if stop - start == 1 else rows.copy()
+
+
 def gen_adaptive(seed, n_taps=200, n_samples=5000, noise_var=0.05,
                  change_point=None, n_active=16):
     """Time-varying sparse system identification instance.
@@ -248,9 +317,13 @@ def gen_adaptive(seed, n_taps=200, n_samples=5000, noise_var=0.05,
     Binary +-1 i.i.d. input drives a tap-delay line (zeros before the
     stream starts); the true sparse filter switches once, halfway by
     default.  Observations carry white Gaussian noise of variance
-    ``noise_var``.  Blocks are single samples.
+    ``noise_var``.  Blocks are single samples.  The stream is a
+    :class:`TapDelayStream`: no row matrix is built, here or while
+    streaming.
 
-    Returns ``(truth, stream)`` with ``truth`` a :class:`PiecewiseTruth`.
+    Returns ``(truth, stream)`` with ``truth`` a :class:`PiecewiseTruth`;
+    ``stream.info["input"]`` is the input signal, a view of the stream's
+    padded signal.
     """
     if n_taps > n_samples:
         raise ValueError("n_taps must not exceed n_samples")
@@ -259,16 +332,19 @@ def gen_adaptive(seed, n_taps=200, n_samples=5000, noise_var=0.05,
     rng = np.random.default_rng(seed)
     change = n_samples // 2 if change_point is None else int(change_point)
     signal = rng.integers(0, 2, size=n_samples) * 2.0 - 1.0
-    padded = np.concatenate([np.zeros(n_taps - 1), signal])
-    rows = np.lib.stride_tricks.sliding_window_view(padded, n_taps).copy()
     first = _sparse_taps(rng, n_taps, n_active)
     second = _sparse_taps(rng, n_taps, n_active)
-    clean = np.where(
-        np.arange(1, n_samples + 1) <= change, rows @ first, rows @ second
-    )
-    obs = clean + np.sqrt(noise_var) * rng.standard_normal(n_samples)
+    noise = rng.standard_normal(n_samples)
+    stream = TapDelayStream(signal, n_taps, np.empty(n_samples))
+    stream.info = {"input": stream.padded[n_taps - 1 :], "noise_var": float(noise_var)}
+    # fill the observations from the stream's own cut, a chunk of rows at a time
+    for start in range(0, n_samples, _OBSERVATION_CHUNK):
+        stop = min(start + _OBSERVATION_CHUNK, n_samples)
+        rows = stream._rows(start, stop)
+        clean = np.where(np.arange(start + 1, stop + 1) <= change, rows @ first, rows @ second)
+        stream.observations[start:stop] = clean + np.sqrt(noise_var) * noise[start:stop]
+        del rows  # freed before the next chunk is cut, so only one is held
     truth = PiecewiseTruth(first, second, change)
-    stream = ArrayStream(rows, obs, info={"input": signal, "noise_var": float(noise_var)})
     return truth, stream
 
 
@@ -285,42 +361,3 @@ def gen_synthetic(seed, n_dim=32, n_rows=2000, sigma=0.01, truth=None):
     rows = rng.standard_normal((n_rows, n_dim))
     obs = rows @ truth + sigma * rng.standard_normal(n_rows)
     return truth, ArrayStream(rows, obs)
-
-
-# --- record IO --------------------------------------------------------------
-
-
-def write_records(stream: ArrayStream, path, fmt="binary") -> None:
-    """Write a stream to disk in the documented record format."""
-    records = np.column_stack([stream.features, stream.observations])
-    if fmt == "binary":
-        records.astype("<f8").tofile(path)
-    elif fmt == "csv":
-        np.savetxt(path, records, delimiter=",", fmt="%.17g")
-    else:
-        raise ValueError(f"unknown record format {fmt!r}")
-
-
-def read_records(path, n_dim: int, fmt="binary") -> ArrayStream:
-    """Read a stream written by :func:`write_records`.
-
-    A binary file is mapped read-only, not read: the stream's arrays are
-    views of the map, so only the pages a stream touches become resident.
-    """
-    if n_dim < 1:
-        raise ValueError(f"n_dim must be at least 1, got {n_dim}")
-    if fmt not in ("binary", "csv"):
-        raise ValueError(f"unknown record format {fmt!r}")
-    size = os.path.getsize(path)
-    if size == 0:  # cannot be mapped, and ``loadtxt`` warns on it
-        records = np.zeros((0, n_dim + 1))
-    elif fmt == "binary":
-        record_bytes = 8 * (n_dim + 1)
-        if size % record_bytes != 0:
-            raise ValueError(f"file length is not a multiple of {n_dim + 1} values")
-        records = np.memmap(path, dtype="<f8", mode="r", shape=(size // record_bytes, n_dim + 1))
-    else:
-        records = np.loadtxt(path, delimiter=",", ndmin=2)
-        if records.shape[1] != n_dim + 1:
-            raise ValueError(f"expected {n_dim + 1} columns, found {records.shape[1]}")
-    return ArrayStream(records[:, :n_dim], records[:, n_dim])

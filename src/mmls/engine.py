@@ -204,7 +204,9 @@ def _pinv_psd_solve(mat, rhs):
     """
     factor, info = lapack.dpotrf(mat, lower=1)
     if info == 0:
-        rcond, info = lapack.dpocon(factor, np.abs(mat).sum(axis=0).max(), uplo="L")
+        # dlange sums column j of ``mat.T`` (no copy for a C-ordered ``mat``) in
+        # the order ``np.abs(mat).sum(axis=0)`` sums column j of the symmetric ``mat``
+        rcond, info = lapack.dpocon(factor, lapack.dlange("1", mat.T), uplo="L")
         if info == 0 and rcond > CHOLESKY_RCOND:
             return lapack.dpotrs(factor, rhs, lower=1)[0], rhs.shape[0]
     if not np.isfinite(mat).all():

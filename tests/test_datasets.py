@@ -1,20 +1,29 @@
-"""Generators, streams, and the record format."""
+"""Generators and their streams."""
 
+import os
+import pathlib
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy import ndimage
 from scipy.signal import convolve2d
 
-from mmls import gen_adaptive, gen_deconv2d, gen_synthetic, read_records, write_records
+import mmls
+from mmls import gen_adaptive, gen_deconv2d, gen_synthetic
 from mmls.datasets import (
     FULL_SCALE_REFERENCE,
     ArrayStream,
     PatchStream,
+    TapDelayStream,
+    _blur_axis,
     _patch_matrix,
     _random_smooth_kernel,
     _smooth_field,
+    _sparse_taps,
 )
 
 
@@ -110,7 +119,7 @@ class TestDeconv2d:
             stream.block(-1, block_size)
 
     def test_observations_bit_for_bit(self):
-        # 10,000 pixels: the observations are formed over three chunks, the last partial
+        # 10,000 pixels: the observations are formed over 20 chunks, the last partial
         kernel, stream = gen_deconv2d(6, image_size=100, kernel_size=7, sigma=0.05)
         image, noise = scene_and_noise(6, stream)
         expected = _patch_matrix(image, 7) @ kernel.ravel() + 0.05 * noise
@@ -153,6 +162,22 @@ class TestDeconv2d:
         assert FULL_SCALE_REFERENCE["nrmse"] == 0.064
 
 
+def tap_delay_rows(stream):
+    """The row matrix of an adaptive stream, built whole from its input signal."""
+    padded = np.concatenate([np.zeros(stream.n_dim - 1), stream.info["input"]])
+    return np.lib.stride_tricks.sliding_window_view(padded, stream.n_dim).copy()
+
+
+def adaptive_noise(seed, stream, n_active):
+    """The noise ``gen_adaptive(seed, ...)`` drew for ``stream``, drawn again."""
+    rng = np.random.default_rng(seed)
+    signal = rng.integers(0, 2, size=stream.n_rows) * 2.0 - 1.0
+    assert np.array_equal(signal, stream.info["input"])
+    _sparse_taps(rng, stream.n_dim, n_active)
+    _sparse_taps(rng, stream.n_dim, n_active)
+    return rng.standard_normal(stream.n_rows)
+
+
 class TestAdaptive:
     def test_default_shape_mirrors_experiment(self):
         truth, stream = gen_adaptive(0)
@@ -190,6 +215,59 @@ class TestAdaptive:
         with pytest.raises(ValueError):
             gen_adaptive(0, n_taps=100, n_samples=50)
 
+    @pytest.mark.parametrize("block_size", [1, 3])
+    def test_blocks_are_tap_delay_rows_bit_for_bit(self, block_size):
+        _, stream = gen_adaptive(3, n_taps=8, n_samples=40, n_active=3)
+        rows = tap_delay_rows(stream)
+        blocks = list(stream.blocks(block_size))
+        assert len(blocks) == 40 // block_size
+        for index, sample in enumerate(blocks):
+            span = slice(index * block_size, (index + 1) * block_size)
+            expected = rows[span].T
+            assert np.array_equal(sample.X, expected)
+            assert sample.X.flags.c_contiguous == expected.flags.c_contiguous
+            assert sample.X.flags.f_contiguous == expected.flags.f_contiguous
+            assert np.array_equal(sample.y, stream.observations[span])
+        with pytest.raises(IndexError):
+            stream.block(len(blocks), block_size)
+
+    def test_observations_bit_for_bit(self):
+        # 1,300 samples: three chunks, the last partial; the switch at 700 falls inside the second
+        truth, stream = gen_adaptive(11, n_taps=16, n_samples=1300, change_point=700, n_active=5)
+        rows = tap_delay_rows(stream)
+        clean = np.where(np.arange(1, 1301) <= 700, rows @ truth.first, rows @ truth.second)
+        expected = clean + np.sqrt(0.05) * adaptive_noise(11, stream, 5)
+        assert np.array_equal(stream.observations, expected)
+
+    def test_features_are_cut_on_read(self, monkeypatch):
+        _, stream = gen_adaptive(8, n_taps=12, n_samples=60, n_active=4)
+        assert isinstance(stream, TapDelayStream)
+        first = stream.features
+        assert first.flags.c_contiguous
+        assert np.array_equal(first, tap_delay_rows(stream))
+        assert stream.features is not first
+        # the stream holds the padded signal and views of it, nothing the matrix's size
+        for held in vars(stream).values():
+            if isinstance(held, np.ndarray):
+                assert np.shares_memory(held, stream.padded) or held.nbytes < first.nbytes
+
+        def refuse(self):
+            raise AssertionError("the row matrix was built")
+
+        monkeypatch.setattr(TapDelayStream, "features", property(refuse))
+        assert (stream.n_rows, stream.n_dim, stream.n_blocks(7)) == (60, 12, 8)
+        assert stream.block(7, 7).X.shape == (12, 7)
+
+    def test_generation_never_holds_the_row_matrix(self):
+        # the row matrix alone is 5,000 x 200 doubles, 7.6 MiB
+        tracemalloc.start()
+        try:
+            gen_adaptive(1, n_taps=200, n_samples=5000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
+
 
 class TestSynthetic:
     def test_truth_passthrough_and_exact_model(self):
@@ -218,60 +296,19 @@ class TestStreamBlocks:
             stream.block(2, 3)
 
 
-@pytest.mark.parametrize("fmt", ["binary", "csv"])
-def test_record_round_trip(tmp_path, fmt):
-    rng = np.random.default_rng(21)
-    for rows in (12, 0):
-        stream = ArrayStream(rng.standard_normal((rows, 5)), rng.standard_normal(rows))
-        path = tmp_path / f"records{rows}.{fmt}"
-        write_records(stream, path, fmt=fmt)
-        back = read_records(path, 5, fmt=fmt)
-        assert back.features.shape == (rows, 5)
-        assert_allclose(back.features, stream.features, rtol=0, atol=0)
-        assert_allclose(back.observations, stream.observations, rtol=0, atol=0)
+@pytest.mark.parametrize("size", [*range(1, 10), 16, 64, 256])
+def test_blur_is_ndimage_gaussian_filter_bit_for_bit(size):
+    noise = np.random.default_rng(size).standard_normal((size, size))
+    blurred = _blur_axis(_blur_axis(noise, 0), 1)
+    assert blurred.flags.c_contiguous
+    assert np.array_equal(blurred, ndimage.gaussian_filter(noise, 1.0, mode="reflect"))
 
 
-def test_binary_records_are_mapped_not_read(tmp_path):
-    stream = ArrayStream(np.arange(12.0).reshape(4, 3), np.arange(4.0))
-    path = tmp_path / "records.bin"
-    write_records(stream, path, fmt="binary")
-    back = read_records(path, 3, fmt="binary")
-    for array in (back.features, back.observations):
-        assert not array.flags.writeable
-        base = array
-        while not isinstance(base, np.memmap):
-            base = base.base
-        assert np.shares_memory(array, base)
-    assert np.array_equal(back.block(1, 2).X, stream.features[2:4].T)
-
-
-@pytest.mark.parametrize("fmt", ["binary", "csv"])
-def test_empty_file_reads_as_empty_stream(tmp_path, fmt):
-    path = tmp_path / f"empty.{fmt}"
-    path.write_bytes(b"")
-    stream = read_records(path, 3, fmt=fmt)
-    assert stream.features.shape == (0, 3)
-    assert stream.n_rows == 0
-
-
-@pytest.mark.parametrize("fmt", ["binary", "csv"])
-def test_records_need_a_positive_dimension(tmp_path, fmt):
-    path = tmp_path / f"empty.{fmt}"
-    path.write_bytes(b"")
-    with pytest.raises(ValueError, match="n_dim"):
-        read_records(path, 0, fmt=fmt)
-
-
-def test_binary_record_layout(tmp_path):
-    stream = ArrayStream(np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([5.0, 6.0]))
-    path = tmp_path / "records.bin"
-    write_records(stream, path, fmt="binary")
-    raw = np.fromfile(path, dtype="<f8")
-    assert_allclose(raw, [1.0, 2.0, 5.0, 3.0, 4.0, 6.0])
-
-
-def test_truncated_binary_rejected(tmp_path):
-    path = tmp_path / "bad.bin"
-    np.arange(5, dtype="<f8").tofile(path)
-    with pytest.raises(ValueError):
-        read_records(path, 3, fmt="binary")
+def test_import_leaves_ndimage_and_special_unloaded():
+    package_path = str(pathlib.Path(mmls.__file__).resolve().parent.parent)
+    code = "import sys, mmls; print([m for m in ('scipy.ndimage', 'scipy.special') if m in sys.modules])"
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": package_path},
+    )
+    assert done.stdout.strip() == "[]"

@@ -156,6 +156,15 @@ class TestReducedSolve:
             assert rank == expected_rank == dim
             assert np.linalg.norm(u - expected) <= 1e-12 * np.linalg.norm(expected)
 
+    @pytest.mark.parametrize("dim", [2, 3, 30, 441])
+    def test_one_norm_is_the_column_sum_bit_for_bit(self, rng, dim):
+        # the gate's 1-norm, so the path and the rank do not depend on how it is taken
+        for _ in range(20):
+            m = rng.standard_normal((dim, dim)) * 10.0 ** rng.uniform(-5.0, 5.0)
+            mat = m @ m.T
+            mat = 0.5 * (mat + mat.T)
+            assert lapack.dlange("1", mat.T) == np.abs(mat).sum(axis=0).max()
+
     def test_zero_column_falls_back(self, eigh_calls):
         # step 1 has the basis [-grad, h] = [-grad, 0]
         basis = np.column_stack([[1.0, -2.0, 0.5], np.zeros(3)])
