@@ -21,7 +21,6 @@ from .engine import (
     MMEngine,
     SubspaceStrategy,
     build_subspace,
-    majorant_value,
     reduced_matrix,
 )
 from .experiments import (
@@ -29,18 +28,16 @@ from .experiments import (
     ExperimentConfig,
     RunTrace,
     build_isotropic_tv_regularizer,
-    build_sparsity_regularizer,
     identity_blocks_regularizer,
-    instantaneous_gradient,
     nrmse,
     run_experiment,
-    sgd_step,
 )
 from .moments import MomentState, Sample
 from .oracle import (
     BatchSolution,
     HalfQuadraticError,
     batch_half_quadratic,
+    majorant_value,
     quadratic_closed_form,
     subspace_mm_path,
 )
@@ -67,18 +64,15 @@ __all__ = [
     "SubspaceStrategy",
     "batch_half_quadratic",
     "build_isotropic_tv_regularizer",
-    "build_sparsity_regularizer",
     "build_subspace",
     "gen_adaptive",
     "gen_deconv2d",
     "gen_synthetic",
     "identity_blocks_regularizer",
-    "instantaneous_gradient",
     "majorant_value",
     "nrmse",
     "quadratic_closed_form",
     "reduced_matrix",
     "run_experiment",
-    "sgd_step",
     "subspace_mm_path",
 ]

@@ -2,18 +2,20 @@
 
 A stream is a sequence of feature rows: row ``l`` holds the regressor
 producing observation ``l``, so a block of size ``q`` is the transposed
-row slice paired with its observations.  Only the synthetic stream keeps
-its rows as one matrix.  The adaptive stream keeps the zero-padded input
-signal and cuts each block's tap-delay rows from it; the deconvolution
-stream keeps the flipped, zero-padded image and cuts each block's patch
-rows from it.  Neither keeps memory that grows with rows times filter
-size, and both form their observations from the same cut, a small chunk
-of rows at a time.
+row slice paired with its observations.  :class:`ArrayStream` serves
+``block``, ``blocks`` and ``features`` through one hook, ``_rows``, and
+only the synthetic stream keeps its rows as one matrix.  Its two
+subclasses define just ``__init__`` and ``_rows``: the adaptive stream
+keeps the zero-padded input signal and cuts each block's tap-delay rows
+from it; the deconvolution stream keeps the flipped, zero-padded image
+and cuts each block's patch rows from it.  Neither keeps memory that
+grows with rows times filter size, and both form their observations
+from the same cut, a small chunk of rows at a time.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,18 +43,24 @@ FULL_SCALE_REFERENCE = {
 }
 
 
-@dataclass
 class ArrayStream:
-    """In-memory sample stream: ``features`` (rows, n_dim), ``observations`` (rows,)."""
+    """In-memory sample stream: feature rows (rows, n_dim) paired with ``observations`` (rows,).
 
-    features: np.ndarray
-    observations: np.ndarray
-    info: dict = field(default_factory=dict)
+    This class keeps the row matrix itself.  A subclass that keeps less
+    calls :meth:`_keep` from its ``__init__`` and overrides :meth:`_rows`,
+    the one hook through which ``block``, ``blocks`` and ``features`` read.
+    """
 
-    def __post_init__(self):
-        self.features = np.atleast_2d(np.asarray(self.features, dtype=float))
-        self.observations = np.asarray(self.observations, dtype=float).reshape(-1)
-        if self.features.shape[0] != self.observations.shape[0]:
+    def __init__(self, features, observations, info=None):
+        self.matrix = np.atleast_2d(np.asarray(features, dtype=float))
+        self._keep(observations, *self.matrix.shape, info)
+
+    def _keep(self, observations, n_rows: int, n_dim: int, info) -> None:
+        """Keep ``observations``, ``n_dim`` and ``info``; check there are ``n_rows`` observations."""
+        self.observations = np.asarray(observations, dtype=float).reshape(-1)
+        self.n_dim = n_dim
+        self.info = {} if info is None else info
+        if self.observations.shape[0] != n_rows:
             raise ValueError("features and observations disagree on the number of rows")
 
     @property
@@ -60,19 +68,26 @@ class ArrayStream:
         return self.observations.shape[0]
 
     @property
-    def n_dim(self) -> int:
-        return self.features.shape[1]
-
-    def n_blocks(self, block_size: int) -> int:
-        return self.n_rows // int(block_size)
+    def features(self) -> np.ndarray:
+        """The whole (rows, n_dim) row matrix; a subclass cuts it afresh on each read."""
+        return self._rows(0, self.n_rows)
 
     def _rows(self, start: int, stop: int) -> np.ndarray:
         """Feature rows ``start:stop`` as a (rows, n_dim) array."""
-        return self.features[start:stop]
+        return self.matrix[start:stop]
+
+    def n_blocks(self, block_size: int) -> int:
+        block_size = int(block_size)
+        if block_size < 1:
+            raise ValueError(f"block size must be at least 1, got {block_size}")
+        return self.n_rows // block_size
 
     def block(self, index: int, block_size: int) -> Sample:
-        start = index * int(block_size)
-        stop = start + int(block_size)
+        block_size = int(block_size)
+        if block_size < 1:
+            raise ValueError(f"block size must be at least 1, got {block_size}")
+        start = index * block_size
+        stop = start + block_size
         if index < 0 or stop > self.n_rows:
             raise IndexError(f"block {index} of size {block_size} exceeds {self.n_rows} rows")
         return Sample(self._rows(start, stop).T, self.observations[start:stop])
@@ -192,24 +207,7 @@ class PatchStream(ArrayStream):
         self.padded = np.pad(image[::-1, ::-1], size // 2)
         # (height, width, size, size); window (a, b) serves pixel (height-1-a, width-1-b)
         self.windows = np.lib.stride_tricks.sliding_window_view(self.padded, (size, size))
-        self.observations = np.asarray(observations, dtype=float).reshape(-1)
-        self.info = {} if info is None else info
-        if self.observations.shape[0] != height * width:
-            raise ValueError("features and observations disagree on the number of rows")
-
-    def __repr__(self) -> str:
-        # the inherited dataclass repr would cut and print the whole patch matrix
-        height, width, size, _ = self.windows.shape
-        return f"PatchStream(image={height}x{width}, kernel={size}x{size})"
-
-    @property
-    def features(self) -> np.ndarray:
-        """The whole (pixels, size**2) patch matrix, cut afresh on each read."""
-        return self._rows(0, self.n_rows)
-
-    @property
-    def n_dim(self) -> int:
-        return self.windows.shape[2] * self.windows.shape[3]
+        self._keep(observations, height * width, size * size, info)
 
     def _rows(self, start: int, stop: int) -> np.ndarray:
         height, width, size, _ = self.windows.shape
@@ -287,23 +285,7 @@ class TapDelayStream(ArrayStream):
         self.padded = np.concatenate([np.zeros(n_taps - 1), np.asarray(signal, dtype=float)])
         # (samples, n_taps); window l is row l
         self.windows = np.lib.stride_tricks.sliding_window_view(self.padded, n_taps)
-        self.observations = np.asarray(observations, dtype=float).reshape(-1)
-        self.info = {}
-        if self.observations.shape[0] != self.windows.shape[0]:
-            raise ValueError("features and observations disagree on the number of rows")
-
-    def __repr__(self) -> str:
-        # the inherited dataclass repr would cut and print the whole row matrix
-        return f"TapDelayStream(samples={self.windows.shape[0]}, taps={self.windows.shape[1]})"
-
-    @property
-    def features(self) -> np.ndarray:
-        """The whole (samples, n_taps) row matrix, cut afresh on each read."""
-        return self.windows.copy()
-
-    @property
-    def n_dim(self) -> int:
-        return self.windows.shape[1]
+        self._keep(observations, *self.windows.shape, None)
 
     def _rows(self, start: int, stop: int) -> np.ndarray:
         rows = self.windows[start:stop]

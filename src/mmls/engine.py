@@ -40,6 +40,10 @@ cutoff, so both paths report the same rank.  One pass gives the penalty
 weights and value (:meth:`Regularizer.weights_and_penalty`), one dot
 product the gradient norm and its screen for non-finite entries.  No
 array of an old state is written.
+
+This module is only that recursive path: the dense references it is
+tested against, in :mod:`mmls.moments` and :mod:`mmls.oracle`, share
+none of its code.
 """
 
 from __future__ import annotations
@@ -63,7 +67,6 @@ __all__ = [
     "DivergenceError",
     "build_subspace",
     "reduced_matrix",
-    "majorant_value",
 ]
 
 RANK_CUTOFF = 1e-12
@@ -219,24 +222,6 @@ def _pinv_psd_solve(mat, rhs):
     sub = vecs[:, keep]
     sol = sub @ ((sub.T @ rhs) / vals[keep])
     return sol, int(np.count_nonzero(keep))
-
-
-def majorant_value(state: MomentState, reg: Regularizer, anchor, h) -> float:
-    """Quadratic surrogate of the objective anchored at ``anchor``.
-
-    Equals the objective at the anchor and dominates it everywhere;
-    diagnostic/test path only.
-    """
-    anchor = np.asarray(anchor, dtype=float).reshape(-1)
-    h = np.asarray(h, dtype=float).reshape(-1)
-    diff = h - anchor
-    grad = moments.gradient(state, reg, anchor)
-    curv = moments.normal_matrix(state, reg, anchor)
-    return (
-        moments.objective(state, reg, anchor)
-        + float(grad @ diff)
-        + 0.5 * float(diff @ (curv @ diff))
-    )
 
 
 class MMEngine:

@@ -40,10 +40,7 @@ __all__ = [
     "RunTrace",
     "SGDStepper",
     "build_isotropic_tv_regularizer",
-    "build_sparsity_regularizer",
     "identity_blocks_regularizer",
-    "sgd_step",
-    "instantaneous_gradient",
     "nrmse",
     "run_experiment",
     "resolve_config",
@@ -199,35 +196,22 @@ def identity_blocks_regularizer(n_dim, spec: PenaltySpec, tau=0.0):
     return Regularizer.stacked(n, np.eye(n), np.ones(n, dtype=int), [spec] * n, quad=tau)
 
 
-def build_sparsity_regularizer(n_dim, lam, delta):
-    """Coordinatewise saturating (Gaussian-kernel) sparsity penalty."""
-    return identity_blocks_regularizer(n_dim, PenaltySpec("welsch", lam=lam, delta=delta))
-
-
 # --- baseline and metrics -----------------------------------------------------
-
-
-def sgd_step(h, grad_sample, step_scale, step_index):
-    """Gradient step with step size ``step_scale / sqrt(step_index)``."""
-    if step_scale <= 0:
-        raise ValueError("step_scale must be positive")
-    return h - (step_scale / np.sqrt(step_index)) * grad_sample
-
-
-def instantaneous_gradient(reg, X, y, h):
-    """Gradient of the single-block penalized residual at ``h``."""
-    return X @ (X.T @ h - y) + reg.gradient(h)
 
 
 class SGDStepper:
     """Decreasing-step gradient baseline with :class:`MMEngine`'s ``step``, ``h`` and ``moments``.
 
-    Its reports carry the pre-step objective and gradient norm, as the
-    engine's do, and 0 in the MM-only fields ``step_quadratic``,
-    ``subspace_dim`` and ``rank``.  Block ``k`` takes step index ``k``.
+    Block ``k`` steps along the gradient of its own penalized residual
+    ``1/2 ||y - X' h||^2 + Psi(h)`` by ``scale / sqrt(k)``.  Its reports
+    carry the pre-step objective and gradient norm, as the engine's do,
+    and 0 in the MM-only fields ``step_quadratic``, ``subspace_dim`` and
+    ``rank``.
     """
 
     def __init__(self, reg: Regularizer, scale: float, forgetting: float = 1.0):
+        if scale <= 0:
+            raise ValueError("scale must be positive")
         self.reg = reg
         self.scale = scale
         self.moments = MomentState.zeros(reg.n_dim, forgetting)
@@ -239,8 +223,8 @@ class SGDStepper:
         k = stats.count
         objective = moments_mod.objective(stats, self.reg, self.h)
         grad_norm = float(np.linalg.norm(moments_mod.gradient(stats, self.reg, self.h)))
-        g = instantaneous_gradient(self.reg, sample.X, sample.y, self.h)
-        h = sgd_step(self.h, g, self.scale, k)
+        g = sample.X @ (sample.X.T @ self.h - sample.y) + self.reg.gradient(self.h)
+        h = self.h - (self.scale / np.sqrt(k)) * g
         if not np.all(np.isfinite(h)):
             raise DivergenceError(k, f"sgd iterate became non-finite at step {k}")
         self.h = h
@@ -273,7 +257,7 @@ class RunTrace:
     post-step iterate against the truth in effect at block ``n``.
     ``moments`` and ``regularizer`` are the final statistics and the
     penalty behind ``final_objective``, ``truth`` the vector behind
-    ``final_nrmse``; all three are ``None`` for a trace read back from CSV.
+    ``final_nrmse``.
     """
 
     n: np.ndarray
@@ -298,20 +282,6 @@ class RunTrace:
         )
         np.savetxt(
             path, table, delimiter=",", fmt="%.17g", header=",".join(TRACE_COLUMNS), comments=""
-        )
-
-    @classmethod
-    def read_csv(cls, path) -> "RunTrace":
-        table = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-        return cls(
-            n=table[:, 0].astype(int),
-            objective=table[:, 1],
-            grad_norm=table[:, 2],
-            nrmse=table[:, 3],
-            wall_time=table[:, 5],
-            h_final=np.zeros(0),
-            final_objective=float("nan"),
-            final_nrmse=float(table[-1, 3]) if len(table) else float("nan"),
         )
 
     def summary(self) -> dict:

@@ -229,7 +229,7 @@ def gradient(state: MomentState, reg: Regularizer, h) -> np.ndarray:
     """Gradient ``A(h) h - c(h)`` assembled from matrix-vector products."""
     h = _check_vec(state, reg, h)
     res = reg.residual(h)
-    b = reg.weights_from_norms(reg.block_norms(res))
+    b = reg.weights_and_penalty(reg.block_norms(res))[0]
     return state.autocorr @ h + reg.quad @ h - state.cross - reg.lin + reg.op.T @ (b * res)
 
 

@@ -1,7 +1,9 @@
-"""Batch reference solvers used as ground truth in tests and experiments.
+"""Batch references used as ground truth in tests and experiments.
 
 These run on frozen statistics and never share code with the streaming
 engine's recursive path, so agreement between the two is meaningful.
+Besides the solvers, :func:`majorant_value` evaluates the dense quadratic
+surrogate the engine minimizes over its subspace.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ __all__ = [
     "BatchSolution",
     "HalfQuadraticError",
     "batch_half_quadratic",
+    "majorant_value",
     "quadratic_closed_form",
     "subspace_mm_path",
 ]
@@ -42,6 +45,24 @@ class HalfQuadraticError(RuntimeError):
             f"half-quadratic solver stopped at gradient norm {solution.grad_norm:.3e} "
             f"after {solution.iterations} iterations (tol {tol:.1e})"
         )
+
+
+def majorant_value(state: MomentState, reg: Regularizer, anchor, h) -> float:
+    """Quadratic surrogate of the objective anchored at ``anchor``, evaluated at ``h``.
+
+    Equals the objective at the anchor and dominates it everywhere; built
+    densely from :func:`mmls.moments.gradient` and ``normal_matrix``.
+    """
+    anchor = np.asarray(anchor, dtype=float).reshape(-1)
+    h = np.asarray(h, dtype=float).reshape(-1)
+    diff = h - anchor
+    grad = moments.gradient(state, reg, anchor)
+    curv = moments.normal_matrix(state, reg, anchor)
+    return (
+        moments.objective(state, reg, anchor)
+        + float(grad @ diff)
+        + 0.5 * float(diff @ (curv @ diff))
+    )
 
 
 def _require_positive_definite(state: MomentState, reg: Regularizer) -> None:

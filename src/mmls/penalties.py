@@ -156,10 +156,6 @@ class PenaltySpec:
         """Half-quadratic weight ``lam * nu(|t|)``, continuous at 0."""
         return self.value_and_weight(t)[1]
 
-    def derivative(self, t):
-        """Derivative of the potential, recovered as ``weight(|t|) * t``."""
-        return _unwrap(self.weight(t) * np.asarray(t, dtype=float))
-
 
 def _abs_checked(t):
     arr = np.asarray(t, dtype=float)
@@ -326,26 +322,12 @@ class Regularizer:
         sums = np.add.reduceat(residual * residual, self.offsets[:-1])
         return np.sqrt(sums)
 
-    def weights_from_norms(self, norms):
-        """Per-row half-quadratic weights, one value repeated per block."""
-        per_block = np.empty(self.n_blocks)
-        for spec, idx in self._groups:
-            per_block[idx] = spec.weight(norms[idx])
-        return np.repeat(per_block, self.block_sizes)
-
-    def weights(self, h):
-        """Weight vector at ``h``: ``nu_s(||op_s h - shift_s||)`` per row."""
-        return self.weights_from_norms(self.block_norms(self.residual(h)))
-
-    def penalty_sum(self, norms):
-        """Sum of the block potentials evaluated at the given norms."""
-        total = 0.0
-        for spec, idx in self._groups:
-            total += float(np.sum(spec.value(norms[idx])))
-        return total
-
     def weights_and_penalty(self, norms):
-        """``(weights_from_norms(norms), penalty_sum(norms))``, bit for bit, from one catalog pass."""
+        """Per-row weights (a block's repeated over its rows) and the penalty sum at block norms.
+
+        One catalog call per group of blocks sharing a spec; one in all when
+        every block is one row under one spec.
+        """
         if self._only_spec is not None:
             value, weights = self._only_spec.value_and_weight(norms)
             return weights, float(value.sum())
@@ -356,17 +338,29 @@ class Regularizer:
             total += float(value.sum())
         return per_block[self._row_block], total
 
+    def weights_from_norms(self, norms):
+        """Weights of :meth:`weights_and_penalty`; kept while perfbench traces it by name."""
+        return self.weights_and_penalty(norms)[0]
+
+    def penalty_sum(self, norms):
+        """Penalty of :meth:`weights_and_penalty`; kept while perfbench traces it by name."""
+        return self.weights_and_penalty(norms)[1]
+
+    def weights(self, h):
+        """Weight vector at ``h``: ``nu_s(||op_s h - shift_s||)`` per row."""
+        return self.weights_and_penalty(self.block_norms(self.residual(h)))[0]
+
     def value(self, h):
         """Evaluate the full regularizer at ``h``."""
         h = np.asarray(h, dtype=float)
         quad_part = 0.5 * float(h @ (self.quad @ h)) - float(self.lin @ h)
-        return quad_part + self.penalty_sum(self.block_norms(self.residual(h)))
+        return quad_part + self.weights_and_penalty(self.block_norms(self.residual(h)))[1]
 
     def gradient(self, h):
         """Gradient of the regularizer at ``h``."""
         h = np.asarray(h, dtype=float)
         res = self.residual(h)
-        b = self.weights_from_norms(self.block_norms(res))
+        b = self.weights_and_penalty(self.block_norms(res))[0]
         return self.quad @ h - self.lin + self.op.T @ (b * res)
 
 

@@ -19,7 +19,6 @@ from mmls import (
     Regularizer,
     batch_half_quadratic,
     build_isotropic_tv_regularizer,
-    build_sparsity_regularizer,
     gen_synthetic,
     identity_blocks_regularizer,
     majorant_value,
@@ -84,7 +83,7 @@ def test_criterion_02_per_step_descent():
     rng = np.random.default_rng(99)
     total = 0
     total += _descent_run(
-        build_sparsity_regularizer(16, 0.1, 0.2), "memory-gradient", 0.995, 16, 1, 1200, 1
+        identity_blocks_regularizer(16, PenaltySpec("welsch", 0.1, 0.2)), "memory-gradient", 0.995, 16, 1, 1200, 1
     )
     total += _descent_run(
         random_regularizer(rng, 8, kind="huber", lam=0.3, delta=0.4), "memory-gradient", 1.0, 8, 2, 1000, 2

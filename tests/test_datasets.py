@@ -295,6 +295,22 @@ class TestStreamBlocks:
         with pytest.raises(IndexError):
             stream.block(2, 3)
 
+    @pytest.mark.parametrize("make", [
+        lambda: gen_synthetic(0, n_dim=3, n_rows=40)[1],
+        lambda: gen_adaptive(1, n_taps=20, n_samples=40)[1],
+        lambda: gen_deconv2d(1, image_size=16, kernel_size=3, sigma=0.0)[1],
+    ], ids=["synthetic", "adaptive", "deconv2d"])
+    def test_block_size_below_one_rejected(self, make):
+        stream = make()
+        assert stream == stream
+        for size in (0, -1, -2):
+            with pytest.raises(ValueError, match="block size"):
+                stream.block(0, size)
+            with pytest.raises(ValueError, match="block size"):
+                stream.n_blocks(size)
+            with pytest.raises(ValueError, match="block size"):
+                next(stream.blocks(size))
+
 
 @pytest.mark.parametrize("size", [*range(1, 10), 16, 64, 256])
 def test_blur_is_ndimage_gaussian_filter_bit_for_bit(size):

@@ -58,14 +58,19 @@ def test_huber_weight_beyond_knee():
     assert spec.weight(5.0) == pytest.approx(2.0 / 5.0)
 
 
+def derivative(spec, t):
+    """The potential's derivative, ``weight(t) * t``."""
+    return spec.weight(t) * np.asarray(t, dtype=float)
+
+
 def test_welsch_derivative_value():
     spec = PenaltySpec("welsch", lam=1.0, delta=1.0)
-    assert spec.derivative(1.0) == pytest.approx(np.exp(-0.5), rel=1e-9)
+    assert derivative(spec, 1.0) == pytest.approx(np.exp(-0.5), rel=1e-9)
 
 
 def test_huber_derivative_in_quadratic_core():
     spec = PenaltySpec("huber", lam=1.0, delta=1.0)
-    assert spec.derivative(0.5) == pytest.approx(1.0)
+    assert derivative(spec, 0.5) == pytest.approx(1.0)
 
 
 def test_power_kappa_two_is_quadratic():
@@ -111,7 +116,7 @@ def test_quadratic_majorization_inequality(spec):
     t = rng.uniform(-span, span, 10_000)
     t2 = rng.uniform(-span, span, 10_000)
     lhs = spec.value(t2)
-    rhs = spec.value(t) + spec.derivative(t) * (t2 - t) + 0.5 * spec.weight(t) * (t2 - t) ** 2
+    rhs = spec.value(t) + derivative(spec, t) * (t2 - t) + 0.5 * spec.weight(t) * (t2 - t) ** 2
     assert np.all(rhs - lhs >= -1e-10 * (1.0 + np.abs(rhs)))
 
 
@@ -136,15 +141,15 @@ def test_derivative_matches_finite_differences(spec):
         t = t[np.abs(np.abs(t) - np.sqrt(6.0) * spec.delta) > 1e-4 * spec.delta]
     h = 1e-6 * spec.delta
     numeric = (spec.value(t + h) - spec.value(t - h)) / (2 * h)
-    analytic = spec.derivative(t)
+    analytic = derivative(spec, t)
     assert np.all(np.abs(numeric - analytic) <= 1e-6 * (1.0 + np.abs(analytic)))
 
 
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=spec_ids(ALL_SPECS))
 def test_derivative_is_odd_and_zero_at_origin(spec):
     t = np.linspace(0.1, 5 * spec.delta, 50)
-    assert_allclose(spec.derivative(-t), -spec.derivative(t), rtol=1e-12)
-    assert spec.derivative(0.0) == 0.0
+    assert_allclose(derivative(spec, -t), -derivative(spec, t), rtol=1e-12)
+    assert derivative(spec, 0.0) == 0.0
 
 
 @settings(max_examples=200)
@@ -190,15 +195,26 @@ def test_weights_and_penalty_equal_the_separate_passes(rng):
     reg = Regularizer(3, [(rng.standard_normal((1 + i % 2, 3)), None, spec) for i, spec in enumerate(specs)])
     norms = np.repeat(probes, len(ALL_SPECS))
     weights, total = reg.weights_and_penalty(norms)
-    np.testing.assert_array_equal(weights, reg.weights_from_norms(norms))
-    assert total == reg.penalty_sum(norms)
+    expected_weights, expected_total = _catalog_pass(reg, norms)
+    np.testing.assert_array_equal(weights, expected_weights)
+    assert total == expected_total
     assert weights.shape == (reg.total_rows,)
 
 
+def _catalog_pass(reg, norms):
+    """Weights and penalty straight from the catalog, one group of blocks sharing a spec at a time."""
+    per_block, total = np.empty(reg.n_blocks), 0.0
+    for spec in dict.fromkeys(reg.specs):
+        idx = np.flatnonzero([other == spec for other in reg.specs])
+        value, per_block[idx] = spec.value_and_weight(norms[idx])
+        total += float(np.sum(value))
+    return np.repeat(per_block, reg.block_sizes), total
+
+
 def _general_pass(reg, residual):
-    """Block norms, weights and penalty by the grouped path: reduceat, gather, scatter."""
+    """Block norms by ``reduceat``, then weights and penalty by :func:`_catalog_pass`."""
     norms = np.sqrt(np.add.reduceat(residual * residual, reg.offsets[:-1]))
-    return norms, reg.weights_from_norms(norms), reg.penalty_sum(norms)
+    return (norms, *_catalog_pass(reg, norms))
 
 
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=spec_ids(ALL_SPECS))
