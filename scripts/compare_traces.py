@@ -29,6 +29,7 @@ ROOT = Path(__file__).resolve().parent.parent
 # every experiment, every strategy and both block regimes, at sizes that run in seconds
 COMMANDS = (
     "adaptive --seed 1",
+    "adaptive --seed 2 --samples 1500 --strategy sgd",
     "deconv2d --seed 1",
     "deconv2d --seed 1 --kernel-size 21",
     "synthetic --seed 2",

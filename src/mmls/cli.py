@@ -30,12 +30,6 @@ _FIELD_TYPES = {
 }
 
 
-def _coerce(key: str, raw: str):
-    if key not in _FIELD_TYPES:
-        raise ConfigError(f"unknown config key {key!r}")
-    return _FIELD_TYPES[key](raw)
-
-
 def load_config_file(path: str) -> dict:
     """Parse a ``key = value`` config file into typed values."""
     values: dict = {}
@@ -48,10 +42,10 @@ def load_config_file(path: str) -> dict:
                 if "=" not in text:
                     raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
                 key, raw = (part.strip() for part in text.split("=", 1))
+                if key not in _FIELD_TYPES:
+                    raise ConfigError(f"unknown config key {key!r}")
                 try:
-                    values[key] = _coerce(key, raw)
-                except ConfigError:
-                    raise
+                    values[key] = _FIELD_TYPES[key](raw)
                 except ValueError as exc:
                     raise ConfigError(f"{path}:{lineno}: bad value for {key!r}: {exc}") from exc
     except OSError as exc:

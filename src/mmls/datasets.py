@@ -3,14 +3,14 @@
 A stream is a sequence of feature rows: row ``l`` holds the regressor
 producing observation ``l``, so a block of size ``q`` is the transposed
 row slice paired with its observations.  :class:`ArrayStream` serves
-``block``, ``blocks`` and ``features`` through one hook, ``_rows``, and
-only the synthetic stream keeps its rows as one matrix.  Its two
-subclasses define just ``__init__`` and ``_rows``: the adaptive stream
-keeps the zero-padded input signal and cuts each block's tap-delay rows
-from it; the deconvolution stream keeps the flipped, zero-padded image
-and cuts each block's patch rows from it.  Neither keeps memory that
-grows with rows times filter size, and both form their observations
-from the same cut, a small chunk of rows at a time.
+``block``, ``blocks`` and ``features`` through one hook, ``_rows``, from
+its row matrix ``matrix``.  The synthetic stream's matrix is an array;
+the adaptive stream's is a read-only window view of the zero-padded
+input signal, which costs no memory.  The deconvolution stream,
+:class:`PatchStream`, defines only ``__init__`` and ``_rows``: it keeps
+the flipped, zero-padded image and cuts each block's patch rows from it.
+Neither of the last two keeps memory that grows with rows times filter
+size, and both form their observations a small chunk of rows at a time.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from .moments import Sample
 __all__ = [
     "ArrayStream",
     "PatchStream",
-    "TapDelayStream",
     "FULL_SCALE_REFERENCE",
     "gen_deconv2d",
     "gen_adaptive",
@@ -46,20 +45,19 @@ FULL_SCALE_REFERENCE = {
 class ArrayStream:
     """In-memory sample stream: feature rows (rows, n_dim) paired with ``observations`` (rows,).
 
-    This class keeps the row matrix itself.  A subclass that keeps less
+    The row matrix ``matrix`` may be a view.  A subclass that keeps less
     calls :meth:`_keep` from its ``__init__`` and overrides :meth:`_rows`,
     the one hook through which ``block``, ``blocks`` and ``features`` read.
     """
 
-    def __init__(self, features, observations, info=None):
+    def __init__(self, features, observations):
         self.matrix = np.atleast_2d(np.asarray(features, dtype=float))
-        self._keep(observations, *self.matrix.shape, info)
+        self._keep(observations, *self.matrix.shape)
 
-    def _keep(self, observations, n_rows: int, n_dim: int, info) -> None:
-        """Keep ``observations``, ``n_dim`` and ``info``; check there are ``n_rows`` observations."""
+    def _keep(self, observations, n_rows: int, n_dim: int) -> None:
+        """Keep ``observations`` and ``n_dim``; check there are ``n_rows`` observations."""
         self.observations = np.asarray(observations, dtype=float).reshape(-1)
         self.n_dim = n_dim
-        self.info = {} if info is None else info
         if self.observations.shape[0] != n_rows:
             raise ValueError("features and observations disagree on the number of rows")
 
@@ -69,7 +67,7 @@ class ArrayStream:
 
     @property
     def features(self) -> np.ndarray:
-        """The whole (rows, n_dim) row matrix; a subclass cuts it afresh on each read."""
+        """The whole (rows, n_dim) row matrix; :class:`PatchStream` cuts it afresh on each read."""
         return self._rows(0, self.n_rows)
 
     def _rows(self, start: int, stop: int) -> np.ndarray:
@@ -201,13 +199,13 @@ class PatchStream(ArrayStream):
     ``features`` cuts the whole matrix on every read.
     """
 
-    def __init__(self, image: np.ndarray, size: int, observations: np.ndarray, info=None):
+    def __init__(self, image: np.ndarray, size: int, observations: np.ndarray):
         height, width = image.shape
         # padding is symmetric, so this is the padded image flipped on both axes
         self.padded = np.pad(image[::-1, ::-1], size // 2)
         # (height, width, size, size); window (a, b) serves pixel (height-1-a, width-1-b)
         self.windows = np.lib.stride_tricks.sliding_window_view(self.padded, (size, size))
-        self._keep(observations, height * width, size * size, info)
+        self._keep(observations, height * width, size * size)
 
     def _rows(self, start: int, stop: int) -> np.ndarray:
         height, width, size, _ = self.windows.shape
@@ -235,9 +233,9 @@ def gen_deconv2d(seed, image_size=256, kernel_size=7, sigma=0.03):
     noise.  The stream is a :class:`PatchStream`: no patch matrix is
     built, here or while streaming.
 
-    Returns ``(kernel, stream)`` with ``kernel`` the 2-D ground truth;
-    ``stream.info`` keeps only ``noise_sigma``: the scene and the noise
-    realization are dropped once the observations are formed.
+    Returns ``(kernel, stream)`` with ``kernel`` the 2-D ground truth.
+    The scene and the noise realization are dropped once the
+    observations are formed.
     """
     if kernel_size % 2 != 1 or kernel_size < 1:
         raise ValueError("kernel_size must be odd and positive")
@@ -247,7 +245,7 @@ def gen_deconv2d(seed, image_size=256, kernel_size=7, sigma=0.03):
     kernel = _random_smooth_kernel(rng, kernel_size)
     image = _smooth_field(rng, image_size)
     noise = rng.standard_normal(image_size * image_size)
-    stream = PatchStream(image, kernel_size, np.empty(noise.shape), info={"noise_sigma": float(sigma)})
+    stream = PatchStream(image, kernel_size, np.empty(noise.shape))
     # fill the observations from the stream's own cut, a chunk of rows at a time
     for start in range(0, noise.shape[0], _OBSERVATION_CHUNK):
         stop = min(start + _OBSERVATION_CHUNK, noise.shape[0])
@@ -269,29 +267,6 @@ def _sparse_taps(rng, n_taps: int, n_active: int) -> np.ndarray:
     return h
 
 
-class TapDelayStream(ArrayStream):
-    """Adaptive-filter stream that cuts its tap-delay rows from the input signal.
-
-    Row ``l`` is the window ``padded[l : l + n_taps]`` of the input signal
-    preceded by ``n_taps - 1`` zeros.  The stream keeps that padded signal
-    and a window view of it, not the row matrix.  A single-row block's ``X``
-    is the transposed window itself, read-only; a longer block's is the
-    transpose of a fresh C-ordered copy of its rows, so blocks have the
-    values and layout of a row-matrix slice.  ``features`` cuts the whole
-    matrix on every read.
-    """
-
-    def __init__(self, signal: np.ndarray, n_taps: int, observations: np.ndarray):
-        self.padded = np.concatenate([np.zeros(n_taps - 1), np.asarray(signal, dtype=float)])
-        # (samples, n_taps); window l is row l
-        self.windows = np.lib.stride_tricks.sliding_window_view(self.padded, n_taps)
-        self._keep(observations, *self.windows.shape, None)
-
-    def _rows(self, start: int, stop: int) -> np.ndarray:
-        rows = self.windows[start:stop]
-        return rows if stop - start == 1 else rows.copy()
-
-
 def gen_adaptive(seed, n_taps=200, n_samples=5000, noise_var=0.05,
                  change_point=None, n_active=16):
     """Time-varying sparse system identification instance.
@@ -299,13 +274,13 @@ def gen_adaptive(seed, n_taps=200, n_samples=5000, noise_var=0.05,
     Binary +-1 i.i.d. input drives a tap-delay line (zeros before the
     stream starts); the true sparse filter switches once, halfway by
     default.  Observations carry white Gaussian noise of variance
-    ``noise_var``.  Blocks are single samples.  The stream is a
-    :class:`TapDelayStream`: no row matrix is built, here or while
-    streaming.
+    ``noise_var``.  Blocks are single samples.  The stream is an
+    :class:`ArrayStream` whose ``matrix`` is the read-only window view
+    ``sliding_window_view(padded, n_taps)`` of the zero-padded signal:
+    row ``l`` is ``padded[l : l + n_taps]``, and no row matrix is built,
+    here or while streaming.
 
-    Returns ``(truth, stream)`` with ``truth`` a :class:`PiecewiseTruth`;
-    ``stream.info["input"]`` is the input signal, a view of the stream's
-    padded signal.
+    Returns ``(truth, stream)`` with ``truth`` a :class:`PiecewiseTruth`.
     """
     if n_taps > n_samples:
         raise ValueError("n_taps must not exceed n_samples")
@@ -317,12 +292,13 @@ def gen_adaptive(seed, n_taps=200, n_samples=5000, noise_var=0.05,
     first = _sparse_taps(rng, n_taps, n_active)
     second = _sparse_taps(rng, n_taps, n_active)
     noise = rng.standard_normal(n_samples)
-    stream = TapDelayStream(signal, n_taps, np.empty(n_samples))
-    stream.info = {"input": stream.padded[n_taps - 1 :], "noise_var": float(noise_var)}
-    # fill the observations from the stream's own cut, a chunk of rows at a time
+    padded = np.concatenate([np.zeros(n_taps - 1), signal])
+    stream = ArrayStream(np.lib.stride_tricks.sliding_window_view(padded, n_taps), np.empty(n_samples))
+    # fill the observations a chunk of rows at a time; each chunk is a C-ordered
+    # copy, since a product with the strided view would sum in another order
     for start in range(0, n_samples, _OBSERVATION_CHUNK):
         stop = min(start + _OBSERVATION_CHUNK, n_samples)
-        rows = stream._rows(start, stop)
+        rows = stream.matrix[start:stop].copy()
         clean = np.where(np.arange(start + 1, stop + 1) <= change, rows @ first, rows @ second)
         stream.observations[start:stop] = clean + np.sqrt(noise_var) * noise[start:stop]
         del rows  # freed before the next chunk is cut, so only one is held

@@ -129,7 +129,7 @@ def resolve_config(config: ExperimentConfig) -> ExperimentConfig:
         raise ConfigError(f"vartheta must lie in (0, 1], got {merged.vartheta}")
     if not merged.sgd_scale > 0.0:
         raise ConfigError(f"sgd_scale must be positive, got {merged.sgd_scale}")
-    for name in ("image_size", "kernel_size", "n_dim", "n_samples", "block_size"):
+    for name in ("image_size", "kernel_size", "n_dim", "n_samples", "block_size", "change_point"):
         value = getattr(merged, name)
         if value is not None and int(value) < 1:
             raise ConfigError(f"{name} must be positive")
@@ -332,36 +332,36 @@ def _build_problem(cfg: ExperimentConfig):
             sigma=cfg.noise_sigma,
         )
         truth = kernel.ravel()
-        reg = _regularizer_for(cfg, truth.size, grid=(cfg.kernel_size, cfg.kernel_size))
-        return (lambda n: truth), stream, reg
-    if cfg.experiment == "adaptive":
+        truth_at = lambda n: truth
+    elif cfg.experiment == "adaptive":
         truth, stream = gen_adaptive(
             cfg.seed, n_taps=cfg.n_dim, n_samples=cfg.n_samples,
             noise_var=cfg.noise_sigma**2, change_point=cfg.change_point,
         )
-        reg = _regularizer_for(cfg, cfg.n_dim, grid=None)
-        return truth.at, stream, reg
-    truth, stream = gen_synthetic(
-        cfg.seed, n_dim=cfg.n_dim, n_rows=cfg.n_samples, sigma=cfg.noise_sigma
-    )
-    reg = _regularizer_for(cfg, cfg.n_dim, grid=None)
-    return (lambda n: truth), stream, reg
+        truth_at = truth.at
+    else:
+        truth, stream = gen_synthetic(
+            cfg.seed, n_dim=cfg.n_dim, n_rows=cfg.n_samples, sigma=cfg.noise_sigma
+        )
+        truth_at = lambda n: truth
+    return truth_at, stream, _regularizer_for(cfg)
 
 
-def _regularizer_for(cfg: ExperimentConfig, n_dim, grid):
+def _regularizer_for(cfg: ExperimentConfig):
     if cfg.operator == "tv2d":
-        if grid is None:
+        if cfg.experiment != "deconv2d":
             raise ConfigError("operator 'tv2d' requires a 2-D coefficient grid")
         if cfg.penalty != "l2lkappa-power" or cfg.kappa != 1.0:
             raise ConfigError("operator 'tv2d' takes only penalty 'l2lkappa-power' with kappa 1")
-        return build_isotropic_tv_regularizer(grid[0], grid[1], cfg.lam, cfg.delta, tau=cfg.tau)
+        size = cfg.kernel_size
+        return build_isotropic_tv_regularizer(size, size, cfg.lam, cfg.delta, tau=cfg.tau)
     if cfg.operator == "identity":
         if cfg.penalty in (None, "none"):
             raise ConfigError("operator 'identity' requires a penalty kind")
         spec = PenaltySpec(cfg.penalty, lam=cfg.lam, delta=cfg.delta, kappa=cfg.kappa)
-        return identity_blocks_regularizer(n_dim, spec, tau=cfg.tau)
+        return identity_blocks_regularizer(cfg.n_dim, spec, tau=cfg.tau)
     if cfg.operator == "none":
-        return Regularizer(n_dim, quad=cfg.tau)
+        return Regularizer(cfg.n_dim, quad=cfg.tau)
     raise ConfigError(f"unknown operator {cfg.operator!r}; expected tv2d, identity or none")
 
 

@@ -143,18 +143,13 @@ class PenaltySpec:
             raise ValueError(f"kappa must lie in [1, 2], got {self.kappa}")
 
     def value_and_weight(self, t):
-        """``(value(t), weight(t))`` from one catalog call."""
+        """``(lam * psi(t), lam * nu(|t|))`` from one catalog call.
+
+        ``t`` is a scalar or array of any sign; the weight is continuous at 0.
+        """
         a = _abs_checked(t)
         value, weight = _CATALOG[self.kind](a, self.delta, self.kappa)
         return _unwrap(self.lam * value), _unwrap(self.lam * weight)
-
-    def value(self, t):
-        """Evaluate the potential at ``t`` (scalar or array, any sign)."""
-        return self.value_and_weight(t)[0]
-
-    def weight(self, t):
-        """Half-quadratic weight ``lam * nu(|t|)``, continuous at 0."""
-        return self.value_and_weight(t)[1]
 
 
 def _abs_checked(t):
@@ -223,7 +218,7 @@ class Regularizer:
     n_dim : int
         Dimension of the estimated vector.
     blocks : iterable of (op, shift, spec)
-        Each block contributes ``spec.value(||op @ h - shift||)``.
+        Each block contributes the potential of ``spec`` at ``||op @ h - shift||``.
         ``op`` is a (rows, n_dim) array, ``shift`` a length-``rows``
         vector (``None`` means zero), ``spec`` a :class:`PenaltySpec`.
     quad : None, float or (n_dim, n_dim) array
@@ -234,7 +229,7 @@ class Regularizer:
         Linear part ``q`` in ``-q' h``.
 
     Every entry of the block operators, shifts, ``quad`` and ``lin`` must
-    be finite.  The stacked block operator ``op`` (``total_rows`` by
+    be finite.  The stacked block operator ``op`` (all block rows by
     ``n_dim``) and ``quad`` are :class:`Operator` instances: they support
     ``@``, ``.T @``, ``toarray()`` and ``shape``.  :meth:`stacked` takes
     the blocks already stacked, as a dense or sparse operator.
@@ -306,10 +301,6 @@ class Regularizer:
     @property
     def n_blocks(self) -> int:
         return len(self.specs)
-
-    @property
-    def total_rows(self) -> int:
-        return self.op.shape[0]
 
     def residual(self, h):
         """Stacked block residual ``op @ h - shift``."""

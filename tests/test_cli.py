@@ -77,6 +77,15 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
     assert json.loads(capsys.readouterr().err.strip())["error"] == "config"
 
 
+@pytest.mark.parametrize("change_point", ["0", "-7"])
+def test_change_point_below_one_exits_2(tmp_path, capsys, change_point):
+    cfg = tmp_path / "adaptive.cfg"
+    cfg.write_text(f"change_point = {change_point}\n")
+    rc = main(["adaptive", "--config", str(cfg), "--samples", "400", "--n-dim", "32"])
+    assert rc == 2
+    assert json.loads(capsys.readouterr().err.strip())["error"] == "config"
+
+
 def test_missing_config_file_exits_2(capsys):
     rc = main(["adaptive", "--config", "/nonexistent/path.cfg"])
     assert rc == 2

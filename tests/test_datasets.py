@@ -18,7 +18,6 @@ from mmls.datasets import (
     FULL_SCALE_REFERENCE,
     ArrayStream,
     PatchStream,
-    TapDelayStream,
     _blur_axis,
     _patch_matrix,
     _random_smooth_kernel,
@@ -76,7 +75,6 @@ class TestDeconv2d:
 
     def test_blocks_satisfy_observation_equation(self):
         kernel, stream = gen_deconv2d(7, image_size=32, kernel_size=5, sigma=0.1)
-        assert stream.info == {"noise_sigma": 0.1}
         _, noise = scene_and_noise(7, stream)
         for i, sample in enumerate(stream.blocks(16)):
             clean = sample.X.T @ kernel.ravel()
@@ -162,17 +160,27 @@ class TestDeconv2d:
         assert FULL_SCALE_REFERENCE["nrmse"] == 0.064
 
 
-def tap_delay_rows(stream):
-    """The row matrix of an adaptive stream, built whole from its input signal."""
-    padded = np.concatenate([np.zeros(stream.n_dim - 1), stream.info["input"]])
+def adaptive_signal(seed, stream):
+    """The input signal ``gen_adaptive(seed, ...)`` drew for ``stream``, drawn again.
+
+    The stream keeps no copy; the signal is checked against the newest tap
+    of each row.
+    """
+    signal = np.random.default_rng(seed).integers(0, 2, size=stream.n_rows) * 2.0 - 1.0
+    assert np.array_equal(signal, stream.matrix[:, -1])
+    return signal
+
+
+def tap_delay_rows(seed, stream):
+    """The row matrix of an adaptive stream, built whole from its input signal drawn again."""
+    padded = np.concatenate([np.zeros(stream.n_dim - 1), adaptive_signal(seed, stream)])
     return np.lib.stride_tricks.sliding_window_view(padded, stream.n_dim).copy()
 
 
 def adaptive_noise(seed, stream, n_active):
     """The noise ``gen_adaptive(seed, ...)`` drew for ``stream``, drawn again."""
     rng = np.random.default_rng(seed)
-    signal = rng.integers(0, 2, size=stream.n_rows) * 2.0 - 1.0
-    assert np.array_equal(signal, stream.info["input"])
+    rng.integers(0, 2, size=stream.n_rows)
     _sparse_taps(rng, stream.n_dim, n_active)
     _sparse_taps(rng, stream.n_dim, n_active)
     return rng.standard_normal(stream.n_rows)
@@ -183,7 +191,6 @@ class TestAdaptive:
         truth, stream = gen_adaptive(0)
         assert stream.features.shape == (5000, 200)
         assert truth.change_point == 2500
-        assert stream.info["noise_var"] == 0.05
 
     def test_truth_switches_at_change_point(self):
         truth, _ = gen_adaptive(0, n_taps=16, n_samples=100, change_point=40, n_active=6)
@@ -199,8 +206,7 @@ class TestAdaptive:
 
     def test_zero_noise_output_reproducible_from_taps(self):
         truth, stream = gen_adaptive(4, n_taps=8, n_samples=50, noise_var=0.0, n_active=4)
-        signal = stream.info["input"]
-        padded = np.concatenate([np.zeros(7), signal])
+        padded = np.concatenate([np.zeros(7), adaptive_signal(4, stream)])
         for n in range(1, 51):
             window = padded[n - 1 : n + 7]
             assert stream.observations[n - 1] == pytest.approx(float(window @ truth.at(n)))
@@ -209,7 +215,7 @@ class TestAdaptive:
         _, stream = gen_adaptive(9, n_taps=8, n_samples=40, n_active=3)
         rows = stream.features
         assert_allclose(rows[1:, :-1], rows[:-1, 1:])
-        assert set(np.unique(stream.info["input"])) == {-1.0, 1.0}
+        assert set(np.unique(rows[:, -1])) == {-1.0, 1.0}
 
     def test_taps_longer_than_stream_rejected(self):
         with pytest.raises(ValueError):
@@ -218,15 +224,17 @@ class TestAdaptive:
     @pytest.mark.parametrize("block_size", [1, 3])
     def test_blocks_are_tap_delay_rows_bit_for_bit(self, block_size):
         _, stream = gen_adaptive(3, n_taps=8, n_samples=40, n_active=3)
-        rows = tap_delay_rows(stream)
+        rows = tap_delay_rows(3, stream)
         blocks = list(stream.blocks(block_size))
         assert len(blocks) == 40 // block_size
         for index, sample in enumerate(blocks):
             span = slice(index * block_size, (index + 1) * block_size)
             expected = rows[span].T
             assert np.array_equal(sample.X, expected)
-            assert sample.X.flags.c_contiguous == expected.flags.c_contiguous
-            assert sample.X.flags.f_contiguous == expected.flags.f_contiguous
+            if block_size == 1:
+                # a longer block is a strided view of the window view, not a copy
+                assert sample.X.flags.c_contiguous == expected.flags.c_contiguous
+                assert sample.X.flags.f_contiguous == expected.flags.f_contiguous
             assert np.array_equal(sample.y, stream.observations[span])
         with pytest.raises(IndexError):
             stream.block(len(blocks), block_size)
@@ -234,27 +242,23 @@ class TestAdaptive:
     def test_observations_bit_for_bit(self):
         # 1,300 samples: three chunks, the last partial; the switch at 700 falls inside the second
         truth, stream = gen_adaptive(11, n_taps=16, n_samples=1300, change_point=700, n_active=5)
-        rows = tap_delay_rows(stream)
+        rows = tap_delay_rows(11, stream)
         clean = np.where(np.arange(1, 1301) <= 700, rows @ truth.first, rows @ truth.second)
         expected = clean + np.sqrt(0.05) * adaptive_noise(11, stream, 5)
         assert np.array_equal(stream.observations, expected)
 
-    def test_features_are_cut_on_read(self, monkeypatch):
+    def test_features_are_cut_on_read(self):
         _, stream = gen_adaptive(8, n_taps=12, n_samples=60, n_active=4)
-        assert isinstance(stream, TapDelayStream)
-        first = stream.features
-        assert first.flags.c_contiguous
-        assert np.array_equal(first, tap_delay_rows(stream))
-        assert stream.features is not first
-        # the stream holds the padded signal and views of it, nothing the matrix's size
+        rows = tap_delay_rows(8, stream)
+        assert not stream.matrix.flags.writeable
+        assert np.shares_memory(stream.matrix, stream.features)
+        assert np.array_equal(stream.features, rows)
+        # every array the stream holds is, or views, one smaller than the row matrix
         for held in vars(stream).values():
             if isinstance(held, np.ndarray):
-                assert np.shares_memory(held, stream.padded) or held.nbytes < first.nbytes
-
-        def refuse(self):
-            raise AssertionError("the row matrix was built")
-
-        monkeypatch.setattr(TapDelayStream, "features", property(refuse))
+                while getattr(held, "base", None) is not None:
+                    held = held.base
+                assert held.nbytes < rows.nbytes
         assert (stream.n_rows, stream.n_dim, stream.n_blocks(7)) == (60, 12, 8)
         assert stream.block(7, 7).X.shape == (12, 7)
 
@@ -282,7 +286,44 @@ class TestSynthetic:
         assert_allclose(a[1].observations, b[1].observations)
 
 
+def synthetic_reference():
+    """A synthetic stream with its rows and observations, drawn again and built whole."""
+    _, stream = gen_synthetic(5, n_dim=4, n_rows=30, sigma=0.1)
+    rng = np.random.default_rng(5)
+    truth = rng.standard_normal(4) / np.sqrt(4)
+    rows = rng.standard_normal((30, 4))
+    return stream, rows, rows @ truth + 0.1 * rng.standard_normal(30)
+
+
+def adaptive_reference():
+    """An adaptive stream with its tap-delay rows and observations, built whole."""
+    truth, stream = gen_adaptive(6, n_taps=8, n_samples=30, change_point=11, n_active=3)
+    rows = tap_delay_rows(6, stream)
+    clean = np.where(np.arange(1, 31) <= 11, rows @ truth.first, rows @ truth.second)
+    return stream, rows, clean + np.sqrt(0.05) * adaptive_noise(6, stream, 3)
+
+
+def deconv_reference():
+    """A deconvolution stream with its patch rows and observations, built whole."""
+    kernel, stream = gen_deconv2d(7, image_size=6, kernel_size=3, sigma=0.1)
+    image, noise = scene_and_noise(7, stream)
+    rows = _patch_matrix(image, 3)
+    return stream, rows, rows @ kernel.ravel() + 0.1 * noise
+
+
 class TestStreamBlocks:
+    @pytest.mark.parametrize("block_size", [1, 3])
+    @pytest.mark.parametrize("reference", [synthetic_reference, adaptive_reference, deconv_reference],
+                             ids=["synthetic", "adaptive", "deconv2d"])
+    def test_blocks_are_reference_rows(self, reference, block_size):
+        stream, rows, observations = reference()
+        blocks = list(stream.blocks(block_size))
+        assert len(blocks) == rows.shape[0] // block_size
+        for index, sample in enumerate(blocks):
+            span = slice(index * block_size, (index + 1) * block_size)
+            assert np.array_equal(sample.X, rows[span].T)
+            assert np.array_equal(sample.y, observations[span])
+
     def test_partial_tail_dropped(self):
         stream = ArrayStream(np.arange(14.0).reshape(7, 2), np.arange(7.0))
         blocks = list(stream.blocks(3))

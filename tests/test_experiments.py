@@ -30,7 +30,7 @@ class TestIsotropicTV:
     def test_structure_counts(self):
         reg = build_isotropic_tv_regularizer(2, 2, lam=1.0, delta=0.1)
         assert reg.n_blocks == 4
-        assert reg.total_rows == 8
+        assert reg.op.shape[0] == 8
         assert reg.op.shape == (8, 4)
 
     def test_constant_kernel_only_pays_ridge(self):

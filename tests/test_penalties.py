@@ -34,7 +34,7 @@ def spec_ids(specs):
 )
 def test_value_pinned(kind, lam, delta, t, expected):
     spec = PenaltySpec(kind, lam=lam, delta=delta)
-    assert spec.value(t) == pytest.approx(expected, abs=1e-14)
+    assert spec.value_and_weight(t)[0] == pytest.approx(expected, abs=1e-14)
 
 
 @pytest.mark.parametrize(
@@ -50,17 +50,17 @@ def test_value_pinned(kind, lam, delta, t, expected):
 )
 def test_weight_pinned(kind, lam, delta, t, expected):
     spec = PenaltySpec(kind, lam=lam, delta=delta)
-    assert spec.weight(t) == pytest.approx(expected, rel=1e-12)
+    assert spec.value_and_weight(t)[1] == pytest.approx(expected, rel=1e-12)
 
 
 def test_huber_weight_beyond_knee():
     spec = PenaltySpec("huber", lam=1.0, delta=1.0)
-    assert spec.weight(5.0) == pytest.approx(2.0 / 5.0)
+    assert spec.value_and_weight(5.0)[1] == pytest.approx(2.0 / 5.0)
 
 
 def derivative(spec, t):
     """The potential's derivative, ``weight(t) * t``."""
-    return spec.weight(t) * np.asarray(t, dtype=float)
+    return spec.value_and_weight(t)[1] * np.asarray(t, dtype=float)
 
 
 def test_welsch_derivative_value():
@@ -76,16 +76,16 @@ def test_huber_derivative_in_quadratic_core():
 def test_power_kappa_two_is_quadratic():
     spec = PenaltySpec("l2lkappa-power", lam=1.0, delta=2.0, kappa=2.0)
     t = np.linspace(-30, 30, 101)
-    assert_allclose(spec.value(t), (t / 2.0) ** 2, rtol=1e-13)
-    assert_allclose(spec.weight(t), np.full_like(t, 0.5), rtol=1e-13)
+    assert_allclose(spec.value_and_weight(t)[0], (t / 2.0) ** 2, rtol=1e-13)
+    assert_allclose(spec.value_and_weight(t)[1], np.full_like(t, 0.5), rtol=1e-13)
 
 
 def test_geman_mcclure_saturates():
     spec = PenaltySpec("gemanmcclure", lam=1.3, delta=0.5)
     cut = np.sqrt(6.0) * 0.5
-    assert spec.value(cut) == pytest.approx(1.3, rel=1e-12)
-    assert spec.value(10.0) == pytest.approx(1.3)
-    assert spec.weight(cut + 1e-9) == 0.0
+    assert spec.value_and_weight(cut)[0] == pytest.approx(1.3, rel=1e-12)
+    assert spec.value_and_weight(10.0)[0] == pytest.approx(1.3)
+    assert spec.value_and_weight(cut + 1e-9)[1] == 0.0
 
 
 # --- structural properties over the whole catalog ----------------------
@@ -95,17 +95,17 @@ def test_geman_mcclure_saturates():
 def test_even_and_zero_at_origin(spec):
     rng = np.random.default_rng(0)
     t = rng.uniform(0.0, 10 * spec.delta, 500)
-    plus, minus = spec.value(t), spec.value(-t)
+    plus, minus = spec.value_and_weight(t)[0], spec.value_and_weight(-t)[0]
     assert np.all(np.abs(plus - minus) <= 1e-12 * (1.0 + np.abs(plus)))
-    assert spec.value(0.0) == 0.0
+    assert spec.value_and_weight(0.0)[0] == 0.0
 
 
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=spec_ids(ALL_SPECS))
 def test_weight_nonnegative_bounded_peaks_at_zero(spec):
     grid = np.concatenate([[0.0], np.logspace(-8, 6, 400) * spec.delta])
-    w = spec.weight(grid)
+    w = spec.value_and_weight(grid)[1]
     assert np.all(w >= 0.0)
-    assert np.all(w <= spec.weight(0.0) + 1e-12)
+    assert np.all(w <= spec.value_and_weight(0.0)[1] + 1e-12)
 
 
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=spec_ids(ALL_SPECS))
@@ -115,8 +115,9 @@ def test_quadratic_majorization_inequality(spec):
     span = 10 * spec.delta
     t = rng.uniform(-span, span, 10_000)
     t2 = rng.uniform(-span, span, 10_000)
-    lhs = spec.value(t2)
-    rhs = spec.value(t) + derivative(spec, t) * (t2 - t) + 0.5 * spec.weight(t) * (t2 - t) ** 2
+    lhs = spec.value_and_weight(t2)[0]
+    value, weight = spec.value_and_weight(t)
+    rhs = value + derivative(spec, t) * (t2 - t) + 0.5 * weight * (t2 - t) ** 2
     assert np.all(rhs - lhs >= -1e-10 * (1.0 + np.abs(rhs)))
 
 
@@ -126,8 +127,9 @@ def test_concave_in_squared_argument(spec):
     span = (10 * spec.delta) ** 2
     a = rng.uniform(0.0, span, 1000)
     b = rng.uniform(0.0, span, 1000)
-    mid = spec.value(np.sqrt(0.5 * (a + b)))
-    assert np.all(mid >= 0.5 * spec.value(np.sqrt(a)) + 0.5 * spec.value(np.sqrt(b)) - 1e-10)
+    mid = spec.value_and_weight(np.sqrt(0.5 * (a + b)))[0]
+    ends = 0.5 * spec.value_and_weight(np.sqrt(a))[0] + 0.5 * spec.value_and_weight(np.sqrt(b))[0]
+    assert np.all(mid >= ends - 1e-10)
 
 
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=spec_ids(ALL_SPECS))
@@ -140,7 +142,7 @@ def test_derivative_matches_finite_differences(spec):
     if spec.kind == "gemanmcclure":
         t = t[np.abs(np.abs(t) - np.sqrt(6.0) * spec.delta) > 1e-4 * spec.delta]
     h = 1e-6 * spec.delta
-    numeric = (spec.value(t + h) - spec.value(t - h)) / (2 * h)
+    numeric = (spec.value_and_weight(t + h)[0] - spec.value_and_weight(t - h)[0]) / (2 * h)
     analytic = derivative(spec, t)
     assert np.all(np.abs(numeric - analytic) <= 1e-6 * (1.0 + np.abs(analytic)))
 
@@ -156,16 +158,16 @@ def test_derivative_is_odd_and_zero_at_origin(spec):
 @given(t=st.floats(min_value=-1e6, max_value=1e6))
 def test_hypothesis_evenness_and_bounded_weight(t):
     spec = PenaltySpec("welsch", lam=1.0, delta=1.0)
-    assert spec.value(t) == spec.value(-t)
-    assert 0.0 <= spec.weight(t) <= spec.weight(0.0) + 1e-12
+    assert spec.value_and_weight(t)[0] == spec.value_and_weight(-t)[0]
+    assert 0.0 <= spec.value_and_weight(t)[1] <= spec.value_and_weight(0.0)[1] + 1e-12
 
 
 def test_non_finite_argument_rejected():
     spec = PenaltySpec("huber", lam=1.0, delta=1.0)
     with pytest.raises(ValueError):
-        spec.value(np.nan)
+        spec.value_and_weight(np.nan)
     with pytest.raises(ValueError):
-        spec.weight(np.inf)
+        spec.value_and_weight(np.inf)
 
 
 @pytest.mark.parametrize(
@@ -198,7 +200,7 @@ def test_weights_and_penalty_equal_the_separate_passes(rng):
     expected_weights, expected_total = _catalog_pass(reg, norms)
     np.testing.assert_array_equal(weights, expected_weights)
     assert total == expected_total
-    assert weights.shape == (reg.total_rows,)
+    assert weights.shape == (reg.op.shape[0],)
 
 
 def _catalog_pass(reg, norms):
@@ -299,7 +301,7 @@ def test_value_composes_from_potential(rng):
     n = 4
     reg = Regularizer(n, [(np.eye(n), None, spec)], quad=0.5)
     h = rng.standard_normal(n)
-    expected = 0.25 * float(h @ h) + spec.value(float(np.linalg.norm(h)))
+    expected = 0.25 * float(h @ h) + spec.value_and_weight(float(np.linalg.norm(h)))[0]
     assert reg.value(h) == pytest.approx(expected, rel=1e-12)
 
 
@@ -446,7 +448,7 @@ def test_empty_block_list_degenerates_to_quadratic():
     reg = Regularizer(3, quad=2.0)
     h = np.array([1.0, 2.0, 3.0])
     assert reg.n_blocks == 0
-    assert reg.total_rows == 0
+    assert reg.op.shape[0] == 0
     assert reg.value(h) == pytest.approx(float(h @ h))
     assert reg.weights(h).shape == (0,)
 
