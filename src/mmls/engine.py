@@ -13,21 +13,22 @@ where ``A(h)`` is the surrogate curvature at ``h`` (see :mod:`mmls.moments`).
 The memory-gradient subspace spans the negative gradient, the current
 iterate, and the last step; gradient-only is the same subspace without the
 step column.  For both the per-step cost stays at a few matrix-vector
-products because every product of the basis with the curvature pieces is
-carried recursively:
+products because the one dense piece of the curvature, the N x N
+autocorrelation, is only ever applied through a recursion:
 
 * the gradient ``autocorr h + quad h + op' W (op h - shift) - cross - lin``
-  is assembled from the images of ``h`` under the three curvature pieces,
-  folding the new block into the cached ``autocorr @ basis_prev`` product
-  instead of touching the dense autocorrelation matrix;
-* images of the iterate columns under ``op``, the quadratic matrix and the
-  autocorrelation transfer from one iteration to the next, so only the
-  fresh gradient column requires full products; the images are assembled
-  by the same column recipe as the basis (:func:`build_subspace`).
+  takes ``autocorr h`` from the cached ``autocorr @ basis_prev`` product,
+  folding the new block in instead of touching the dense autocorrelation
+  matrix;
+* the images of the iterate columns under the autocorrelation transfer
+  from one iteration to the next, so only the fresh gradient column
+  requires a full product; the image is assembled by the same column
+  recipe as the basis (:func:`build_subspace`).
 
-When ``op`` or the quadratic matrix is a scaled identity ``s I`` its
-cache is ``s * basis`` (the basis itself at ``s = 1``) and the image of
-the iterate is ``s * h``, so neither takes a product or a column recipe.
+The penalty operator ``op`` and the quadratic matrix are structured
+:class:`mmls.penalties.Operator` instances whose products cost O(nnz)
+per column, so their images of ``h`` and of the basis are taken directly
+with ``@``.
 
 The reduced system is solved through a Cholesky factor when LAPACK's
 estimate of its reciprocal condition number exceeds 1e-8, the usual case.
@@ -113,16 +114,16 @@ class IterationReport:
 
 @dataclass
 class EngineState:
-    """Iterate, subspace basis and the recursive caches.
+    """Iterate, subspace basis and the images of the basis.
 
     After ``step`` iterations: ``h`` is the new iterate (in the range of
     ``basis``, with coordinates ``coords``), ``h_prev`` the previous one,
     ``grad`` the gradient at ``h_prev`` under the latest statistics.  The
-    three basis caches hold ``autocorr @ basis``, ``quad @ basis`` and
-    ``op @ basis``; in the low-dimensional subspaces column 1 of each
-    is the image of ``h_prev`` and seeds the next step column.  The cache
-    of a scaled identity ``s I`` is ``s * basis``, and after a step at
-    ``s = 1`` it is the ``basis`` array itself.
+    three basis images hold ``autocorr @ basis``, ``quad @ basis`` and
+    ``op @ basis``.  Only ``autocorr_basis`` is a recursive cache: in
+    the low-dimensional subspaces its column 1 is the image of ``h_prev``
+    and seeds the next step column.  The other two are the products
+    themselves, fresh arrays of ``Operator @``.
     """
 
     step: int
@@ -173,8 +174,8 @@ def build_subspace(strategy, grad, h, h_prev, step) -> np.ndarray:
     pseudo-inverse absorbs them.
 
     The low-dimensional recipes are linear in ``(grad, h, h_prev)``, so
-    the engine also builds the cached images with it: passing
-    ``M @ grad``, ``M @ h`` and ``M @ h_prev`` yields ``M @ basis``.
+    the engine also builds the recursive autocorrelation image with it:
+    passing ``M @ grad``, ``M @ h`` and ``M @ h_prev`` yields ``M @ basis``.
     """
     if type(strategy) is not SubspaceStrategy:
         strategy = SubspaceStrategy(strategy)
@@ -253,9 +254,10 @@ class MMEngine:
 
         Folds the block into the statistics in place (see
         :func:`mmls.moments.update`), reconstructs the gradient at ``h``
-        from the carried images, builds the basis and its cached images
-        with :func:`build_subspace`, and solves the reduced system for the
-        step.  A gradient that vanishes exactly gives a zero step
+        from the carried autocorrelation image, builds the basis and that
+        image with :func:`build_subspace`, takes the ``quad`` and ``op``
+        images of the basis directly, and solves the reduced system for
+        the step.  A gradient that vanishes exactly gives a zero step
         (``rank = 0``), so stationary points are fixed points bit for bit.
 
         If the step at block ``k`` raises :class:`DivergenceError`,
@@ -270,16 +272,14 @@ class MMEngine:
         step = stats.count
         inv_w = 1.0 / stats.weight_total
 
-        # images of the current iterate, carried forward recursively
-        op_scale, quad_scale = reg.op.scale, reg.quad.scale
-        op_h = state.op_basis @ state.coords if op_scale is None else op_scale * state.h
-        quad_h = state.quad_basis @ state.coords if quad_scale is None else quad_scale * state.h
+        # image of the current iterate under the autocorrelation, carried forward recursively
         XtD = X.T @ state.basis
         Xt_h = XtD @ state.coords
         autocorr_h = (1.0 - inv_w) * (state.autocorr_basis @ state.coords) + inv_w * (X @ Xt_h)
 
-        # weights, penalty block norms and gradient at the current h
-        residual = op_h - reg.shift
+        # ridge image, residual, weights, penalty block norms and gradient at the current h
+        quad_h = reg.quad @ state.h
+        residual = reg.residual(state.h)
         norms = reg.block_norms(residual)
         weights, penalty = reg.weights_and_penalty(norms)
         grad = autocorr_h + quad_h - stats.cross - reg.lin + reg.op.T @ (weights * residual)
@@ -292,25 +292,17 @@ class MMEngine:
         if strategy is SubspaceStrategy.FULL_SPACE:
             # a copy: the next update overwrites ``stats.autocorr`` in place
             autocorr_basis = stats.autocorr.copy()
-            quad_basis = reg.quad.toarray()
-            op_basis = reg.op.toarray()
             anchor = state.h
         else:
             # the recipe is linear: applied to the images of grad, h and
-            # h_prev (column 1 of the old basis) it gives M @ basis
+            # h_prev (column 1 of the old basis) it gives autocorr @ basis
             autocorr_h_prev = (1.0 - inv_w) * state.autocorr_basis[:, 1] + inv_w * (X @ XtD[:, 1])
             autocorr_basis = build_subspace(
                 strategy, moments.autocorr_matvec(stats, grad), autocorr_h, autocorr_h_prev, step
             )
-            if quad_scale is None:
-                quad_basis = build_subspace(strategy, reg.quad @ grad, quad_h, state.quad_basis[:, 1], step)
-            else:
-                quad_basis = basis if quad_scale == 1.0 else quad_scale * basis
-            if op_scale is None:
-                op_basis = build_subspace(strategy, reg.op @ grad, op_h, state.op_basis[:, 1], step)
-            else:
-                op_basis = basis if op_scale == 1.0 else op_scale * basis
             anchor = _ANCHOR[: basis.shape[1]]
+        quad_basis = reg.quad @ basis
+        op_basis = reg.op @ basis
 
         reduced = reduced_matrix(basis, autocorr_basis, quad_basis, op_basis, weights)
 

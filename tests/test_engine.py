@@ -1,5 +1,6 @@
 """Subspace engine: recursions, descent, optimality, edge cases."""
 
+import copy
 import dataclasses
 
 import numpy as np
@@ -24,6 +25,7 @@ from mmls import (
 )
 from mmls import moments as mom
 from mmls.engine import RANK_CUTOFF, _pinv_psd_solve
+from mmls.experiments import SGDStepper
 
 
 def anchor_coords(strategy, state):
@@ -392,12 +394,99 @@ def test_scaled_identity_caches_are_the_scaled_basis(rng, strategy):
 
 @pytest.mark.parametrize("strategy", ["memory-gradient", "gradient-only"])
 def test_unit_scaled_identity_caches_are_the_basis(rng, strategy):
+    # at s = 1 both images equal the basis bit for bit (fresh arrays, not the basis itself)
     reg = identity_blocks_regularizer(5, PenaltySpec("welsch", lam=0.1, delta=0.5), tau=1.0)
     engine = MMEngine(reg, strategy=strategy)
     for _ in range(10):
         engine.step(rng.standard_normal((5, 1)), rng.standard_normal(1))
-        assert engine.state.op_basis is engine.state.basis
-        assert engine.state.quad_basis is engine.state.basis
+        assert np.array_equal(engine.state.op_basis, engine.state.basis)
+        assert np.array_equal(engine.state.quad_basis, engine.state.basis)
+
+
+# every operator form: s I at s = 1 and s != 1, tv2d CSR with an s I
+# ridge, dense CSR blocks, CSR blocks and quad, and no blocks at all
+_OPERATOR_FORMS = {
+    "unit-identity": lambda rng: identity_blocks_regularizer(
+        5, PenaltySpec("welsch", lam=0.1, delta=0.5), tau=1.0
+    ),
+    "scaled-identity": lambda rng: Regularizer.stacked(
+        6, 2.5 * np.eye(6), np.ones(6, dtype=int), [PenaltySpec("huber", lam=0.2, delta=0.3)] * 6,
+        quad=0.3,
+    ),
+    "tv2d": _STRUCTURES["tv2d"],
+    "dense-blocks": _STRUCTURES["dense-blocks"],
+    "dense-quad": _dense_quad_regularizer,
+    "no-blocks": lambda rng: Regularizer(4, quad=0.2),
+}
+
+
+@pytest.mark.parametrize("strategy", [s.value for s in SubspaceStrategy])
+@pytest.mark.parametrize("form", list(_OPERATOR_FORMS))
+def test_operator_images_are_the_direct_products(rng, form, strategy):
+    # the op and quad images of the basis are the products themselves, bit
+    # for bit, in fresh arrays; in full space they are the dense matrices
+    reg = _OPERATOR_FORMS[form](rng)
+    n_dim = reg.n_dim
+    engine = MMEngine(reg, strategy=strategy, forgetting=0.99)
+    for _ in range(25):
+        engine.step(rng.standard_normal((n_dim, 2)), rng.standard_normal(2))
+        state = engine.state
+        for image, mat in ((state.op_basis, reg.op), (state.quad_basis, reg.quad)):
+            assert np.array_equal(image, mat @ state.basis)
+            assert not np.shares_memory(image, state.basis)
+            if strategy == "full-space":
+                assert np.array_equal(image, mat.toarray())
+
+
+def _fields(stepper):
+    # copies of every field of the statistics and of the iterate state
+    state = vars(stepper.state) if isinstance(stepper, MMEngine) else {"h": stepper.h}
+    return copy.deepcopy({**vars(stepper.moments), **state})
+
+
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda reg: MMEngine(reg, strategy="memory-gradient", forgetting=0.99), id="mm"),
+    pytest.param(lambda reg: SGDStepper(reg, scale=0.05, forgetting=0.99), id="sgd"),
+])
+def test_block_size_change_is_rejected_without_side_effects(rng, make):
+    reg = random_regularizer(rng, 6, kind="huber")
+    blocks = [(rng.standard_normal((6, 3)), rng.standard_normal(3)) for _ in range(6)]
+    clean, probed = make(reg), make(reg)
+    for X, y in blocks[:3]:
+        clean.step(X, y)
+        probed.step(X, y)
+    before = _fields(probed)
+    with pytest.raises(ValueError, match="block size changed"):
+        probed.step(rng.standard_normal((6, 2)), rng.standard_normal(2))
+    after = _fields(probed)
+    assert after.keys() == before.keys()
+    for name, value in before.items():
+        assert np.array_equal(after[name], value), name
+    # the next valid block continues as if the bad one had never come
+    for X, y in blocks[3:]:
+        clean.step(X, y)
+        probed.step(X, y)
+        assert np.array_equal(probed.h, clean.h)
+
+
+def test_autocorr_cache_stays_coherent_over_a_long_run():
+    # the one recursive cache must not drift: 10^4 single-sample blocks
+    # under forgetting, checked against direct products every 1000 blocks
+    rng = np.random.default_rng(29)
+    n_dim = 16
+    reg = random_regularizer(rng, n_dim, kind="huber", lam=0.2, delta=0.3)
+    engine = MMEngine(reg, strategy="memory-gradient", forgetting=0.995)
+    samples = rng.standard_normal((10_000, n_dim + 1))
+    for count, row in enumerate(samples, start=1):
+        h_before = engine.h  # a step replaces the iterate array, never writes it
+        engine.step(row[:n_dim, None], row[n_dim:])
+        if count % 1000:
+            continue
+        state, stats = engine.state, engine.moments
+        direct = mom.gradient(stats, reg, h_before)
+        assert np.linalg.norm(state.grad - direct) <= 1e-8 * (1.0 + np.linalg.norm(direct))
+        ref = stats.autocorr @ state.basis
+        assert np.linalg.norm(state.autocorr_basis - ref) <= 1e-8 * (1.0 + np.linalg.norm(ref))
 
 
 def test_reduced_matrix_full_space_is_curvature(rng):
