@@ -11,6 +11,8 @@ input signal, which costs no memory.  The deconvolution stream,
 the flipped, zero-padded image and cuts each block's patch rows from it.
 Neither of the last two keeps memory that grows with rows times filter
 size, and both form their observations a small chunk of rows at a time.
+The dense patch matrix that :class:`PatchStream` is tested against is
+built in the tests, not here.
 """
 
 from __future__ import annotations
@@ -24,23 +26,10 @@ from .moments import Sample
 __all__ = [
     "ArrayStream",
     "PatchStream",
-    "FULL_SCALE_REFERENCE",
     "gen_deconv2d",
     "gen_adaptive",
     "gen_synthetic",
 ]
-
-# Known full-scale operating point of the 2D identification setup
-# (4096x4096 image, 21x21 kernel, noise 0.03, relative error 0.064).
-# Recorded for context only; desk-scale runs are judged against the
-# batch oracle, never against this number.
-FULL_SCALE_REFERENCE = {
-    "image_size": 4096,
-    "kernel_size": 21,
-    "noise_sigma": 0.03,
-    "nrmse": 0.064,
-}
-
 
 class ArrayStream:
     """In-memory sample stream: feature rows (rows, n_dim) paired with ``observations`` (rows,).
@@ -169,16 +158,6 @@ def _smooth_field(rng, size: int) -> np.ndarray:
     return img / img.std()
 
 
-def _patch_matrix(image: np.ndarray, size: int) -> np.ndarray:
-    """Rows are zero-padded, reversed windows so that rows @ vec(kernel)
-    equals the "same" convolution of the image with the kernel.
-
-    The reference for :class:`PatchStream`, which cuts the same rows
-    block by block."""
-    windows = np.lib.stride_tricks.sliding_window_view(np.pad(image, size // 2), (size, size))
-    return windows[..., ::-1, ::-1].reshape(-1, size * size)
-
-
 # rows cut at a time when a generator forms its observations:
 # 1.7 MiB of patches at a 21x21 kernel, 0.8 MiB of tap-delay rows at 200 taps
 _OBSERVATION_CHUNK = 512
@@ -187,13 +166,14 @@ _OBSERVATION_CHUNK = 512
 class PatchStream(ArrayStream):
     """Deconvolution stream that cuts its patch rows from the image.
 
-    Row ``l`` equals row ``l`` of :func:`_patch_matrix`: the reversed
-    ``size x size`` window of the zero-padded image at raster pixel
-    ``(i, j)``.  That is the forward window of the flipped padded image
-    at the mirrored pixel ``(height-1-i, width-1-j)``, so rows
-    ``start:stop`` are one window slice per image row they touch, copied
-    into a fresh C-ordered array.  A block's ``X`` is that array's
-    transpose: the values and Fortran layout of a patch-matrix slice.
+    Row ``l`` is the reversed ``size x size`` window of the zero-padded
+    image at raster pixel ``(i, j)``, so that a row times the raveled
+    kernel is the "same" convolution at that pixel.  That is the forward
+    window of the flipped padded image at the mirrored pixel
+    ``(height-1-i, width-1-j)``, so rows ``start:stop`` are one window
+    slice per image row they touch, copied into a fresh C-ordered array.
+    A block's ``X`` is that array's transpose: the values and Fortran
+    layout of a patch-matrix slice.
 
     The stream keeps the flipped padded image, not the patch matrix;
     ``features`` cuts the whole matrix on every read.

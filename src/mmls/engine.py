@@ -114,16 +114,15 @@ class IterationReport:
 
 @dataclass
 class EngineState:
-    """Iterate, subspace basis and the images of the basis.
+    """Iterate, subspace basis and the one recursive cache.
 
     After ``step`` iterations: ``h`` is the new iterate (in the range of
     ``basis``, with coordinates ``coords``), ``h_prev`` the previous one,
-    ``grad`` the gradient at ``h_prev`` under the latest statistics.  The
-    three basis images hold ``autocorr @ basis``, ``quad @ basis`` and
-    ``op @ basis``.  Only ``autocorr_basis`` is a recursive cache: in
-    the low-dimensional subspaces its column 1 is the image of ``h_prev``
-    and seeds the next step column.  The other two are the products
-    themselves, fresh arrays of ``Operator @``.
+    ``grad`` the gradient at ``h_prev`` under the latest statistics, and
+    ``autocorr_basis`` holds ``autocorr @ basis``.  In the low-dimensional
+    subspaces its column 1 is the image of ``h_prev`` and seeds the next
+    step column.  The ``quad`` and ``op`` images of the basis are not
+    kept: each step takes them afresh with ``Operator @``.
     """
 
     step: int
@@ -132,8 +131,6 @@ class EngineState:
     coords: np.ndarray
     basis: np.ndarray
     autocorr_basis: np.ndarray
-    quad_basis: np.ndarray
-    op_basis: np.ndarray
     grad: np.ndarray
 
     @classmethod
@@ -151,16 +148,13 @@ class EngineState:
             raise ValueError(f"h1 must have length {n}")
         if not np.all(np.isfinite(h)):
             raise ValueError("h1 must be finite")
-        basis = np.column_stack([np.zeros(n), h])
         return cls(
             step=0,
             h=h,
             h_prev=h.copy(),
             coords=np.array([0.0, 1.0]),
-            basis=basis,
+            basis=np.column_stack([np.zeros(n), h]),
             autocorr_basis=np.zeros((n, 2)),
-            quad_basis=reg.quad @ basis,
-            op_basis=reg.op @ basis,
             grad=np.zeros(n),
         )
 
@@ -301,10 +295,7 @@ class MMEngine:
                 strategy, moments.autocorr_matvec(stats, grad), autocorr_h, autocorr_h_prev, step
             )
             anchor = _ANCHOR[: basis.shape[1]]
-        quad_basis = reg.quad @ basis
-        op_basis = reg.op @ basis
-
-        reduced = reduced_matrix(basis, autocorr_basis, quad_basis, op_basis, weights)
+        reduced = reduced_matrix(basis, autocorr_basis, reg.quad @ basis, reg.op @ basis, weights)
 
         # the sum of squares can underflow to 0 on a nonzero gradient
         if grad_sq > 0.0 or grad.any():
@@ -333,8 +324,6 @@ class MMEngine:
             coords=coords,
             basis=basis,
             autocorr_basis=autocorr_basis,
-            quad_basis=quad_basis,
-            op_basis=op_basis,
             grad=grad,
         )
         return IterationReport(

@@ -146,10 +146,11 @@ class PenaltySpec:
         """``(lam * psi(t), lam * nu(|t|))`` from one catalog call.
 
         ``t`` is a scalar or array of any sign; the weight is continuous at 0.
+        A scalar ``t`` gives two ``np.float64`` values.
         """
         a = _abs_checked(t)
         value, weight = _CATALOG[self.kind](a, self.delta, self.kappa)
-        return _unwrap(self.lam * value), _unwrap(self.lam * weight)
+        return self.lam * value, self.lam * weight
 
 
 def _abs_checked(t):
@@ -157,11 +158,6 @@ def _abs_checked(t):
     if not np.isfinite(arr).all():
         raise ValueError("penalty argument must be finite")
     return np.abs(arr)
-
-
-def _unwrap(out):
-    arr = np.asarray(out)
-    return float(arr) if arr.ndim == 0 else arr
 
 
 class Operator:
@@ -172,10 +168,9 @@ class Operator:
     product ``s * x`` is a fresh array (bit-exact for ``s = 1``); any
     other dense matrix is converted to CSR once, and a scipy sparse
     matrix is taken in CSR form without densifying it.  The transpose is
-    built from the CSR copy.  Supports ``@`` on 1-D and 2-D right sides,
-    ``.T``, ``.shape`` and ``toarray()``; dense array arithmetic on an
-    operator raises ``TypeError``.  ``scale`` is ``s`` for the scaled
-    identity and ``None`` for CSR.
+    built from the CSR copy.  Supports ``@`` on 1-D and 2-D right sides
+    (arrays or nested sequences), ``.T``, ``.shape`` and ``toarray()``;
+    dense array arithmetic on an operator raises ``TypeError``.
     """
 
     __array_ufunc__ = None
@@ -187,26 +182,28 @@ class Operator:
             if (mat.shape[0] == mat.shape[1] and np.all(diag == diag[0])
                     and np.count_nonzero(mat) == np.count_nonzero(diag)):
                 self.shape = mat.shape
-                self.scale, self._csr, self.T = float(diag[0]), None, self
+                self._scale, self._csr, self.T = float(diag[0]), None, self
                 return
         self.shape = mat.shape
-        self.scale, self._csr = None, scipy.sparse.csr_array(mat, dtype=float)
+        self._scale, self._csr = None, scipy.sparse.csr_array(mat, dtype=float)
         transpose = object.__new__(Operator)
-        transpose.shape, transpose.scale = self.shape[::-1], None
+        transpose.shape, transpose._scale = self.shape[::-1], None
         transpose._csr, transpose.T = self._csr.T.tocsr(), self
         self.T = transpose
 
     def __matmul__(self, x):
         if self._csr is not None:
             return self._csr @ x
-        if np.shape(x)[:1] != self.shape[1:]:
-            raise ValueError(f"operand of shape {np.shape(x)} does not match operator {self.shape}")
-        return self.scale * x
+        if not isinstance(x, np.ndarray):
+            x = np.asarray(x, dtype=float)
+        if x.shape[:1] != self.shape[1:]:
+            raise ValueError(f"operand of shape {x.shape} does not match operator {self.shape}")
+        return self._scale * x
 
     def toarray(self) -> np.ndarray:
         """The matrix as a dense array."""
         if self._csr is None:
-            return self.scale * np.eye(self.shape[0])
+            return self._scale * np.eye(self.shape[0])
         return self._csr.toarray()
 
 

@@ -34,6 +34,16 @@ def brute_force_moments(samples, forgetting):
     return power, cross, autocorr, total
 
 
+def patch_matrix(image, size):
+    """Zero-padded, reversed windows as rows, so that rows @ vec(kernel) is
+    the "same" convolution of the image with the kernel.
+
+    The dense reference for ``PatchStream``, built from the unflipped image
+    and sharing no code with the stream."""
+    windows = np.lib.stride_tricks.sliding_window_view(np.pad(image, size // 2), (size, size))
+    return windows[..., ::-1, ::-1].reshape(-1, size * size)
+
+
 def random_regularizer(rng, n_dim, kind="welsch", n_blocks=3, rows_per_block=2,
                        lam=0.3, delta=0.5, kappa=1.5, tau=1e-3, with_shift=True):
     """Generic dense-block regularizer for property tests."""

@@ -13,13 +13,12 @@ from scipy import ndimage
 from scipy.signal import convolve2d
 
 import mmls
+from conftest import patch_matrix
 from mmls import gen_adaptive, gen_deconv2d, gen_synthetic
 from mmls.datasets import (
-    FULL_SCALE_REFERENCE,
     ArrayStream,
     PatchStream,
     _blur_axis,
-    _patch_matrix,
     _random_smooth_kernel,
     _smooth_field,
     _sparse_taps,
@@ -46,7 +45,7 @@ class TestDeconv2d:
     def test_delta_kernel_identity(self):
         rng = np.random.default_rng(0)
         image = rng.standard_normal((16, 16))
-        patches = _patch_matrix(image, 5)
+        patches = patch_matrix(image, 5)
         delta = np.zeros((5, 5))
         delta[2, 2] = 1.0
         assert_allclose(patches @ delta.ravel(), image.ravel())
@@ -55,7 +54,7 @@ class TestDeconv2d:
         rng = np.random.default_rng(1)
         image = rng.standard_normal((20, 20))
         kernel = rng.standard_normal((5, 5))
-        patches = _patch_matrix(image, 5)
+        patches = patch_matrix(image, 5)
         direct = convolve2d(image, kernel, mode="same", boundary="fill")
         assert_allclose(patches @ kernel.ravel(), direct.ravel(), rtol=1e-12, atol=1e-12)
 
@@ -69,7 +68,7 @@ class TestDeconv2d:
             for i in range(9)
             for j in range(13)
         ]
-        patches = _patch_matrix(image, size)
+        patches = patch_matrix(image, size)
         assert patches.flags.c_contiguous
         assert np.array_equal(patches, np.array(expected))
 
@@ -103,7 +102,7 @@ class TestDeconv2d:
     def test_blocks_are_patch_rows_bit_for_bit(self, block_size):
         # 24 pixels a raster row: blocks of 7 straddle rows, blocks of 100 span several
         _, stream = gen_deconv2d(4, image_size=24, kernel_size=5, sigma=0.1)
-        patches = _patch_matrix(scene_and_noise(4, stream)[0], 5)
+        patches = patch_matrix(scene_and_noise(4, stream)[0], 5)
         blocks = list(stream.blocks(block_size))
         assert len(blocks) == 576 // block_size
         for index, sample in enumerate(blocks):
@@ -120,7 +119,7 @@ class TestDeconv2d:
         # 10,000 pixels: the observations are formed over 20 chunks, the last partial
         kernel, stream = gen_deconv2d(6, image_size=100, kernel_size=7, sigma=0.05)
         image, noise = scene_and_noise(6, stream)
-        expected = _patch_matrix(image, 7) @ kernel.ravel() + 0.05 * noise
+        expected = patch_matrix(image, 7) @ kernel.ravel() + 0.05 * noise
         assert np.array_equal(stream.observations, expected)
 
     def test_features_are_cut_on_read(self, monkeypatch):
@@ -128,7 +127,7 @@ class TestDeconv2d:
         assert isinstance(stream, PatchStream)
         first = stream.features
         assert first.flags.c_contiguous
-        assert np.array_equal(first, _patch_matrix(scene_and_noise(8, stream)[0], 5))
+        assert np.array_equal(first, patch_matrix(scene_and_noise(8, stream)[0], 5))
         assert stream.features is not first
         # the stream holds the padded image and views of it, nothing the matrix's size
         assert stream.padded.nbytes < first.nbytes
@@ -152,12 +151,6 @@ class TestDeconv2d:
         finally:
             tracemalloc.stop()
         assert peak < 32 * 2**20
-
-    def test_full_scale_reference_metadata(self):
-        assert FULL_SCALE_REFERENCE["image_size"] == 4096
-        assert FULL_SCALE_REFERENCE["kernel_size"] == 21
-        assert FULL_SCALE_REFERENCE["noise_sigma"] == 0.03
-        assert FULL_SCALE_REFERENCE["nrmse"] == 0.064
 
 
 def adaptive_signal(seed, stream):
@@ -307,7 +300,7 @@ def deconv_reference():
     """A deconvolution stream with its patch rows and observations, built whole."""
     kernel, stream = gen_deconv2d(7, image_size=6, kernel_size=3, sigma=0.1)
     image, noise = scene_and_noise(7, stream)
-    rows = _patch_matrix(image, 3)
+    rows = patch_matrix(image, 3)
     return stream, rows, rows @ kernel.ravel() + 0.1 * noise
 
 

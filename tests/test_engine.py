@@ -256,13 +256,18 @@ def _dense_quad_regularizer(rng):
 
 
 # one regularizer per operator form: CSR blocks and s I ridge, s I blocks
-# and ridge, CSR finite differences with all-zero boundary rows, CSR quad
+# and ridge at s = 1 and at s != 1, CSR finite differences with all-zero
+# boundary rows, CSR quad
 _STRUCTURES = {
     "dense-blocks": lambda rng: random_regularizer(
         rng, 8, kind="huber", n_blocks=3, lam=0.2, delta=0.3
     ),
     "identity-ridge": lambda rng: identity_blocks_regularizer(
         8, PenaltySpec("huber", lam=0.2, delta=0.3), tau=1e-2
+    ),
+    "scaled-identity": lambda rng: Regularizer.stacked(
+        6, 2.5 * np.eye(6), np.ones(6, dtype=int), [PenaltySpec("huber", lam=0.2, delta=0.3)] * 6,
+        quad=0.3,
     ),
     "tv2d": lambda rng: build_isotropic_tv_regularizer(3, 4, lam=0.2, delta=0.3),
     "dense-quad": _dense_quad_regularizer,
@@ -293,13 +298,8 @@ def test_recursive_gradient_and_caches_match_direct(rng, strategy, structure, fo
         state, stats = engine.state, engine.moments
         direct = mom.gradient(stats, reg, h_before)
         assert np.linalg.norm(state.grad - direct) <= 1e-9 * (1.0 + np.linalg.norm(direct))
-        for cache, mat in (
-            (state.autocorr_basis, stats.autocorr),
-            (state.quad_basis, reg.quad),
-            (state.op_basis, reg.op),
-        ):
-            ref = mat @ state.basis
-            assert np.linalg.norm(cache - ref) <= 1e-8 * (1.0 + np.linalg.norm(ref))
+        ref = stats.autocorr @ state.basis
+        assert np.linalg.norm(state.autocorr_basis - ref) <= 1e-8 * (1.0 + np.linalg.norm(ref))
 
 
 @pytest.mark.parametrize("strategy", ["memory-gradient", "gradient-only", "full-space"])
@@ -356,51 +356,10 @@ def test_reduced_matrix_matches_dense_congruence(rng):
     state = engine.state
     weights = reg.weights(state.h_prev)
     reduced = reduced_matrix(
-        state.basis, state.autocorr_basis, state.quad_basis, state.op_basis, weights
+        state.basis, state.autocorr_basis, reg.quad @ state.basis, reg.op @ state.basis, weights
     )
     dense = state.basis.T @ mom.normal_matrix(engine.moments, reg, state.h_prev) @ state.basis
     assert_allclose(reduced, dense, rtol=1e-10, atol=1e-12)
-
-
-def test_identity_operator_cache_equals_basis_exactly(rng):
-    # with op = I the operator cache must reproduce the basis bit for bit
-    from mmls import PenaltySpec, identity_blocks_regularizer
-
-    reg = identity_blocks_regularizer(5, PenaltySpec("welsch", lam=0.1, delta=0.5))
-    engine = MMEngine(reg, strategy="memory-gradient")
-    for _ in range(25):
-        engine.step(rng.standard_normal((5, 1)), rng.standard_normal(1))
-        assert np.array_equal(engine.state.op_basis, engine.state.basis)
-
-
-@pytest.mark.parametrize("strategy", list(SubspaceStrategy))
-def test_scaled_identity_caches_are_the_scaled_basis(rng, strategy):
-    # op = 2.5 I and quad = 0.3 I: both caches are s * basis, no products
-    n = 6
-    spec = PenaltySpec("huber", lam=0.2, delta=0.3)
-    reg = Regularizer.stacked(n, 2.5 * np.eye(n), np.ones(n, dtype=int), [spec] * n, quad=0.3)
-    assert (reg.op.scale, reg.quad.scale) == (2.5, 0.3)
-    engine = MMEngine(reg, strategy=strategy, forgetting=0.99)
-    for _ in range(120):
-        h_before = engine.h.copy()
-        engine.step(rng.standard_normal((n, 2)), rng.standard_normal(2))
-        state = engine.state
-        direct = mom.gradient(engine.moments, reg, h_before)
-        assert np.linalg.norm(state.grad - direct) <= 1e-9 * (1.0 + np.linalg.norm(direct))
-        for cache, scale in ((state.op_basis, 2.5), (state.quad_basis, 0.3)):
-            ref = scale * state.basis
-            assert np.linalg.norm(cache - ref) <= 1e-8 * (1.0 + np.linalg.norm(ref))
-
-
-@pytest.mark.parametrize("strategy", ["memory-gradient", "gradient-only"])
-def test_unit_scaled_identity_caches_are_the_basis(rng, strategy):
-    # at s = 1 both images equal the basis bit for bit (fresh arrays, not the basis itself)
-    reg = identity_blocks_regularizer(5, PenaltySpec("welsch", lam=0.1, delta=0.5), tau=1.0)
-    engine = MMEngine(reg, strategy=strategy)
-    for _ in range(10):
-        engine.step(rng.standard_normal((5, 1)), rng.standard_normal(1))
-        assert np.array_equal(engine.state.op_basis, engine.state.basis)
-        assert np.array_equal(engine.state.quad_basis, engine.state.basis)
 
 
 # every operator form: s I at s = 1 and s != 1, tv2d CSR with an s I
@@ -409,10 +368,7 @@ _OPERATOR_FORMS = {
     "unit-identity": lambda rng: identity_blocks_regularizer(
         5, PenaltySpec("welsch", lam=0.1, delta=0.5), tau=1.0
     ),
-    "scaled-identity": lambda rng: Regularizer.stacked(
-        6, 2.5 * np.eye(6), np.ones(6, dtype=int), [PenaltySpec("huber", lam=0.2, delta=0.3)] * 6,
-        quad=0.3,
-    ),
+    "scaled-identity": _STRUCTURES["scaled-identity"],
     "tv2d": _STRUCTURES["tv2d"],
     "dense-blocks": _STRUCTURES["dense-blocks"],
     "dense-quad": _dense_quad_regularizer,
@@ -422,20 +378,45 @@ _OPERATOR_FORMS = {
 
 @pytest.mark.parametrize("strategy", [s.value for s in SubspaceStrategy])
 @pytest.mark.parametrize("form", list(_OPERATOR_FORMS))
-def test_operator_images_are_the_direct_products(rng, form, strategy):
-    # the op and quad images of the basis are the products themselves, bit
-    # for bit, in fresh arrays; in full space they are the dense matrices
+def test_operator_images_are_the_direct_products(rng, monkeypatch, form, strategy):
+    # the reduced matrix each step hands the solver is built, bit for bit,
+    # from the op and quad images of the basis taken directly with ``@``
+    received = []
+
+    def spy(mat, rhs):
+        received.append(mat)
+        return _pinv_psd_solve(mat, rhs)
+
+    monkeypatch.setattr("mmls.engine._pinv_psd_solve", spy)
     reg = _OPERATOR_FORMS[form](rng)
     n_dim = reg.n_dim
     engine = MMEngine(reg, strategy=strategy, forgetting=0.99)
     for _ in range(25):
         engine.step(rng.standard_normal((n_dim, 2)), rng.standard_normal(2))
         state = engine.state
-        for image, mat in ((state.op_basis, reg.op), (state.quad_basis, reg.quad)):
-            assert np.array_equal(image, mat @ state.basis)
-            assert not np.shares_memory(image, state.basis)
-            if strategy == "full-space":
-                assert np.array_equal(image, mat.toarray())
+        expected = reduced_matrix(
+            state.basis, state.autocorr_basis, reg.quad @ state.basis, reg.op @ state.basis,
+            reg.weights(state.h_prev),
+        )
+        assert len(received) == 1
+        assert np.array_equal(received.pop(), expected)
+
+
+@pytest.mark.parametrize("form", list(_OPERATOR_FORMS))
+def test_operators_take_sequences_as_arrays(rng, form):
+    # both operator forms multiply a nested list like the array of its
+    # values; an array operand of the scaled identity is scaled bit for bit
+    reg = _OPERATOR_FORMS[form](rng)
+    h = rng.standard_normal(reg.n_dim)
+    hs = rng.standard_normal((reg.n_dim, 2))
+    residual = rng.standard_normal(reg.op.shape[0])
+    assert np.array_equal(reg.residual(h.tolist()), reg.residual(h))
+    assert np.array_equal(reg.weights(h.tolist()), reg.weights(h))
+    assert np.array_equal(reg.op.T @ residual.tolist(), reg.op.T @ residual)
+    for op in (reg.op, reg.quad):
+        assert np.array_equal(op @ hs.tolist(), op @ hs)
+        if op.T is op:
+            assert np.array_equal(op @ hs, op.toarray()[0, 0] * hs)
 
 
 def _fields(stepper):
@@ -497,7 +478,7 @@ def test_reduced_matrix_full_space_is_curvature(rng):
     state = engine.state
     weights = reg.weights(state.h_prev)
     reduced = reduced_matrix(
-        state.basis, state.autocorr_basis, state.quad_basis, state.op_basis, weights
+        state.basis, state.autocorr_basis, reg.quad @ state.basis, reg.op @ state.basis, weights
     )
     assert_allclose(reduced, mom.normal_matrix(engine.moments, reg, state.h_prev), rtol=1e-10)
 
@@ -509,7 +490,7 @@ def test_reduced_matrix_without_blocks(rng):
         engine.step(rng.standard_normal((4, 2)), rng.standard_normal(2))
     state = engine.state
     reduced = reduced_matrix(
-        state.basis, state.autocorr_basis, state.quad_basis, state.op_basis, np.zeros(0)
+        state.basis, state.autocorr_basis, reg.quad @ state.basis, reg.op @ state.basis, np.zeros(0)
     )
     expected = state.basis.T @ ((engine.moments.autocorr + reg.quad.toarray()) @ state.basis)
     assert_allclose(reduced, 0.5 * (expected + expected.T), rtol=1e-9, atol=1e-12)
@@ -573,7 +554,7 @@ def test_subspace_optimality_after_each_step(rng, strategy):
         state = engine.state
         weights = reg.weights(state.h_prev)
         reduced = reduced_matrix(
-            state.basis, state.autocorr_basis, state.quad_basis, state.op_basis, weights
+            state.basis, state.autocorr_basis, reg.quad @ state.basis, reg.op @ state.basis, weights
         )
         shifted = state.coords - anchor_coords(strategy, state)
         residual = state.basis.T @ state.grad + reduced @ shifted

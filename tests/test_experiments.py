@@ -14,7 +14,6 @@ from mmls import (
     run_experiment,
 )
 from mmls import moments
-from mmls.datasets import FULL_SCALE_REFERENCE
 from mmls.engine import DivergenceError
 from mmls.experiments import (
     ALGORITHMS,
@@ -181,9 +180,9 @@ class TestConfig:
         assert cfg.n_dim == 9
 
     def test_full_scale_deconv2d_config_resolves(self):
-        reference = {key: FULL_SCALE_REFERENCE[key] for key in ("image_size", "kernel_size")}
+        # the full-scale operating point: 4096^2 image, 21x21 kernel, noise 0.03
         cfg = resolve_config(ExperimentConfig(
-            experiment="deconv2d", noise_sigma=FULL_SCALE_REFERENCE["noise_sigma"], **reference
+            experiment="deconv2d", image_size=4096, kernel_size=21, noise_sigma=0.03
         ))
         assert cfg.n_dim == 21 * 21
         # image, padded image, noise, observations and autocorrelation: about half a GiB

@@ -335,10 +335,12 @@ def test_operator_form_follows_the_matrix(rng):
     spec = PenaltySpec("huber", lam=1.0, delta=1.0)
     h, hs = rng.standard_normal(n), rng.standard_normal((n, 2))
     eye = np.eye(n)
-    # scaled identity: identity blocks, a scalar ridge, a dense 2 I, no quad
+    # scaled identity, its own transpose with the bit-exact product s * x:
+    # identity blocks, a scalar ridge, a dense 2 I, no quad
     ident = Regularizer(n, [(eye[s : s + 1], None, spec) for s in range(n)], quad=0.3)
-    assert (ident.op.scale, ident.quad.scale) == (1.0, 0.3)
-    assert Regularizer(n, quad=2.0 * eye).quad.scale == 2.0
+    assert ident.op.T is ident.op and ident.quad.T is ident.quad
+    twice = Regularizer(n, quad=2.0 * eye).quad
+    assert twice.T is twice and np.array_equal(twice @ hs, 2.0 * hs)
     assert np.array_equal(ident.op.toarray(), eye)
     assert np.array_equal(ident.quad.toarray(), 0.3 * np.eye(n))
     product = ident.op @ h
@@ -347,19 +349,20 @@ def test_operator_form_follows_the_matrix(rng):
     with pytest.raises(ValueError):
         ident.quad @ np.ones(n + 1)
     bare = Regularizer(n)
-    assert bare.quad.scale == 0.0
+    assert bare.quad.T is bare.quad and np.array_equal(bare.quad @ h, 0.0 * h)
     assert np.array_equal(bare.quad.toarray(), np.zeros((n, n)))
-    assert bare.op.scale is None and bare.op.shape == (0, n)
+    assert bare.op.T is not bare.op and bare.op.shape == (0, n)
     assert (bare.op @ h).shape == (0,)
     assert np.array_equal(bare.op.T @ np.zeros(0), np.zeros(n))
-    # CSR: dense blocks, a constant diagonal with off-diagonal entries, a
-    # non-constant diagonal, finite differences
+    # CSR, with a transpose of its own: dense blocks, a constant diagonal
+    # with off-diagonal entries, a non-constant diagonal, finite differences
     ops = [rng.standard_normal((2, n)), rng.standard_normal((3, n))]
     quad = 2.0 * eye + 0.5 * (np.eye(n, k=1) + np.eye(n, k=-1))
     dense = Regularizer(n, [(op, None, spec) for op in ops], quad=quad)
-    assert Regularizer(n, quad=np.diag(np.arange(1.0, n + 1))).quad.scale is None
+    graded = Regularizer(n, quad=np.diag(np.arange(1.0, n + 1))).quad
+    assert graded.T is not graded
     stacked = np.vstack(ops)
-    assert dense.op.scale is None and dense.quad.scale is None
+    assert dense.op.T is not dense.op and dense.quad.T is not dense.quad
     assert np.array_equal(dense.op.toarray(), stacked)
     assert np.array_equal(dense.op.T.toarray(), stacked.T)
     assert np.array_equal(dense.quad.toarray(), quad)
@@ -368,7 +371,9 @@ def test_operator_form_follows_the_matrix(rng):
     residual = rng.standard_normal(5)
     assert_allclose(dense.op.T @ residual, stacked.T @ residual, rtol=1e-12, atol=1e-13)
     tv = build_isotropic_tv_regularizer(3, 4, lam=1.0, delta=1.0)
-    assert tv.op.scale is None and tv.quad.scale == 1e-10
+    assert tv.op.T is not tv.op
+    x = rng.standard_normal(tv.n_dim)
+    assert tv.quad.T is tv.quad and np.array_equal(tv.quad @ x, 1e-10 * x)
     with pytest.raises(TypeError):
         eye + ident.quad
 
