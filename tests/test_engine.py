@@ -362,6 +362,57 @@ def test_reduced_matrix_matches_dense_congruence(rng):
     assert_allclose(reduced, dense, rtol=1e-10, atol=1e-12)
 
 
+def _spy_on_solver(monkeypatch):
+    """Record every reduced matrix ``MMEngine.step`` hands the solver."""
+    received = []
+
+    def spy(mat, rhs):
+        received.append(mat)
+        return _pinv_psd_solve(mat, rhs)
+
+    monkeypatch.setattr("mmls.engine._pinv_psd_solve", spy)
+    return received
+
+
+def test_identity_operator_cache_equals_basis_exactly(rng, monkeypatch):
+    # with op = I the operator image must reproduce the basis bit for bit,
+    # so the solver sees the reduced matrix built from the basis itself
+    from mmls import PenaltySpec, identity_blocks_regularizer
+
+    received = _spy_on_solver(monkeypatch)
+    reg = identity_blocks_regularizer(5, PenaltySpec("welsch", lam=0.1, delta=0.5))
+    engine = MMEngine(reg, strategy="memory-gradient")
+    for _ in range(25):
+        engine.step(rng.standard_normal((5, 1)), rng.standard_normal(1))
+        state = engine.state
+        assert np.array_equal(reg.op @ state.basis, state.basis)
+        expected = reduced_matrix(
+            state.basis, state.autocorr_basis, reg.quad @ state.basis, state.basis,
+            reg.weights(state.h_prev),
+        )
+        assert np.array_equal(received.pop(), expected)
+
+
+@pytest.mark.parametrize("strategy", ["memory-gradient", "gradient-only"])
+def test_unit_scaled_identity_caches_are_the_basis(rng, monkeypatch, strategy):
+    # at s = 1 both images equal the basis bit for bit (fresh arrays, not
+    # the basis itself), and the solver sees the matrix built from the basis
+    received = _spy_on_solver(monkeypatch)
+    reg = identity_blocks_regularizer(5, PenaltySpec("welsch", lam=0.1, delta=0.5), tau=1.0)
+    engine = MMEngine(reg, strategy=strategy)
+    for _ in range(10):
+        engine.step(rng.standard_normal((5, 1)), rng.standard_normal(1))
+        state = engine.state
+        for image in (reg.op @ state.basis, reg.quad @ state.basis):
+            assert np.array_equal(image, state.basis)
+            assert not np.shares_memory(image, state.basis)
+        expected = reduced_matrix(
+            state.basis, state.autocorr_basis, state.basis, state.basis,
+            reg.weights(state.h_prev),
+        )
+        assert np.array_equal(received.pop(), expected)
+
+
 # every operator form: s I at s = 1 and s != 1, tv2d CSR with an s I
 # ridge, dense CSR blocks, CSR blocks and quad, and no blocks at all
 _OPERATOR_FORMS = {
@@ -381,13 +432,7 @@ _OPERATOR_FORMS = {
 def test_operator_images_are_the_direct_products(rng, monkeypatch, form, strategy):
     # the reduced matrix each step hands the solver is built, bit for bit,
     # from the op and quad images of the basis taken directly with ``@``
-    received = []
-
-    def spy(mat, rhs):
-        received.append(mat)
-        return _pinv_psd_solve(mat, rhs)
-
-    monkeypatch.setattr("mmls.engine._pinv_psd_solve", spy)
+    received = _spy_on_solver(monkeypatch)
     reg = _OPERATOR_FORMS[form](rng)
     n_dim = reg.n_dim
     engine = MMEngine(reg, strategy=strategy, forgetting=0.99)
