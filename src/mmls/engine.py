@@ -16,19 +16,23 @@ step column.  For both the per-step cost stays at a few matrix-vector
 products because the one dense piece of the curvature, the N x N
 autocorrelation, is only ever applied through a recursion:
 
-* the gradient ``autocorr h + quad h + op' W (op h - shift) - cross - lin``
-  takes ``autocorr h`` from the cached ``autocorr @ basis_prev`` product,
-  folding the new block in instead of touching the dense autocorrelation
-  matrix;
+* the gradient ``autocorr h - cross + grad Psi(h)`` takes ``autocorr h``
+  from the cached ``autocorr @ basis_prev`` product, folding the new block
+  in instead of touching the dense autocorrelation matrix;
 * the images of the iterate columns under the autocorrelation transfer
   from one iteration to the next, so only the fresh gradient column
   requires a full product; the image is assembled by the same column
   recipe as the basis (:func:`build_subspace`).
 
-The penalty operator ``op`` and the quadratic matrix are structured
+The regularizer's share of the step is not recursive: its penalty
+operator ``op`` and quadratic matrix are structured
 :class:`mmls.penalties.Operator` instances whose products cost O(nnz)
-per column, so their images of ``h`` and of the basis are taken directly
-with ``@``.
+per column.  One :meth:`Regularizer.evaluate` pass gives the penalty
+weights, ``Psi(h)`` and ``grad Psi(h)``, and
+:meth:`Regularizer.curvature` gives ``basis' (quad + op' W op) basis``;
+both leave out the terms that are identically zero or the identity, so
+the step pays only for the terms the regularizer has and never reads an
+operator's storage form.
 
 The reduced system is solved through a Cholesky factor when LAPACK's
 estimate of its reciprocal condition number exceeds 1e-8, the usual case.
@@ -37,10 +41,10 @@ a symmetric eigendecomposition pseudo-inverse gives the minimum-norm step
 ``u`` (eigenvalues below 1e-12 of the largest are treated as zero), so
 rank-deficient subspaces -- a zero gradient column, a zero step, the zero
 initial iterate -- need no special casing.  The gate sits far above that
-cutoff, so both paths report the same rank.  One pass gives the penalty
-weights and value (:meth:`Regularizer.weights_and_penalty`), one dot
-product the gradient norm and its screen for non-finite entries.  No
-array of an old state is written.
+cutoff, so both paths report the same rank.  One dot product gives the
+gradient norm and its screen for non-finite entries.  The step's vector
+and small-matrix products go through ``ndarray.dot``, which costs less
+per call than ``@``.  No array of an old state is written.
 
 This module is only that recursive path: the dense references it is
 tested against, in :mod:`mmls.moments` and :mod:`mmls.oracle`, share
@@ -121,8 +125,8 @@ class EngineState:
     ``grad`` the gradient at ``h_prev`` under the latest statistics, and
     ``autocorr_basis`` holds ``autocorr @ basis``.  In the low-dimensional
     subspaces its column 1 is the image of ``h_prev`` and seeds the next
-    step column.  The ``quad`` and ``op`` images of the basis are not
-    kept: each step takes them afresh with ``Operator @``.
+    step column.  The regularizer's curvature on the basis is not kept:
+    each step takes it afresh (:meth:`Regularizer.curvature`).
     """
 
     step: int
@@ -184,9 +188,14 @@ def build_subspace(strategy, grad, h, h_prev, step) -> np.ndarray:
     return basis
 
 
-def reduced_matrix(basis, autocorr_basis, quad_basis, op_basis, weights) -> np.ndarray:
-    """Reduced surrogate curvature ``basis' A(h) basis`` from the caches."""
-    mat = basis.T @ (autocorr_basis + quad_basis) + op_basis.T @ (weights[:, None] * op_basis)
+def reduced_matrix(basis, autocorr_basis, curvature) -> np.ndarray:
+    """Reduced surrogate curvature ``basis' A(h) basis``, exactly symmetric.
+
+    The autocorrelation part is ``basis' autocorr_basis``, from the
+    recursive cache; ``curvature`` is the regularizer's part
+    ``basis' (quad + op' W op) basis`` (:meth:`Regularizer.curvature`).
+    """
+    mat = basis.T.dot(autocorr_basis) + curvature
     return 0.5 * (mat + mat.T)
 
 
@@ -248,11 +257,12 @@ class MMEngine:
 
         Folds the block into the statistics in place (see
         :func:`mmls.moments.update`), reconstructs the gradient at ``h``
-        from the carried autocorrelation image, builds the basis and that
-        image with :func:`build_subspace`, takes the ``quad`` and ``op``
-        images of the basis directly, and solves the reduced system for
-        the step.  A gradient that vanishes exactly gives a zero step
-        (``rank = 0``), so stationary points are fixed points bit for bit.
+        from the carried autocorrelation image and one regularizer pass,
+        builds the basis and that image with :func:`build_subspace`, adds
+        the regularizer's curvature on the basis, and solves the reduced
+        system for the step.  A gradient that vanishes exactly gives a
+        zero step (``rank = 0``), so stationary points are fixed points
+        bit for bit.
 
         If the step at block ``k`` raises :class:`DivergenceError`,
         ``moments`` already includes block ``k`` (``moments.count == k``)
@@ -267,17 +277,14 @@ class MMEngine:
         inv_w = 1.0 / stats.weight_total
 
         # image of the current iterate under the autocorrelation, carried forward recursively
-        XtD = X.T @ state.basis
-        Xt_h = XtD @ state.coords
-        autocorr_h = (1.0 - inv_w) * (state.autocorr_basis @ state.coords) + inv_w * (X @ Xt_h)
+        XtD = X.T.dot(state.basis)
+        Xt_h = XtD.dot(state.coords)
+        autocorr_h = (1.0 - inv_w) * state.autocorr_basis.dot(state.coords) + inv_w * X.dot(Xt_h)
 
-        # ridge image, residual, weights, penalty block norms and gradient at the current h
-        quad_h = reg.quad @ state.h
-        residual = reg.residual(state.h)
-        norms = reg.block_norms(residual)
-        weights, penalty = reg.weights_and_penalty(norms)
-        grad = autocorr_h + quad_h - stats.cross - reg.lin + reg.op.T @ (weights * residual)
-        grad_sq = float(grad @ grad)
+        # penalty weights, regularizer value and gradient at the current h, from one pass
+        weights, reg_value, reg_grad = reg.evaluate(state.h)
+        grad = autocorr_h - stats.cross + reg_grad
+        grad_sq = float(grad.dot(grad))
         if not grad_sq < math.inf and not np.isfinite(grad).all():
             raise DivergenceError(step, f"non-finite gradient at iteration {step}")
 
@@ -290,33 +297,27 @@ class MMEngine:
         else:
             # the recipe is linear: applied to the images of grad, h and
             # h_prev (column 1 of the old basis) it gives autocorr @ basis
-            autocorr_h_prev = (1.0 - inv_w) * state.autocorr_basis[:, 1] + inv_w * (X @ XtD[:, 1])
+            autocorr_h_prev = (1.0 - inv_w) * state.autocorr_basis[:, 1] + inv_w * X.dot(XtD[:, 1])
             autocorr_basis = build_subspace(
                 strategy, moments.autocorr_matvec(stats, grad), autocorr_h, autocorr_h_prev, step
             )
             anchor = _ANCHOR[: basis.shape[1]]
-        reduced = reduced_matrix(basis, autocorr_basis, reg.quad @ basis, reg.op @ basis, weights)
+        reduced = reduced_matrix(basis, autocorr_basis, reg.curvature(basis, weights))
 
         # the sum of squares can underflow to 0 on a nonzero gradient
         if grad_sq > 0.0 or grad.any():
-            shifted, rank = _pinv_psd_solve(reduced, -(basis.T @ grad))
+            shifted, rank = _pinv_psd_solve(reduced, -basis.T.dot(grad))
         else:
             shifted, rank = np.zeros(basis.shape[1]), 0
         coords = anchor + shifted
-        h_next = basis @ coords
+        h_next = basis.dot(coords)
         # false for a NaN entry too; an infinite one makes the norm infinite
-        if not math.sqrt(float(h_next @ h_next)) <= DIVERGENCE_NORM:
+        if not math.sqrt(float(h_next.dot(h_next))) <= DIVERGENCE_NORM:
             raise DivergenceError(step)
-        step_quadratic = float(shifted @ (reduced @ shifted))
+        step_quadratic = float(shifted.dot(reduced.dot(shifted)))
 
-        objective = (
-            0.5 * stats.power
-            - float(stats.cross @ state.h)
-            + 0.5 * float(state.h @ autocorr_h)
-            + 0.5 * float(state.h @ quad_h)
-            - float(reg.lin @ state.h)
-            + penalty
-        )
+        data = 0.5 * stats.power - float(stats.cross.dot(state.h)) + 0.5 * float(state.h.dot(autocorr_h))
+        objective = data + reg_value
         self.state = EngineState(
             step=step,
             h=h_next,

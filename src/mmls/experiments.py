@@ -19,6 +19,7 @@ summary statistics.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -238,11 +239,11 @@ def nrmse(estimate, truth) -> float:
     truth = np.asarray(truth, dtype=float).ravel()
     if estimate.shape != truth.shape:
         raise ValueError("estimate and truth must have equal length")
-    scale = math.sqrt(truth @ truth)
+    scale = math.sqrt(truth.dot(truth))
     if scale == 0.0:
         raise ValueError("truth has zero norm")
     error = estimate - truth
-    return math.sqrt(error @ error) / scale
+    return math.sqrt(error.dot(error)) / scale
 
 
 # --- trace -------------------------------------------------------------------
@@ -256,8 +257,8 @@ class RunTrace:
     under the statistics including block ``n``; ``nrmse`` measures the
     post-step iterate against the truth in effect at block ``n``.
     ``moments`` and ``regularizer`` are the final statistics and the
-    penalty behind ``final_objective``, ``truth`` the vector behind
-    ``final_nrmse``.
+    penalty behind ``final_objective`` and ``final_grad_norm``, ``truth``
+    the vector behind ``final_nrmse``.
     """
 
     n: np.ndarray
@@ -275,6 +276,15 @@ class RunTrace:
     def __len__(self) -> int:
         return self.n.shape[0]
 
+    @functools.cached_property
+    def final_grad_norm(self) -> float:
+        """Norm of the direct gradient at ``h_final`` under the final statistics.
+
+        Evaluated on first read and kept, so a run pays for it once, and
+        only when its summary is asked for.
+        """
+        return float(np.linalg.norm(moments_mod.gradient(self.moments, self.regularizer, self.h_final)))
+
     def write_csv(self, path) -> None:
         table = np.column_stack(
             [self.n, self.objective, self.grad_norm, self.nrmse,
@@ -289,6 +299,7 @@ class RunTrace:
             "iterations": int(len(self)),
             "final_nrmse": float(self.final_nrmse),
             "final_objective": float(self.final_objective),
+            "final_grad_norm": self.final_grad_norm,
             "wall_time_s": float(self.wall_time[-1]) if len(self) else 0.0,
         }
 

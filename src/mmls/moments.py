@@ -157,14 +157,14 @@ def update(state: MomentState, sample: Sample) -> MomentState:
     weight_total = 1.0 + state.forgetting * state.weight_total
     inv_w = 1.0 / weight_total
     X = sample.X
-    state.cross += (X @ sample.y - state.cross) / weight_total
+    state.cross += (X.dot(sample.y) - state.cross) / weight_total
     # ``autocorr.T`` is the Fortran-order view BLAS writes through; its lower
     # triangle is the upper triangle of ``autocorr`` and, mirrored, equals
     # numpy's ``X @ X.T`` bit for bit.  Stream blocks are Fortran-ordered
     # row slices, so f2py copies only ``X`` of other layouts.
     dsyrk(inv_w, X, beta=1.0 - inv_w, c=state._autocorr.T, lower=1, overwrite_c=1)
     state._mirrored = False
-    state.power += (float(sample.y @ sample.y) - state.power) / weight_total
+    state.power += (float(sample.y.dot(sample.y)) - state.power) / weight_total
     state.count += 1
     state.weight_total = weight_total
     state.block_size = sample.block_size

@@ -15,8 +15,12 @@ anchor t,
 The catalog covers the classical robust/sparsity-promoting families.  All
 potentials are even, vanish at 0, have ``psi(sqrt(.))`` concave, and have
 ``nu`` nonnegative, bounded, and maximal at 0.  Each entry yields ``psi``
-and ``nu`` together; ``Regularizer.weights_and_penalty``, the engine's
-per-step call, evaluates both for every block in one pass.
+and ``nu`` together; ``Regularizer.weights_and_penalty`` evaluates both
+for every block in one pass.  The engine's per-step calls,
+``Regularizer.evaluate`` (weights, value and gradient at ``h``) and
+``Regularizer.curvature`` (the regularizer's part of the reduced
+surrogate matrix), leave out every term that is identically zero or the
+identity.
 """
 
 from __future__ import annotations
@@ -267,7 +271,8 @@ class Regularizer:
 
     def _assemble(self, n_dim, op, block_sizes, specs, shift, quad, lin):
         self.n_dim = n_dim
-        self.quad = Operator(_coerce_quad(quad, n_dim))
+        quad = _coerce_quad(quad, n_dim)
+        self.quad = Operator(quad)
         self.lin = _coerce_vector(lin, n_dim, "lin")
         if not all(isinstance(spec, PenaltySpec) for spec in specs):
             raise TypeError("block spec must be a PenaltySpec")
@@ -282,6 +287,12 @@ class Regularizer:
             if not np.all(np.isfinite(arr)):
                 raise ValueError(f"{name} must be finite")
         self.op = Operator(op)
+        # terms that ``evaluate`` and ``curvature`` leave out: a zero ridge,
+        # ``lin`` or ``shift``, and a unit identity ``op`` (whose image is its operand)
+        self._ridge = bool(np.any(quad))
+        self._lin = bool(np.any(self.lin))
+        self._shift = bool(np.any(self.shift))
+        self._unit_op = self.op._scale == 1.0
 
         # group blocks sharing a spec so weights evaluate vectorized
         groups: dict[PenaltySpec, list[int]] = {}
@@ -334,22 +345,54 @@ class Regularizer:
         """Penalty of :meth:`weights_and_penalty`; kept while perfbench traces it by name."""
         return self.weights_and_penalty(norms)[1]
 
+    def evaluate(self, h):
+        """``(weights, value, gradient)`` at ``h`` from one penalty pass.
+
+        The value sums as ``1/2 h' Q h - q' h``, then the penalty; the
+        gradient as ``Q h - q``, then ``op' (weights * residual)``.  A zero
+        ridge, ``lin`` or ``shift`` is left out and a unit identity ``op``
+        is not applied, which changes no bit of either sum.
+        """
+        h = np.asarray(h, dtype=float)
+        res = h if self._unit_op else self.op @ h
+        if self._shift:
+            res = res - self.shift
+        weights, penalty = self.weights_and_penalty(self.block_norms(res))
+        grad = weights * res
+        if not self._unit_op:
+            grad = self.op.T @ grad
+        value = 0.0
+        if self._ridge:
+            quad_h = self.quad @ h
+            value = 0.5 * float(h.dot(quad_h))
+            if self._lin:
+                quad_h -= self.lin
+            grad += quad_h
+        elif self._lin:
+            grad -= self.lin
+        if self._lin:
+            value -= float(self.lin.dot(h))
+        return weights, value + penalty, grad
+
+    def curvature(self, basis, weights):
+        """``basis' (quad + op' diag(weights) op) basis``, leaving out a zero ridge and a unit ``op``."""
+        op_basis = basis if self._unit_op else self.op @ basis
+        mat = op_basis.T.dot(weights[:, None] * op_basis)
+        if self._ridge:
+            mat += basis.T.dot(self.quad @ basis)
+        return mat
+
     def weights(self, h):
         """Weight vector at ``h``: ``nu_s(||op_s h - shift_s||)`` per row."""
-        return self.weights_and_penalty(self.block_norms(self.residual(h)))[0]
+        return self.evaluate(h)[0]
 
     def value(self, h):
         """Evaluate the full regularizer at ``h``."""
-        h = np.asarray(h, dtype=float)
-        quad_part = 0.5 * float(h @ (self.quad @ h)) - float(self.lin @ h)
-        return quad_part + self.weights_and_penalty(self.block_norms(self.residual(h)))[1]
+        return self.evaluate(h)[1]
 
     def gradient(self, h):
         """Gradient of the regularizer at ``h``."""
-        h = np.asarray(h, dtype=float)
-        res = self.residual(h)
-        b = self.weights_and_penalty(self.block_norms(res))[0]
-        return self.quad @ h - self.lin + self.op.T @ (b * res)
+        return self.evaluate(h)[2]
 
 
 def _coerce_dim(n_dim):

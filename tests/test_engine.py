@@ -255,9 +255,17 @@ def _dense_quad_regularizer(rng):
     return Regularizer(8, blocks, quad=0.05 * root @ root.T, lin=0.01 * rng.standard_normal(8))
 
 
+def _unit_identity_shifted_regularizer(rng):
+    # one block of n rows on op = I with a shift and a linear term, no ridge
+    spec = PenaltySpec("welsch", lam=0.1, delta=0.5)
+    return Regularizer(
+        5, [(np.eye(5), rng.standard_normal(5), spec)], lin=0.1 * rng.standard_normal(5)
+    )
+
+
 # one regularizer per operator form: CSR blocks and s I ridge, s I blocks
 # and ridge at s = 1 and at s != 1, CSR finite differences with all-zero
-# boundary rows, CSR quad
+# boundary rows, CSR quad, and s I at s = 1 with a shift and lin but no ridge
 _STRUCTURES = {
     "dense-blocks": lambda rng: random_regularizer(
         rng, 8, kind="huber", n_blocks=3, lam=0.2, delta=0.3
@@ -271,6 +279,7 @@ _STRUCTURES = {
     ),
     "tv2d": lambda rng: build_isotropic_tv_regularizer(3, 4, lam=0.2, delta=0.3),
     "dense-quad": _dense_quad_regularizer,
+    "unit-identity-shifted": _unit_identity_shifted_regularizer,
 }
 
 
@@ -355,9 +364,7 @@ def test_reduced_matrix_matches_dense_congruence(rng):
         engine.step(rng.standard_normal((6, 2)), rng.standard_normal(2))
     state = engine.state
     weights = reg.weights(state.h_prev)
-    reduced = reduced_matrix(
-        state.basis, state.autocorr_basis, reg.quad @ state.basis, reg.op @ state.basis, weights
-    )
+    reduced = reduced_matrix(state.basis, state.autocorr_basis, reg.curvature(state.basis, weights))
     dense = state.basis.T @ mom.normal_matrix(engine.moments, reg, state.h_prev) @ state.basis
     assert_allclose(reduced, dense, rtol=1e-10, atol=1e-12)
 
@@ -387,8 +394,7 @@ def test_identity_operator_cache_equals_basis_exactly(rng, monkeypatch):
         state = engine.state
         assert np.array_equal(reg.op @ state.basis, state.basis)
         expected = reduced_matrix(
-            state.basis, state.autocorr_basis, reg.quad @ state.basis, state.basis,
-            reg.weights(state.h_prev),
+            state.basis, state.autocorr_basis, reg.curvature(state.basis, reg.weights(state.h_prev))
         )
         assert np.array_equal(received.pop(), expected)
 
@@ -407,14 +413,14 @@ def test_unit_scaled_identity_caches_are_the_basis(rng, monkeypatch, strategy):
             assert np.array_equal(image, state.basis)
             assert not np.shares_memory(image, state.basis)
         expected = reduced_matrix(
-            state.basis, state.autocorr_basis, state.basis, state.basis,
-            reg.weights(state.h_prev),
+            state.basis, state.autocorr_basis, reg.curvature(state.basis, reg.weights(state.h_prev))
         )
         assert np.array_equal(received.pop(), expected)
 
 
 # every operator form: s I at s = 1 and s != 1, tv2d CSR with an s I
-# ridge, dense CSR blocks, CSR blocks and quad, and no blocks at all
+# ridge, dense CSR blocks, CSR blocks and quad, s I at s = 1 with a shift
+# and lin but no ridge, and no blocks at all
 _OPERATOR_FORMS = {
     "unit-identity": lambda rng: identity_blocks_regularizer(
         5, PenaltySpec("welsch", lam=0.1, delta=0.5), tau=1.0
@@ -423,6 +429,7 @@ _OPERATOR_FORMS = {
     "tv2d": _STRUCTURES["tv2d"],
     "dense-blocks": _STRUCTURES["dense-blocks"],
     "dense-quad": _dense_quad_regularizer,
+    "unit-identity-shifted": _unit_identity_shifted_regularizer,
     "no-blocks": lambda rng: Regularizer(4, quad=0.2),
 }
 
@@ -431,7 +438,8 @@ _OPERATOR_FORMS = {
 @pytest.mark.parametrize("form", list(_OPERATOR_FORMS))
 def test_operator_images_are_the_direct_products(rng, monkeypatch, form, strategy):
     # the reduced matrix each step hands the solver is built, bit for bit,
-    # from the op and quad images of the basis taken directly with ``@``
+    # from the regularizer's curvature, which equals the congruence of the
+    # op and quad images of the basis taken directly with ``@``
     received = _spy_on_solver(monkeypatch)
     reg = _OPERATOR_FORMS[form](rng)
     n_dim = reg.n_dim
@@ -439,10 +447,12 @@ def test_operator_images_are_the_direct_products(rng, monkeypatch, form, strateg
     for _ in range(25):
         engine.step(rng.standard_normal((n_dim, 2)), rng.standard_normal(2))
         state = engine.state
-        expected = reduced_matrix(
-            state.basis, state.autocorr_basis, reg.quad @ state.basis, reg.op @ state.basis,
-            reg.weights(state.h_prev),
-        )
+        basis, weights = state.basis, reg.weights(state.h_prev)
+        curvature = reg.curvature(basis, weights)
+        op_basis = reg.op @ basis
+        direct = basis.T @ (reg.quad @ basis) + op_basis.T @ (weights[:, None] * op_basis)
+        assert np.array_equal(curvature, direct)
+        expected = reduced_matrix(basis, state.autocorr_basis, curvature)
         assert len(received) == 1
         assert np.array_equal(received.pop(), expected)
 
@@ -462,6 +472,20 @@ def test_operators_take_sequences_as_arrays(rng, form):
         assert np.array_equal(op @ hs.tolist(), op @ hs)
         if op.T is op:
             assert np.array_equal(op @ hs, op.toarray()[0, 0] * hs)
+
+
+@pytest.mark.parametrize("form", list(_OPERATOR_FORMS))
+def test_one_pass_equals_the_sums_with_every_term(rng, form):
+    # ``evaluate`` leaves out zero and identity terms; its value and
+    # gradient equal, bit for bit, the sums that carry every term
+    reg = _OPERATOR_FORMS[form](rng)
+    h = rng.standard_normal(reg.n_dim)
+    res = reg.op @ h - reg.shift
+    weights, penalty = reg.weights_and_penalty(reg.block_norms(res))
+    got_weights, value, grad = reg.evaluate(h)
+    assert np.array_equal(got_weights, weights)
+    assert value == 0.5 * float(h @ (reg.quad @ h)) - float(reg.lin @ h) + penalty
+    assert np.array_equal(grad, reg.quad @ h - reg.lin + reg.op.T @ (weights * res))
 
 
 def _fields(stepper):
@@ -522,9 +546,7 @@ def test_reduced_matrix_full_space_is_curvature(rng):
         engine.step(rng.standard_normal((5, 2)), rng.standard_normal(2))
     state = engine.state
     weights = reg.weights(state.h_prev)
-    reduced = reduced_matrix(
-        state.basis, state.autocorr_basis, reg.quad @ state.basis, reg.op @ state.basis, weights
-    )
+    reduced = reduced_matrix(state.basis, state.autocorr_basis, reg.curvature(state.basis, weights))
     assert_allclose(reduced, mom.normal_matrix(engine.moments, reg, state.h_prev), rtol=1e-10)
 
 
@@ -535,7 +557,7 @@ def test_reduced_matrix_without_blocks(rng):
         engine.step(rng.standard_normal((4, 2)), rng.standard_normal(2))
     state = engine.state
     reduced = reduced_matrix(
-        state.basis, state.autocorr_basis, reg.quad @ state.basis, reg.op @ state.basis, np.zeros(0)
+        state.basis, state.autocorr_basis, reg.curvature(state.basis, np.zeros(0))
     )
     expected = state.basis.T @ ((engine.moments.autocorr + reg.quad.toarray()) @ state.basis)
     assert_allclose(reduced, 0.5 * (expected + expected.T), rtol=1e-9, atol=1e-12)
@@ -599,7 +621,7 @@ def test_subspace_optimality_after_each_step(rng, strategy):
         state = engine.state
         weights = reg.weights(state.h_prev)
         reduced = reduced_matrix(
-            state.basis, state.autocorr_basis, reg.quad @ state.basis, reg.op @ state.basis, weights
+            state.basis, state.autocorr_basis, reg.curvature(state.basis, weights)
         )
         shifted = state.coords - anchor_coords(strategy, state)
         residual = state.basis.T @ state.grad + reduced @ shifted

@@ -254,6 +254,23 @@ class TestRunExperiment:
         assert meta["summary"]["iterations"] == 60
         assert meta_path(str(out)) == str(tmp_path / "trace.json")
 
+    def test_final_grad_norm_is_the_direct_gradient_norm(self, tmp_path, monkeypatch):
+        import json
+
+        out = tmp_path / "trace.csv"
+        cfg = ExperimentConfig(
+            experiment="synthetic", seed=3, n_dim=6, n_samples=80, block_size=2,
+            operator="identity", penalty="welsch", tau=1e-2, out=str(out),
+        )
+        trace = run_experiment(cfg, measure_time=False)
+        direct = moments.gradient(trace.moments, trace.regularizer, trace.h_final)
+        expected = float(np.linalg.norm(direct))
+        meta = json.loads((tmp_path / "trace.json").read_text())
+        assert meta["summary"]["final_grad_norm"] == expected > 0.0
+        # taken once, for the sidecar: the summary reads the kept value
+        monkeypatch.setattr(moments, "gradient", None)
+        assert trace.summary()["final_grad_norm"] == expected
+
     @pytest.mark.parametrize("strategy", ALGORITHMS)
     def test_one_loop_final_objective_from_trace(self, strategy):
         cfg = ExperimentConfig(
