@@ -26,8 +26,9 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
-# every experiment, every strategy, both block regimes and both operator
-# forms in full space, at sizes that run in seconds
+# every experiment, every strategy, both block regimes, both operator
+# forms in full space and a unit identity operator with a nonzero ridge,
+# at sizes that run in seconds
 COMMANDS = (
     "adaptive --seed 1",
     "adaptive --seed 2 --samples 1500 --strategy sgd",
@@ -40,6 +41,7 @@ COMMANDS = (
     "synthetic --seed 4 --blocksize 5 --vartheta 0.99",
     "deconv2d --seed 3 --image-size 64 --kernel-size 5 --strategy sgd",
     "deconv2d --seed 3 --image-size 32 --kernel-size 5 --strategy full-space",
+    "adaptive --seed 3 --samples 1000 --tau 0.01",
 )
 ONE_BLAS_THREAD = {var: "1" for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
 

@@ -13,6 +13,8 @@ import numpy as np
 
 from mmls import ExperimentConfig, run_experiment
 
+CHANGE_POINT = 2500  # the sample after which the filter switches
+
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
@@ -26,12 +28,12 @@ def main():
     for forgetting in (0.995, 1.0):
         out = outdir / f"adaptive_seed{args.seed}_vartheta{forgetting}.csv"
         cfg = ExperimentConfig(
-            experiment="adaptive", seed=args.seed, vartheta=forgetting, out=str(out),
+            experiment="adaptive", seed=args.seed, vartheta=forgetting,
+            change_point=CHANGE_POINT, out=str(out),
         )
         trace = run_experiment(cfg)
-        change = 2500
-        pre = float(np.median(trace.nrmse[change - 500 : change]))
-        post = trace.nrmse[change : change + 1000]
+        pre = float(np.median(trace.nrmse[CHANGE_POINT - 500 : CHANGE_POINT]))
+        post = trace.nrmse[CHANGE_POINT : CHANGE_POINT + 1000]
         hits = np.nonzero(post <= 2.0 * pre)[0]
         recovery = f"{hits[0] + 1} samples" if hits.size else "not within 1000 samples"
         print(f"forgetting {forgetting}: pre-change median nrmse {pre:.4f}, "

@@ -188,13 +188,13 @@ def build_isotropic_tv_regularizer(kernel_rows, kernel_cols, lam, delta, tau=1e-
     op = scipy.sparse.csr_array(
         (data, indices.astype(np.int32), indptr.astype(np.int32)), shape=(2 * n, n)
     )
-    return Regularizer.stacked(n, op, np.full(n, 2), [spec] * n, quad=tau)
+    return Regularizer(n, op, np.full(n, 2), [spec] * n, quad=tau)
 
 
 def identity_blocks_regularizer(n_dim, spec: PenaltySpec, tau=0.0):
     """One scalar penalty block per coordinate: ``sum_s psi(|h_s|)``."""
     n = int(n_dim)
-    return Regularizer.stacked(n, np.eye(n), np.ones(n, dtype=int), [spec] * n, quad=tau)
+    return Regularizer(n, np.eye(n), np.ones(n, dtype=int), [spec] * n, quad=tau)
 
 
 # --- baseline and metrics -----------------------------------------------------
@@ -211,8 +211,8 @@ class SGDStepper:
     """
 
     def __init__(self, reg: Regularizer, scale: float, forgetting: float = 1.0):
-        if scale <= 0:
-            raise ValueError("scale must be positive")
+        if not 0.0 < scale < np.inf:
+            raise ValueError(f"scale must be positive and finite, got {scale}")
         self.reg = reg
         self.scale = scale
         self.moments = MomentState.zeros(reg.n_dim, forgetting)

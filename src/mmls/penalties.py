@@ -218,10 +218,13 @@ class Regularizer:
     ----------
     n_dim : int
         Dimension of the estimated vector.
-    blocks : iterable of (op, shift, spec)
-        Each block contributes the potential of ``spec`` at ``||op @ h - shift||``.
-        ``op`` is a (rows, n_dim) array, ``shift`` a length-``rows``
-        vector (``None`` means zero), ``spec`` a :class:`PenaltySpec`.
+    op, block_sizes, specs, shift
+        Block ``s`` contributes the potential of ``specs[s]``, a
+        :class:`PenaltySpec`, at ``||op_s @ h - shift_s||``: ``op_s`` and
+        ``shift_s`` are its ``block_sizes[s] >= 1`` rows, from
+        ``offsets[s]``, of the stacked operator ``op`` (a dense array, or
+        a scipy sparse matrix kept sparse; ``None`` means no blocks) and
+        of ``shift`` (``None`` means zero).
     quad : None, float or (n_dim, n_dim) array
         Quadratic part.  ``None`` is zero, a scalar ``tau`` means
         ``tau * I``; otherwise a dense symmetric positive-semidefinite
@@ -229,58 +232,33 @@ class Regularizer:
     lin : None or (n_dim,) array
         Linear part ``q`` in ``-q' h``.
 
-    Every entry of the block operators, shifts, ``quad`` and ``lin`` must
-    be finite.  The stacked block operator ``op`` (all block rows by
-    ``n_dim``) and ``quad`` are :class:`Operator` instances: they support
-    ``@``, ``.T @``, ``toarray()`` and ``shape``.  :meth:`stacked` takes
-    the blocks already stacked, as a dense or sparse operator.
+    Every entry of ``op``, ``shift``, ``quad`` and ``lin`` must be
+    finite.  ``op`` and ``quad`` are kept as :class:`Operator` instances:
+    they support ``@``, ``.T @``, ``toarray()`` and ``shape``.
     """
 
-    def __init__(self, n_dim, blocks=(), quad=None, lin=None):
+    def __init__(self, n_dim, op=None, block_sizes=(), specs=(), shift=None, quad=None, lin=None):
         n_dim = _coerce_dim(n_dim)
-        ops, shifts, specs = [], [], []
-        for op, shift, spec in blocks:
+        if op is None:
+            op = np.zeros((0, n_dim))
+        elif not scipy.sparse.issparse(op):
             op = np.atleast_2d(np.asarray(op, dtype=float))
-            if op.shape[1] != n_dim or op.shape[0] < 1:
-                raise ValueError(f"block operator shape {op.shape} incompatible with n_dim={n_dim}")
-            ops.append(op)
-            shifts.append(_coerce_vector(shift, op.shape[0], "shift"))
-            specs.append(spec)
-        stacked = np.vstack(ops) if ops else np.zeros((0, n_dim))
-        shift = np.concatenate(shifts) if ops else None
-        self._assemble(n_dim, stacked, [op.shape[0] for op in ops], specs, shift, quad, lin)
-
-    @classmethod
-    def stacked(cls, n_dim, op, block_sizes, specs, shift=None, quad=None, lin=None):
-        """Regularizer whose block ``s`` is rows ``offsets[s]:offsets[s+1]`` of ``op``.
-
-        ``op`` is a dense array or a scipy sparse matrix of
-        ``sum(block_sizes)`` rows and ``n_dim`` columns; a sparse one is
-        kept sparse.  ``specs`` holds one :class:`PenaltySpec` per block
-        and ``shift`` (``None`` means zero) one value per row.
-        """
-        n_dim = _coerce_dim(n_dim)
-        reg = object.__new__(cls)
-        op = op if scipy.sparse.issparse(op) else np.atleast_2d(np.asarray(op, dtype=float))
         sizes = np.asarray(block_sizes, dtype=int)
         if op.shape != (int(sizes.sum()), n_dim) or np.any(sizes < 1):
             raise ValueError(f"block operator shape {op.shape} incompatible with "
                              f"n_dim={n_dim} and block sizes summing to {sizes.sum()}")
-        reg._assemble(n_dim, op, sizes, list(specs), shift, quad, lin)
-        return reg
-
-    def _assemble(self, n_dim, op, block_sizes, specs, shift, quad, lin):
         self.n_dim = n_dim
         quad = _coerce_quad(quad, n_dim)
         self.quad = Operator(quad)
         self.lin = _coerce_vector(lin, n_dim, "lin")
+        specs = tuple(specs)
         if not all(isinstance(spec, PenaltySpec) for spec in specs):
             raise TypeError("block spec must be a PenaltySpec")
-        if len(specs) != len(block_sizes):
-            raise ValueError(f"{len(specs)} specs for {len(block_sizes)} blocks")
-        self.specs = tuple(specs)
-        self.block_sizes = np.asarray(block_sizes, dtype=int)
-        self.offsets = np.concatenate([[0], np.cumsum(self.block_sizes)]).astype(int)
+        if len(specs) != len(sizes):
+            raise ValueError(f"{len(specs)} specs for {len(sizes)} blocks")
+        self.specs = specs
+        self.block_sizes = sizes
+        self.offsets = np.concatenate([[0], np.cumsum(sizes)]).astype(int)
         self.shift = _coerce_vector(shift, op.shape[0], "shift")
         entries = op.data if scipy.sparse.issparse(op) else op
         for name, arr in (("block op", entries), ("shift", self.shift), ("lin", self.lin)):

@@ -48,13 +48,14 @@ def random_regularizer(rng, n_dim, kind="welsch", n_blocks=3, rows_per_block=2,
                        lam=0.3, delta=0.5, kappa=1.5, tau=1e-3, with_shift=True):
     """Generic dense-block regularizer for property tests."""
     spec = PenaltySpec(kind, lam=lam, delta=delta, kappa=kappa)
-    blocks = []
-    for _ in range(n_blocks):
-        op = rng.standard_normal((rows_per_block, n_dim))
-        shift = 0.1 * rng.standard_normal(rows_per_block) if with_shift else None
-        blocks.append((op, shift, spec))
+    ops, shifts = [], []
+    for _ in range(n_blocks):  # each block's op, then its shift
+        ops.append(rng.standard_normal((rows_per_block, n_dim)))
+        if with_shift:
+            shifts.append(0.1 * rng.standard_normal(rows_per_block))
     lin = 0.01 * rng.standard_normal(n_dim)
-    return Regularizer(n_dim, blocks, quad=tau, lin=lin)
+    return Regularizer(n_dim, np.vstack(ops), [rows_per_block] * n_blocks, [spec] * n_blocks,
+                       shift=np.concatenate(shifts) if with_shift else None, quad=tau, lin=lin)
 
 
 @pytest.fixture

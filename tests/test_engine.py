@@ -251,15 +251,16 @@ def test_user_initial_iterate(rng, strategy):
 def _dense_quad_regularizer(rng):
     spec = PenaltySpec("huber", lam=0.2, delta=0.3)
     root = rng.standard_normal((8, 8))
-    blocks = [(rng.standard_normal((2, 8)), None, spec) for _ in range(3)]
-    return Regularizer(8, blocks, quad=0.05 * root @ root.T, lin=0.01 * rng.standard_normal(8))
+    op = np.vstack([rng.standard_normal((2, 8)) for _ in range(3)])
+    return Regularizer(8, op, [2, 2, 2], [spec] * 3, quad=0.05 * root @ root.T,
+                       lin=0.01 * rng.standard_normal(8))
 
 
 def _unit_identity_shifted_regularizer(rng):
     # one block of n rows on op = I with a shift and a linear term, no ridge
     spec = PenaltySpec("welsch", lam=0.1, delta=0.5)
     return Regularizer(
-        5, [(np.eye(5), rng.standard_normal(5), spec)], lin=0.1 * rng.standard_normal(5)
+        5, np.eye(5), [5], [spec], shift=rng.standard_normal(5), lin=0.1 * rng.standard_normal(5)
     )
 
 
@@ -273,7 +274,7 @@ _STRUCTURES = {
     "identity-ridge": lambda rng: identity_blocks_regularizer(
         8, PenaltySpec("huber", lam=0.2, delta=0.3), tau=1e-2
     ),
-    "scaled-identity": lambda rng: Regularizer.stacked(
+    "scaled-identity": lambda rng: Regularizer(
         6, 2.5 * np.eye(6), np.ones(6, dtype=int), [PenaltySpec("huber", lam=0.2, delta=0.3)] * 6,
         quad=0.3,
     ),

@@ -101,8 +101,9 @@ class TestSGD:
         assert float(stepper.h[0]) == pytest.approx(0.5 + 0.5 / np.sqrt(2) * 0.5)
 
     def test_step_scale_validated(self):
-        with pytest.raises(ValueError):
-            SGDStepper(Regularizer(2), scale=0.0)
+        for scale in (0.0, np.nan, np.inf):
+            with pytest.raises(ValueError):
+                SGDStepper(Regularizer(2), scale=scale)
 
     def test_stepper_reports_zero_mm_fields_and_keeps_h_on_divergence(self, rng):
         reg = sparsity_regularizer(3, 0.1, 0.5)

@@ -194,7 +194,8 @@ def test_weights_and_penalty_equal_the_separate_passes(rng):
     probes = [0.0, 1e-300, delta, np.sqrt(6.0) * delta, 1e3 * delta]
     # every kind in one regularizer, kinds interleaved, one- and two-row blocks
     specs = ALL_SPECS * len(probes)
-    reg = Regularizer(3, [(rng.standard_normal((1 + i % 2, 3)), None, spec) for i, spec in enumerate(specs)])
+    sizes = [1 + i % 2 for i in range(len(specs))]
+    reg = Regularizer(3, np.vstack([rng.standard_normal((size, 3)) for size in sizes]), sizes, specs)
     norms = np.repeat(probes, len(ALL_SPECS))
     weights, total = reg.weights_and_penalty(norms)
     expected_weights, expected_total = _catalog_pass(reg, norms)
@@ -225,8 +226,8 @@ def test_single_row_shortcut_is_bit_identical(spec):
     # the origin, a square that underflows, the Huber and Geman-McClure seams, a far tail
     probes = np.array([0.0, 1e-300, delta, np.sqrt(6.0) * delta, 1e6 * delta])
     residual = np.concatenate([probes, -probes])
-    reg = Regularizer.stacked(residual.size, np.eye(residual.size), np.ones(residual.size, dtype=int),
-                              [spec] * residual.size)
+    reg = Regularizer(residual.size, np.eye(residual.size), np.ones(residual.size, dtype=int),
+                      [spec] * residual.size)
     assert reg._only_spec is spec
     norms, weights, total = _general_pass(reg, residual)
     np.testing.assert_array_equal(reg.block_norms(residual), norms)
@@ -238,8 +239,8 @@ def test_single_row_shortcut_is_bit_identical(spec):
 def test_shortcut_needs_one_row_per_block_and_one_spec():
     residual = np.array([0.3, -1.2, 2.5, 1e-300])
     first, second = ALL_SPECS[1], ALL_SPECS[5]
-    two_specs = Regularizer.stacked(4, np.eye(4), [1, 1, 1, 1], [first, second, first, second])
-    two_rows = Regularizer.stacked(4, np.eye(4), [1, 2, 1], [first] * 3)
+    two_specs = Regularizer(4, np.eye(4), [1, 1, 1, 1], [first, second, first, second])
+    two_rows = Regularizer(4, np.eye(4), [1, 2, 1], [first] * 3)
     assert two_specs._single_rows and two_specs._only_spec is None
     assert not two_rows._single_rows and two_rows._only_spec is None
     for reg in (two_specs, two_rows):
@@ -253,15 +254,15 @@ def test_shortcut_needs_one_row_per_block_and_one_spec():
 def test_weights_all_ones_for_unit_welsch_at_zero():
     n = 5
     spec = PenaltySpec("welsch", lam=1.0, delta=1.0)
-    reg = Regularizer(n, [(np.eye(n), None, spec)])
+    reg = Regularizer(n, np.eye(n), [n], [spec])
     assert_allclose(reg.weights(np.zeros(n)), np.ones(n))
 
 
 def test_weights_replicated_per_block():
     spec = PenaltySpec("huber", lam=1.0, delta=1.0)
     rng = np.random.default_rng(3)
-    blocks = [(rng.standard_normal((2, 4)), None, spec), (rng.standard_normal((1, 4)), None, spec)]
-    reg = Regularizer(4, blocks)
+    op = np.vstack([rng.standard_normal((2, 4)), rng.standard_normal((1, 4))])
+    reg = Regularizer(4, op, [2, 1], [spec, spec])
     b = reg.weights(rng.standard_normal(4))
     assert b.shape == (3,)
     assert b[0] == b[1]
@@ -269,7 +270,7 @@ def test_weights_replicated_per_block():
 
 def test_weights_huber_beyond_knee_vector():
     spec = PenaltySpec("huber", lam=1.0, delta=1.0)
-    reg = Regularizer(2, [(np.eye(2), None, spec)])
+    reg = Regularizer(2, np.eye(2), [2], [spec])
     assert_allclose(reg.weights(np.array([3.0, 4.0])), [0.4, 0.4])
 
 
@@ -277,7 +278,7 @@ def test_weights_unchanged_by_kernel_perturbation():
     # directions annihilated by a block operator cannot change its weight
     spec = PenaltySpec("cauchy", lam=0.8, delta=0.3, kappa=1.2)
     op = np.array([[1.0, -1.0, 0.0]])
-    reg = Regularizer(3, [(op, None, spec)])
+    reg = Regularizer(3, op, [1], [spec])
     h = np.array([0.3, -0.2, 0.9])
     d = np.array([1.0, 1.0, -5.0])  # op @ d == 0
     assert reg.weights(h)[0] == reg.weights(h + d)[0]
@@ -286,7 +287,7 @@ def test_weights_unchanged_by_kernel_perturbation():
 def test_value_zero_at_origin_without_offsets():
     rng = np.random.default_rng(8)
     spec = PenaltySpec("green", lam=1.0)
-    reg = Regularizer(6, [(rng.standard_normal((2, 6)), None, spec)])
+    reg = Regularizer(6, rng.standard_normal((2, 6)), [2], [spec])
     assert reg.value(np.zeros(6)) == 0.0
 
 
@@ -299,7 +300,7 @@ def test_value_composes_from_potential(rng):
     # one identity block penalizes the whole-vector norm
     spec = PenaltySpec("welsch", lam=1.0, delta=1.0)
     n = 4
-    reg = Regularizer(n, [(np.eye(n), None, spec)], quad=0.5)
+    reg = Regularizer(n, np.eye(n), [n], [spec], quad=0.5)
     h = rng.standard_normal(n)
     expected = 0.25 * float(h @ h) + spec.value_and_weight(float(np.linalg.norm(h)))[0]
     assert reg.value(h) == pytest.approx(expected, rel=1e-12)
@@ -324,7 +325,7 @@ def test_blocks_stack_in_declaration_order(rng):
     first = rng.standard_normal((2, 4))
     second = rng.standard_normal((3, 4))
     shifts = (rng.standard_normal(2), rng.standard_normal(3))
-    reg = Regularizer(4, [(first, shifts[0], spec), (second, shifts[1], spec)])
+    reg = Regularizer(4, np.vstack([first, second]), [2, 3], [spec, spec], shift=np.concatenate(shifts))
     assert_allclose(reg.op.toarray(), np.vstack([first, second]))
     assert_allclose(reg.shift, np.concatenate(shifts))
     assert list(reg.offsets) == [0, 2, 5]
@@ -337,7 +338,7 @@ def test_operator_form_follows_the_matrix(rng):
     eye = np.eye(n)
     # scaled identity, its own transpose with the bit-exact product s * x:
     # identity blocks, a scalar ridge, a dense 2 I, no quad
-    ident = Regularizer(n, [(eye[s : s + 1], None, spec) for s in range(n)], quad=0.3)
+    ident = Regularizer(n, eye, [1] * n, [spec] * n, quad=0.3)
     assert ident.op.T is ident.op and ident.quad.T is ident.quad
     twice = Regularizer(n, quad=2.0 * eye).quad
     assert twice.T is twice and np.array_equal(twice @ hs, 2.0 * hs)
@@ -358,7 +359,7 @@ def test_operator_form_follows_the_matrix(rng):
     # with off-diagonal entries, a non-constant diagonal, finite differences
     ops = [rng.standard_normal((2, n)), rng.standard_normal((3, n))]
     quad = 2.0 * eye + 0.5 * (np.eye(n, k=1) + np.eye(n, k=-1))
-    dense = Regularizer(n, [(op, None, spec) for op in ops], quad=quad)
+    dense = Regularizer(n, np.vstack(ops), [2, 3], [spec, spec], quad=quad)
     graded = Regularizer(n, quad=np.diag(np.arange(1.0, n + 1))).quad
     assert graded.T is not graded
     stacked = np.vstack(ops)
@@ -411,23 +412,49 @@ def test_tv_operator_is_the_csr_of_its_dense_blocks(rows, cols):
 
 
 def test_stacked_blocks_match_block_list():
+    # the caller's blocks stacked into one dense and one CSR operator give the same regularizer
     rng = np.random.default_rng(6)
     spec, other = PenaltySpec("huber", lam=1.0, delta=0.5), PenaltySpec("welsch", lam=0.2, delta=1.0)
     ops = [rng.standard_normal((2, 4)), rng.standard_normal((1, 4))]
     shift = rng.standard_normal(3)
-    listed = Regularizer(4, [(ops[0], shift[:2], spec), (ops[1], shift[2:], other)], quad=0.1)
+    dense = Regularizer(4, np.vstack(ops), [2, 1], [spec, other], shift=shift, quad=0.1)
     for op in (np.vstack(ops), scipy.sparse.csr_array(np.vstack(ops))):
-        stacked = Regularizer.stacked(4, op, [2, 1], [spec, other], shift=shift, quad=0.1)
-        assert np.array_equal(stacked.op.toarray(), listed.op.toarray())
+        stacked = Regularizer(4, op, [2, 1], [spec, other], shift=shift, quad=0.1)
+        assert np.array_equal(stacked.op.toarray(), dense.op.toarray())
         h = rng.standard_normal(4)
-        assert stacked.value(h) == pytest.approx(listed.value(h), rel=1e-14)
-        assert_allclose(stacked.gradient(h), listed.gradient(h), rtol=1e-14)
+        assert stacked.value(h) == pytest.approx(dense.value(h), rel=1e-14)
+        assert_allclose(stacked.gradient(h), dense.gradient(h), rtol=1e-14)
     with pytest.raises(ValueError, match="incompatible"):
-        Regularizer.stacked(4, np.vstack(ops), [2, 2], [spec, other])
+        Regularizer(4, np.vstack(ops), [2, 2], [spec, other])
     with pytest.raises(ValueError, match="specs"):
-        Regularizer.stacked(4, np.vstack(ops), [2, 1], [spec])
+        Regularizer(4, np.vstack(ops), [2, 1], [spec])
     with pytest.raises(ValueError, match="^block op must be finite"):
-        Regularizer.stacked(2, scipy.sparse.csr_array(np.array([[np.nan, 1.0]])), [1], [spec])
+        Regularizer(2, scipy.sparse.csr_array(np.array([[np.nan, 1.0]])), [1], [spec])
+
+
+@pytest.mark.parametrize("blocks", ["dense-and-csr", "none-and-empty"])
+def test_one_constructor_for_every_operator_form(rng, blocks):
+    # the same blocks as a dense array and a CSR matrix, or no blocks as ``None``
+    # and an empty array, build the same regularizer, bit for bit
+    n = 5
+    if blocks == "dense-and-csr":
+        op = rng.standard_normal((4, n))
+        op[np.abs(op) < 0.5] = 0.0
+        sizes, specs = [1, 2, 1], [ALL_SPECS[1], ALL_SPECS[4], ALL_SPECS[1]]
+        shift = rng.standard_normal(4)
+        forms = (op, scipy.sparse.csr_array(op))
+    else:
+        sizes, specs, shift = [], [], None
+        forms = (None, np.zeros((0, n)))
+    first, second = (Regularizer(n, form, sizes, specs, shift=shift, quad=0.2,
+                                 lin=np.linspace(-1.0, 1.0, n)) for form in forms)
+    assert np.array_equal(first.op.toarray(), second.op.toarray())
+    assert np.array_equal(first.offsets, second.offsets)
+    assert np.array_equal(first.shift, second.shift)
+    assert first.specs == second.specs == tuple(specs)
+    h = rng.standard_normal(n)
+    for got, expected in zip(first.evaluate(h), second.evaluate(h)):
+        assert np.array_equal(got, expected)
 
 
 _HUBER = PenaltySpec("huber", lam=1.0, delta=1.0)
@@ -436,9 +463,12 @@ _HUBER = PenaltySpec("huber", lam=1.0, delta=1.0)
 @pytest.mark.parametrize(
     "kwargs, name",
     [
-        pytest.param({"blocks": [(np.array([[np.nan, 1.0]]), None, _HUBER)]}, "block op", id="op"),
         pytest.param(
-            {"blocks": [(np.array([[1.0, 0.0]]), np.array([np.inf]), _HUBER)]}, "shift", id="shift"
+            {"op": np.array([[np.nan, 1.0]]), "block_sizes": [1], "specs": [_HUBER]}, "block op", id="op"
+        ),
+        pytest.param(
+            {"op": np.array([[1.0, 0.0]]), "block_sizes": [1], "specs": [_HUBER], "shift": np.array([np.inf])},
+            "shift", id="shift",
         ),
         pytest.param({"lin": np.array([0.0, np.nan])}, "lin", id="lin"),
         pytest.param({"quad": np.array([[1.0, np.nan], [np.nan, 1.0]])}, "quad", id="quad"),
@@ -467,4 +497,4 @@ def test_indefinite_quadratic_rejected():
 def test_dimension_mismatch_rejected():
     spec = PenaltySpec("huber", lam=1.0, delta=1.0)
     with pytest.raises(ValueError):
-        Regularizer(3, [(np.eye(2), None, spec)])
+        Regularizer(3, np.eye(2), [2], [spec])
