@@ -51,7 +51,7 @@ ALGORITHMS = tuple(s.value for s in SubspaceStrategy) + ("sgd",)
 
 TRACE_COLUMNS = ("n", "objective", "grad_norm", "nrmse", "nrmse_sq", "wall_time_s")
 
-# largest deconv2d footprint accepted, as counted by :func:`deconv2d_resident_bytes`
+# largest run footprint accepted, as counted by :func:`resident_bytes`
 RESIDENT_BYTES_CAP = 2**31
 
 
@@ -139,25 +139,36 @@ def resolve_config(config: ExperimentConfig) -> ExperimentConfig:
     # dense autocorrelation storage: keep the coefficient dimension sane
     if merged.n_dim > 4096:
         raise ConfigError(f"coefficient dimension {merged.n_dim} exceeds the dense-storage cap 4096")
-    if merged.experiment == "deconv2d":
-        resident = deconv2d_resident_bytes(merged.image_size, merged.kernel_size)
-        if resident > RESIDENT_BYTES_CAP:
-            raise ConfigError(
-                f"deconv2d stream would keep {resident / 2**30:.1f} GiB resident; "
-                "reduce image_size"
-            )
+    resident = resident_bytes(merged)
+    if resident > RESIDENT_BYTES_CAP:
+        size = "image_size" if merged.experiment == "deconv2d" else "n_samples"
+        raise ConfigError(
+            f"{merged.experiment} run would keep {resident / 2**30:.1f} GiB resident; reduce {size}"
+        )
     return merged
 
 
-def deconv2d_resident_bytes(image_size: int, kernel_size: int) -> int:
-    """Bytes of the float64 arrays a deconv2d run keeps for its whole length.
+def resident_bytes(cfg: ExperimentConfig) -> int:
+    """Bytes of the float64 arrays a run of the resolved ``cfg`` keeps for its whole length.
 
-    The image, its zero-padded copy, the noise and the observations, plus
-    the ``kernel_size**2``-square autocorrelation; the patch rows are cut
-    block by block and never held together.
+    Every run keeps the ``n_dim``-square autocorrelation and four trace
+    columns of one entry per block.  Its stream keeps, for deconv2d, the
+    image, its zero-padded copy, the noise and the observations (the
+    patch rows are cut block by block and never held together); for
+    adaptive, the signal, its zero-padded copy, the noise and the
+    observations; for synthetic, the row matrix, the noise and the
+    observations.
     """
-    padded = image_size + kernel_size - 1
-    return 8 * (3 * image_size**2 + padded**2 + kernel_size**4)
+    if cfg.experiment == "deconv2d":
+        rows = cfg.image_size**2
+        stream = 3 * rows + (cfg.image_size + cfg.kernel_size - 1) ** 2
+    elif cfg.experiment == "adaptive":
+        rows = cfg.n_samples
+        stream = 4 * rows + cfg.n_dim - 1
+    else:
+        rows = cfg.n_samples
+        stream = (cfg.n_dim + 2) * rows
+    return 8 * (stream + cfg.n_dim**2 + 4 * (rows // cfg.block_size))
 
 
 # --- regularizer builders ---------------------------------------------------
@@ -188,13 +199,13 @@ def build_isotropic_tv_regularizer(kernel_rows, kernel_cols, lam, delta, tau=1e-
     op = scipy.sparse.csr_array(
         (data, indices.astype(np.int32), indptr.astype(np.int32)), shape=(2 * n, n)
     )
-    return Regularizer(n, op, np.full(n, 2), [spec] * n, quad=tau)
+    return Regularizer(n, op, spec, 2, quad=tau)
 
 
 def identity_blocks_regularizer(n_dim, spec: PenaltySpec, tau=0.0):
     """One scalar penalty block per coordinate: ``sum_s psi(|h_s|)``."""
     n = int(n_dim)
-    return Regularizer(n, np.eye(n), np.ones(n, dtype=int), [spec] * n, quad=tau)
+    return Regularizer(n, np.eye(n), spec, quad=tau)
 
 
 # --- baseline and metrics -----------------------------------------------------

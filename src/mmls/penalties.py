@@ -2,13 +2,14 @@
 
 The regularizer has the form
 
-    Psi(h) = 1/2 h' Q h - q' h + sum_s psi_s(||V_s h - v_s||),
+    Psi(h) = 1/2 h' Q h - q' h + sum_s psi(||V_s h - v_s||),
 
-an elastic-net quadratic part plus a sum of smooth, even potentials applied
-to norms of affine block residuals.  Each potential ``psi`` comes with a
-weighting function ``nu(t) = psi'(t) / t`` (extended by continuity at 0)
-that supplies the curvature of its half-quadratic surrogate: for every
-anchor t,
+an elastic-net quadratic part plus one smooth, even potential applied to
+the norms of affine block residuals, each block ``V_s`` the same number of
+consecutive rows of the stacked operator ``V``.  Each potential ``psi``
+comes with a weighting function ``nu(t) = psi'(t) / t`` (extended by
+continuity at 0) that supplies the curvature of its half-quadratic
+surrogate: for every anchor t,
 
     psi(t') <= psi(t) + psi'(t) (t' - t) + 1/2 nu(|t|) (t' - t)^2.
 
@@ -16,7 +17,7 @@ The catalog covers the classical robust/sparsity-promoting families.  All
 potentials are even, vanish at 0, have ``psi(sqrt(.))`` concave, and have
 ``nu`` nonnegative, bounded, and maximal at 0.  Each entry yields ``psi``
 and ``nu`` together; ``Regularizer.weights_and_penalty`` evaluates both
-for every block in one pass.  The engine's per-step calls,
+for every block in one catalog call.  The engine's per-step calls,
 ``Regularizer.evaluate`` (weights, value and gradient at ``h``) and
 ``Regularizer.curvature`` (the regularizer's part of the reduced
 surrogate matrix), leave out every term that is identically zero or the
@@ -212,19 +213,20 @@ class Operator:
 
 
 class Regularizer:
-    """Elastic-net quadratic plus penalty blocks on affine residuals.
+    """Elastic-net quadratic plus one potential on equal-size blocks of affine residuals.
 
     Parameters
     ----------
     n_dim : int
         Dimension of the estimated vector.
-    op, block_sizes, specs, shift
-        Block ``s`` contributes the potential of ``specs[s]``, a
-        :class:`PenaltySpec`, at ``||op_s @ h - shift_s||``: ``op_s`` and
-        ``shift_s`` are its ``block_sizes[s] >= 1`` rows, from
-        ``offsets[s]``, of the stacked operator ``op`` (a dense array, or
-        a scipy sparse matrix kept sparse; ``None`` means no blocks) and
-        of ``shift`` (``None`` means zero).
+    op, spec, block_size, shift
+        Every ``block_size >= 1`` consecutive rows of the stacked
+        operator ``op`` (a dense array, or a scipy sparse matrix kept
+        sparse; ``None`` means no blocks) and of ``shift`` (``None``
+        means zero) form one block ``s``, which contributes the
+        potential of the :class:`PenaltySpec` ``spec`` at
+        ``||op_s @ h - shift_s||``.  ``spec`` may be ``None`` only
+        without blocks.
     quad : None, float or (n_dim, n_dim) array
         Quadratic part.  ``None`` is zero, a scalar ``tau`` means
         ``tau * I``; otherwise a dense symmetric positive-semidefinite
@@ -237,28 +239,26 @@ class Regularizer:
     they support ``@``, ``.T @``, ``toarray()`` and ``shape``.
     """
 
-    def __init__(self, n_dim, op=None, block_sizes=(), specs=(), shift=None, quad=None, lin=None):
+    def __init__(self, n_dim, op=None, spec=None, block_size=1, shift=None, quad=None, lin=None):
         n_dim = _coerce_dim(n_dim)
         if op is None:
             op = np.zeros((0, n_dim))
         elif not scipy.sparse.issparse(op):
             op = np.atleast_2d(np.asarray(op, dtype=float))
-        sizes = np.asarray(block_sizes, dtype=int)
-        if op.shape != (int(sizes.sum()), n_dim) or np.any(sizes < 1):
+        block_size = int(block_size)
+        if block_size < 1:
+            raise ValueError(f"block size must be at least 1, got {block_size}")
+        if op.shape[1] != n_dim or op.shape[0] % block_size:
             raise ValueError(f"block operator shape {op.shape} incompatible with "
-                             f"n_dim={n_dim} and block sizes summing to {sizes.sum()}")
+                             f"n_dim={n_dim} and block size {block_size}")
+        if not isinstance(spec, PenaltySpec) and (spec is not None or op.shape[0]):
+            raise TypeError(f"block spec must be a PenaltySpec, got {spec!r}")
         self.n_dim = n_dim
         quad = _coerce_quad(quad, n_dim)
         self.quad = Operator(quad)
         self.lin = _coerce_vector(lin, n_dim, "lin")
-        specs = tuple(specs)
-        if not all(isinstance(spec, PenaltySpec) for spec in specs):
-            raise TypeError("block spec must be a PenaltySpec")
-        if len(specs) != len(sizes):
-            raise ValueError(f"{len(specs)} specs for {len(sizes)} blocks")
-        self.specs = specs
-        self.block_sizes = sizes
-        self.offsets = np.concatenate([[0], np.cumsum(sizes)]).astype(int)
+        self.spec = spec
+        self.block_size = block_size
         self.shift = _coerce_vector(shift, op.shape[0], "shift")
         entries = op.data if scipy.sparse.issparse(op) else op
         for name, arr in (("block op", entries), ("shift", self.shift), ("lin", self.lin)):
@@ -272,48 +272,32 @@ class Regularizer:
         self._shift = bool(np.any(self.shift))
         self._unit_op = self.op._scale == 1.0
 
-        # group blocks sharing a spec so weights evaluate vectorized
-        groups: dict[PenaltySpec, list[int]] = {}
-        for i, spec in enumerate(self.specs):
-            groups.setdefault(spec, []).append(i)
-        self._groups = [(spec, np.asarray(idx, dtype=int)) for spec, idx in groups.items()]
-        self._row_block = np.repeat(np.arange(self.n_blocks), self.block_sizes)  # block of each row
-        # one row per block (so also no blocks): a block norm is |residual|
-        # and rows are blocks; with one spec as well, the weights and the
-        # penalty are one catalog call
-        self._single_rows = bool(np.all(self.block_sizes == 1))
-        self._only_spec = self._groups[0][0] if self._single_rows and len(self._groups) == 1 else None
-
     @property
     def n_blocks(self) -> int:
-        return len(self.specs)
+        return self.op.shape[0] // self.block_size
 
     def residual(self, h):
         """Stacked block residual ``op @ h - shift``."""
         return self.op @ h - self.shift
 
     def block_norms(self, residual):
-        """Euclidean norm of each block slice of a stacked residual."""
-        if self._single_rows:
-            return np.sqrt(residual * residual)
-        sums = np.add.reduceat(residual * residual, self.offsets[:-1])
+        """Euclidean norm of each block of a stacked residual, its squares added left to right."""
+        squares = residual * residual
+        # row j of every block is the strided slice squares[j::block_size]
+        sums = squares[:: self.block_size]
+        for j in range(1, self.block_size):
+            sums = sums + squares[j :: self.block_size]
         return np.sqrt(sums)
 
     def weights_and_penalty(self, norms):
         """Per-row weights (a block's repeated over its rows) and the penalty sum at block norms.
 
-        One catalog call per group of blocks sharing a spec; one in all when
-        every block is one row under one spec.
+        One catalog call for all blocks.
         """
-        if self._only_spec is not None:
-            value, weights = self._only_spec.value_and_weight(norms)
-            return weights, float(value.sum())
-        per_block = np.empty(self.n_blocks)
-        total = 0.0
-        for spec, idx in self._groups:
-            value, per_block[idx] = spec.value_and_weight(norms[idx])
-            total += float(value.sum())
-        return per_block[self._row_block], total
+        if self.spec is None:  # no blocks
+            return norms, 0.0
+        value, weights = self.spec.value_and_weight(norms)
+        return weights.repeat(self.block_size), float(value.sum())
 
     def weights_from_norms(self, norms):
         """Weights of :meth:`weights_and_penalty`; kept while perfbench traces it by name."""

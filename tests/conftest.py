@@ -54,7 +54,7 @@ def random_regularizer(rng, n_dim, kind="welsch", n_blocks=3, rows_per_block=2,
         if with_shift:
             shifts.append(0.1 * rng.standard_normal(rows_per_block))
     lin = 0.01 * rng.standard_normal(n_dim)
-    return Regularizer(n_dim, np.vstack(ops), [rows_per_block] * n_blocks, [spec] * n_blocks,
+    return Regularizer(n_dim, np.vstack(ops), spec, rows_per_block,
                        shift=np.concatenate(shifts) if with_shift else None, quad=tau, lin=lin)
 
 

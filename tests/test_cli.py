@@ -115,10 +115,18 @@ def test_divergent_sgd_run_exits_3(capsys):
     assert err["error"] == "divergence"
 
 
-def test_oversized_deconv_config_exits_2(capsys):
-    rc = main(["deconv2d", "--image-size", "16384", "--kernel-size", "21"])
-    assert rc == 2
-    assert json.loads(capsys.readouterr().err.strip())["error"] == "config"
+@pytest.mark.parametrize("argv", [
+    pytest.param(["deconv2d", "--image-size", "16384", "--kernel-size", "21"], id="deconv2d"),
+    pytest.param(["adaptive", "--samples", "1000000000000"], id="adaptive"),
+    pytest.param(["synthetic", "--samples", "1000000000000", "--n-dim", "16"], id="synthetic"),
+])
+def test_oversized_config_exits_2(argv, capsys):
+    # rejected by the resident-bytes count, before anything is allocated
+    assert main(argv) == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert err["error"] == "config" and "GiB resident" in err["detail"]
 
 
 @pytest.mark.parametrize("argv", [

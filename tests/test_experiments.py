@@ -19,8 +19,8 @@ from mmls.experiments import (
     ALGORITHMS,
     ConfigError,
     SGDStepper,
-    deconv2d_resident_bytes,
     meta_path,
+    resident_bytes,
     resolve_config,
 )
 
@@ -186,8 +186,8 @@ class TestConfig:
             experiment="deconv2d", image_size=4096, kernel_size=21, noise_sigma=0.03
         ))
         assert cfg.n_dim == 21 * 21
-        # image, padded image, noise, observations and autocorrelation: about half a GiB
-        assert 2**29 < deconv2d_resident_bytes(4096, 21) < 2**30
+        # image, padded image, noise, observations, autocorrelation and trace: about half a GiB
+        assert 2**29 < resident_bytes(cfg) < 2**30
         with pytest.raises(ConfigError, match="GiB resident"):
             resolve_config(ExperimentConfig(experiment="deconv2d", image_size=8192, kernel_size=21))
 

@@ -319,7 +319,7 @@ def test_curvature_with_dead_weights(rng):
 
     spec = PenaltySpec("gemanmcclure", lam=1.0, delta=0.1)
     quad = np.diag(rng.uniform(0.5, 1.0, 3))
-    reg = Regularizer(3, np.eye(3), [3], [spec], quad=quad)
+    reg = Regularizer(3, np.eye(3), spec, 3, quad=quad)
     samples = make_sample_log(rng, 3, 1, 4)
     state = stream_moments(samples, 1.0)
     h = np.full(3, 10.0)  # far beyond the cutoff, all weights zero

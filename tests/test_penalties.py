@@ -1,5 +1,7 @@
 """Potential catalog and composite regularizer tests."""
 
+import re
+
 import numpy as np
 import pytest
 import scipy.sparse
@@ -188,89 +190,48 @@ def test_invalid_spec_rejected(kwargs):
 # --- Regularizer --------------------------------------------------------
 
 
-def test_weights_and_penalty_equal_the_separate_passes(rng):
-    delta = ALL_SPECS[0].delta
-    # the origin, a norm whose square underflows, the Huber and Geman-McClure seams, a far tail
-    probes = [0.0, 1e-300, delta, np.sqrt(6.0) * delta, 1e3 * delta]
-    # every kind in one regularizer, kinds interleaved, one- and two-row blocks
-    specs = ALL_SPECS * len(probes)
-    sizes = [1 + i % 2 for i in range(len(specs))]
-    reg = Regularizer(3, np.vstack([rng.standard_normal((size, 3)) for size in sizes]), sizes, specs)
-    norms = np.repeat(probes, len(ALL_SPECS))
-    weights, total = reg.weights_and_penalty(norms)
-    expected_weights, expected_total = _catalog_pass(reg, norms)
-    np.testing.assert_array_equal(weights, expected_weights)
-    assert total == expected_total
-    assert weights.shape == (reg.op.shape[0],)
-
-
-def _catalog_pass(reg, norms):
-    """Weights and penalty straight from the catalog, one group of blocks sharing a spec at a time."""
-    per_block, total = np.empty(reg.n_blocks), 0.0
-    for spec in dict.fromkeys(reg.specs):
-        idx = np.flatnonzero([other == spec for other in reg.specs])
-        value, per_block[idx] = spec.value_and_weight(norms[idx])
-        total += float(np.sum(value))
-    return np.repeat(per_block, reg.block_sizes), total
-
-
-def _general_pass(reg, residual):
-    """Block norms by ``reduceat``, then weights and penalty by :func:`_catalog_pass`."""
-    norms = np.sqrt(np.add.reduceat(residual * residual, reg.offsets[:-1]))
-    return (norms, *_catalog_pass(reg, norms))
-
-
+@pytest.mark.parametrize("block_size", [1, 2])
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=spec_ids(ALL_SPECS))
-def test_single_row_shortcut_is_bit_identical(spec):
+def test_block_pass_is_reduceat_then_one_catalog_call(spec, block_size):
     delta = spec.delta
     # the origin, a square that underflows, the Huber and Geman-McClure seams, a far tail
     probes = np.array([0.0, 1e-300, delta, np.sqrt(6.0) * delta, 1e6 * delta])
-    residual = np.concatenate([probes, -probes])
-    reg = Regularizer(residual.size, np.eye(residual.size), np.ones(residual.size, dtype=int),
-                      [spec] * residual.size)
-    assert reg._only_spec is spec
-    norms, weights, total = _general_pass(reg, residual)
+    values = np.concatenate([probes, -probes])
+    # each value alone in a block's first row, alone in its last row, and in all its rows
+    rows = np.zeros((3 * values.size, block_size))
+    rows[: values.size, 0] = values
+    rows[values.size : 2 * values.size, -1] = values
+    rows[2 * values.size :] = values[:, None]
+    residual = rows.ravel()
+    reg = Regularizer(residual.size, np.eye(residual.size), spec, block_size)
+    norms = np.sqrt(np.add.reduceat(residual * residual, np.arange(0, residual.size, block_size)))
     np.testing.assert_array_equal(reg.block_norms(residual), norms)
-    got_weights, got_total = reg.weights_and_penalty(norms)
-    np.testing.assert_array_equal(got_weights, weights)
-    assert got_total == total
-
-
-def test_shortcut_needs_one_row_per_block_and_one_spec():
-    residual = np.array([0.3, -1.2, 2.5, 1e-300])
-    first, second = ALL_SPECS[1], ALL_SPECS[5]
-    two_specs = Regularizer(4, np.eye(4), [1, 1, 1, 1], [first, second, first, second])
-    two_rows = Regularizer(4, np.eye(4), [1, 2, 1], [first] * 3)
-    assert two_specs._single_rows and two_specs._only_spec is None
-    assert not two_rows._single_rows and two_rows._only_spec is None
-    for reg in (two_specs, two_rows):
-        norms, weights, total = _general_pass(reg, residual)
-        np.testing.assert_array_equal(reg.block_norms(residual), norms)
-        got_weights, got_total = reg.weights_and_penalty(norms)
-        np.testing.assert_array_equal(got_weights, weights)
-        assert got_total == total
+    value, weight = spec.value_and_weight(norms)
+    weights, total = reg.weights_and_penalty(norms)
+    np.testing.assert_array_equal(weights, np.repeat(weight, block_size))
+    assert total == float(value.sum())
 
 
 def test_weights_all_ones_for_unit_welsch_at_zero():
     n = 5
     spec = PenaltySpec("welsch", lam=1.0, delta=1.0)
-    reg = Regularizer(n, np.eye(n), [n], [spec])
+    reg = Regularizer(n, np.eye(n), spec, n)
     assert_allclose(reg.weights(np.zeros(n)), np.ones(n))
 
 
 def test_weights_replicated_per_block():
     spec = PenaltySpec("huber", lam=1.0, delta=1.0)
     rng = np.random.default_rng(3)
-    op = np.vstack([rng.standard_normal((2, 4)), rng.standard_normal((1, 4))])
-    reg = Regularizer(4, op, [2, 1], [spec, spec])
+    op = np.vstack([rng.standard_normal((2, 4)), rng.standard_normal((2, 4))])
+    reg = Regularizer(4, op, spec, 2)
     b = reg.weights(rng.standard_normal(4))
-    assert b.shape == (3,)
-    assert b[0] == b[1]
+    assert b.shape == (4,)
+    assert b[0] == b[1] and b[2] == b[3]
 
 
 def test_weights_huber_beyond_knee_vector():
     spec = PenaltySpec("huber", lam=1.0, delta=1.0)
-    reg = Regularizer(2, np.eye(2), [2], [spec])
+    reg = Regularizer(2, np.eye(2), spec, 2)
     assert_allclose(reg.weights(np.array([3.0, 4.0])), [0.4, 0.4])
 
 
@@ -278,7 +239,7 @@ def test_weights_unchanged_by_kernel_perturbation():
     # directions annihilated by a block operator cannot change its weight
     spec = PenaltySpec("cauchy", lam=0.8, delta=0.3, kappa=1.2)
     op = np.array([[1.0, -1.0, 0.0]])
-    reg = Regularizer(3, op, [1], [spec])
+    reg = Regularizer(3, op, spec)
     h = np.array([0.3, -0.2, 0.9])
     d = np.array([1.0, 1.0, -5.0])  # op @ d == 0
     assert reg.weights(h)[0] == reg.weights(h + d)[0]
@@ -287,7 +248,7 @@ def test_weights_unchanged_by_kernel_perturbation():
 def test_value_zero_at_origin_without_offsets():
     rng = np.random.default_rng(8)
     spec = PenaltySpec("green", lam=1.0)
-    reg = Regularizer(6, rng.standard_normal((2, 6)), [2], [spec])
+    reg = Regularizer(6, rng.standard_normal((2, 6)), spec, 2)
     assert reg.value(np.zeros(6)) == 0.0
 
 
@@ -300,7 +261,7 @@ def test_value_composes_from_potential(rng):
     # one identity block penalizes the whole-vector norm
     spec = PenaltySpec("welsch", lam=1.0, delta=1.0)
     n = 4
-    reg = Regularizer(n, np.eye(n), [n], [spec], quad=0.5)
+    reg = Regularizer(n, np.eye(n), spec, n, quad=0.5)
     h = rng.standard_normal(n)
     expected = 0.25 * float(h @ h) + spec.value_and_weight(float(np.linalg.norm(h)))[0]
     assert reg.value(h) == pytest.approx(expected, rel=1e-12)
@@ -323,12 +284,12 @@ def test_gradient_matches_finite_differences(rng):
 def test_blocks_stack_in_declaration_order(rng):
     spec = PenaltySpec("huber", lam=1.0, delta=1.0)
     first = rng.standard_normal((2, 4))
-    second = rng.standard_normal((3, 4))
-    shifts = (rng.standard_normal(2), rng.standard_normal(3))
-    reg = Regularizer(4, np.vstack([first, second]), [2, 3], [spec, spec], shift=np.concatenate(shifts))
+    second = rng.standard_normal((2, 4))
+    shifts = (rng.standard_normal(2), rng.standard_normal(2))
+    reg = Regularizer(4, np.vstack([first, second]), spec, 2, shift=np.concatenate(shifts))
     assert_allclose(reg.op.toarray(), np.vstack([first, second]))
     assert_allclose(reg.shift, np.concatenate(shifts))
-    assert list(reg.offsets) == [0, 2, 5]
+    assert reg.n_blocks == 2
 
 
 def test_operator_form_follows_the_matrix(rng):
@@ -338,7 +299,7 @@ def test_operator_form_follows_the_matrix(rng):
     eye = np.eye(n)
     # scaled identity, its own transpose with the bit-exact product s * x:
     # identity blocks, a scalar ridge, a dense 2 I, no quad
-    ident = Regularizer(n, eye, [1] * n, [spec] * n, quad=0.3)
+    ident = Regularizer(n, eye, spec, quad=0.3)
     assert ident.op.T is ident.op and ident.quad.T is ident.quad
     twice = Regularizer(n, quad=2.0 * eye).quad
     assert twice.T is twice and np.array_equal(twice @ hs, 2.0 * hs)
@@ -359,7 +320,7 @@ def test_operator_form_follows_the_matrix(rng):
     # with off-diagonal entries, a non-constant diagonal, finite differences
     ops = [rng.standard_normal((2, n)), rng.standard_normal((3, n))]
     quad = 2.0 * eye + 0.5 * (np.eye(n, k=1) + np.eye(n, k=-1))
-    dense = Regularizer(n, np.vstack(ops), [2, 3], [spec, spec], quad=quad)
+    dense = Regularizer(n, np.vstack(ops), spec, 5, quad=quad)
     graded = Regularizer(n, quad=np.diag(np.arange(1.0, n + 1))).quad
     assert graded.T is not graded
     stacked = np.vstack(ops)
@@ -404,7 +365,7 @@ def test_tv_operator_is_the_csr_of_its_dense_blocks(rows, cols):
         for name in ("indptr", "indices", "data"):
             mine, theirs = getattr(got, name), getattr(expected, name)
             assert mine.dtype == theirs.dtype and np.array_equal(mine, theirs)
-    assert np.array_equal(tv.block_sizes, np.full(rows * cols, 2))
+    assert tv.block_size == 2 and tv.n_blocks == rows * cols
     rng = np.random.default_rng(5)
     h, r = rng.standard_normal(rows * cols), rng.standard_normal(2 * rows * cols)
     assert np.array_equal(tv.op @ h, reference @ h)
@@ -414,22 +375,20 @@ def test_tv_operator_is_the_csr_of_its_dense_blocks(rows, cols):
 def test_stacked_blocks_match_block_list():
     # the caller's blocks stacked into one dense and one CSR operator give the same regularizer
     rng = np.random.default_rng(6)
-    spec, other = PenaltySpec("huber", lam=1.0, delta=0.5), PenaltySpec("welsch", lam=0.2, delta=1.0)
-    ops = [rng.standard_normal((2, 4)), rng.standard_normal((1, 4))]
-    shift = rng.standard_normal(3)
-    dense = Regularizer(4, np.vstack(ops), [2, 1], [spec, other], shift=shift, quad=0.1)
+    spec = PenaltySpec("huber", lam=1.0, delta=0.5)
+    ops = [rng.standard_normal((2, 4)), rng.standard_normal((2, 4))]
+    shift = rng.standard_normal(4)
+    dense = Regularizer(4, np.vstack(ops), spec, 2, shift=shift, quad=0.1)
     for op in (np.vstack(ops), scipy.sparse.csr_array(np.vstack(ops))):
-        stacked = Regularizer(4, op, [2, 1], [spec, other], shift=shift, quad=0.1)
+        stacked = Regularizer(4, op, spec, 2, shift=shift, quad=0.1)
         assert np.array_equal(stacked.op.toarray(), dense.op.toarray())
         h = rng.standard_normal(4)
         assert stacked.value(h) == pytest.approx(dense.value(h), rel=1e-14)
         assert_allclose(stacked.gradient(h), dense.gradient(h), rtol=1e-14)
     with pytest.raises(ValueError, match="incompatible"):
-        Regularizer(4, np.vstack(ops), [2, 2], [spec, other])
-    with pytest.raises(ValueError, match="specs"):
-        Regularizer(4, np.vstack(ops), [2, 1], [spec])
+        Regularizer(4, np.vstack(ops), spec, 3)
     with pytest.raises(ValueError, match="^block op must be finite"):
-        Regularizer(2, scipy.sparse.csr_array(np.array([[np.nan, 1.0]])), [1], [spec])
+        Regularizer(2, scipy.sparse.csr_array(np.array([[np.nan, 1.0]])), spec)
 
 
 @pytest.mark.parametrize("blocks", ["dense-and-csr", "none-and-empty"])
@@ -440,18 +399,18 @@ def test_one_constructor_for_every_operator_form(rng, blocks):
     if blocks == "dense-and-csr":
         op = rng.standard_normal((4, n))
         op[np.abs(op) < 0.5] = 0.0
-        sizes, specs = [1, 2, 1], [ALL_SPECS[1], ALL_SPECS[4], ALL_SPECS[1]]
+        spec, block_size = ALL_SPECS[4], 2
         shift = rng.standard_normal(4)
         forms = (op, scipy.sparse.csr_array(op))
     else:
-        sizes, specs, shift = [], [], None
+        spec, block_size, shift = None, 1, None
         forms = (None, np.zeros((0, n)))
-    first, second = (Regularizer(n, form, sizes, specs, shift=shift, quad=0.2,
+    first, second = (Regularizer(n, form, spec, block_size, shift=shift, quad=0.2,
                                  lin=np.linspace(-1.0, 1.0, n)) for form in forms)
     assert np.array_equal(first.op.toarray(), second.op.toarray())
-    assert np.array_equal(first.offsets, second.offsets)
     assert np.array_equal(first.shift, second.shift)
-    assert first.specs == second.specs == tuple(specs)
+    assert first.spec is second.spec is spec
+    assert first.n_blocks == second.n_blocks
     h = rng.standard_normal(n)
     for got, expected in zip(first.evaluate(h), second.evaluate(h)):
         assert np.array_equal(got, expected)
@@ -464,10 +423,10 @@ _HUBER = PenaltySpec("huber", lam=1.0, delta=1.0)
     "kwargs, name",
     [
         pytest.param(
-            {"op": np.array([[np.nan, 1.0]]), "block_sizes": [1], "specs": [_HUBER]}, "block op", id="op"
+            {"op": np.array([[np.nan, 1.0]]), "spec": _HUBER}, "block op", id="op"
         ),
         pytest.param(
-            {"op": np.array([[1.0, 0.0]]), "block_sizes": [1], "specs": [_HUBER], "shift": np.array([np.inf])},
+            {"op": np.array([[1.0, 0.0]]), "spec": _HUBER, "shift": np.array([np.inf])},
             "shift", id="shift",
         ),
         pytest.param({"lin": np.array([0.0, np.nan])}, "lin", id="lin"),
@@ -496,5 +455,17 @@ def test_indefinite_quadratic_rejected():
 
 def test_dimension_mismatch_rejected():
     spec = PenaltySpec("huber", lam=1.0, delta=1.0)
-    with pytest.raises(ValueError):
-        Regularizer(3, np.eye(2), [2], [spec])
+    op = np.ones((4, 3))
+    # a wrong column count, then rows that are not a multiple of the block size
+    for bad_op, block_size in ((np.eye(2), 2), (op, 3)):
+        shape = re.escape(str(bad_op.shape))
+        with pytest.raises(ValueError, match=f"^block operator shape {shape} incompatible "
+                                             f"with n_dim=3 and block size {block_size}$"):
+            Regularizer(3, bad_op, spec, block_size)
+    for block_size in (0, -2):
+        with pytest.raises(ValueError, match=f"^block size must be at least 1, got {block_size}$"):
+            Regularizer(3, op, spec, block_size)
+    # blocks without a spec, and a spec that is not a PenaltySpec
+    for bad_op, bad_spec in ((op, None), (op, "huber"), (None, "huber")):
+        with pytest.raises(TypeError, match="^block spec must be a PenaltySpec"):
+            Regularizer(3, bad_op, bad_spec)
