@@ -17,9 +17,11 @@ built in the tests, not here.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .moments import Sample
 
@@ -64,19 +66,19 @@ class ArrayStream:
         return self.matrix[start:stop]
 
     def n_blocks(self, block_size: int) -> int:
-        block_size = int(block_size)
-        if block_size < 1:
-            raise ValueError(f"block size must be at least 1, got {block_size}")
-        return self.n_rows // block_size
+        try:
+            size = operator.index(block_size)
+        except TypeError:
+            raise TypeError(f"block size must be an integer, got {block_size!r}") from None
+        if size < 1:
+            raise ValueError(f"block size must be at least 1, got {size}")
+        return self.n_rows // size
 
     def block(self, index: int, block_size: int) -> Sample:
-        block_size = int(block_size)
-        if block_size < 1:
-            raise ValueError(f"block size must be at least 1, got {block_size}")
+        if not 0 <= index < self.n_blocks(block_size):
+            raise IndexError(f"block {index} of size {block_size} exceeds {self.n_rows} rows")
         start = index * block_size
         stop = start + block_size
-        if index < 0 or stop > self.n_rows:
-            raise IndexError(f"block {index} of size {block_size} exceeds {self.n_rows} rows")
         return Sample(self._rows(start, stop).T, self.observations[start:stop])
 
     def blocks(self, block_size: int):
@@ -168,12 +170,13 @@ class PatchStream(ArrayStream):
 
     Row ``l`` is the reversed ``size x size`` window of the zero-padded
     image at raster pixel ``(i, j)``, so that a row times the raveled
-    kernel is the "same" convolution at that pixel.  That is the forward
-    window of the flipped padded image at the mirrored pixel
-    ``(height-1-i, width-1-j)``, so rows ``start:stop`` are one window
-    slice per image row they touch, copied into a fresh C-ordered array.
-    A block's ``X`` is that array's transpose: the values and Fortran
-    layout of a patch-matrix slice.
+    kernel is the "same" convolution at that pixel: the forward window
+    of the flipped padded image at the mirrored pixel.  The window view
+    is flipped back once, so ``windows[i, j]`` is the row of pixel
+    ``(i, j)``, and rows ``start:stop`` are one window slice per image
+    row they touch, copied into a fresh C-ordered array.  A block's
+    ``X`` is that array's transpose: the values and Fortran layout of a
+    patch-matrix slice.
 
     The stream keeps the flipped padded image, not the patch matrix;
     ``features`` cuts the whole matrix on every read.
@@ -183,23 +186,18 @@ class PatchStream(ArrayStream):
         height, width = image.shape
         # padding is symmetric, so this is the padded image flipped on both axes
         self.padded = np.pad(image[::-1, ::-1], size // 2)
-        # (height, width, size, size); window (a, b) serves pixel (height-1-a, width-1-b)
-        self.windows = np.lib.stride_tricks.sliding_window_view(self.padded, (size, size))
+        # (height, width, size, size); window (i, j) is the row of pixel (i, j)
+        self.windows = sliding_window_view(self.padded, (size, size))[::-1, ::-1]
         self._keep(observations, height * width, size * size)
 
     def _rows(self, start: int, stop: int) -> np.ndarray:
-        height, width, size, _ = self.windows.shape
-        out = np.empty((stop - start, size * size))
-        row = start
-        while row < stop:
-            i, j = divmod(row, width)
-            count = min(stop - row, width - j)
-            # pixels (i, j) .. (i, j+count-1) mirror windows (height-1-i, width-j-1 .. width-j-count)
-            first = width - j - count
-            cut = out[row - start : row - start + count].reshape(count, size, size)
-            cut[...] = self.windows[height - 1 - i, first : first + count][::-1]
-            row += count
-        return out
+        _, width, size, _ = self.windows.shape
+        out = np.empty((stop - start, size, size))
+        # image rows i of pixels start .. stop - 1
+        for i in range(start // width, (stop - 1) // width + 1):
+            lo, hi = max(start, i * width), min(stop, (i + 1) * width)
+            out[lo - start : hi - start] = self.windows[i, lo - i * width : hi - i * width]
+        return out.reshape(stop - start, size * size)
 
 
 def gen_deconv2d(seed, image_size=256, kernel_size=7, sigma=0.03):
@@ -211,7 +209,8 @@ def gen_deconv2d(seed, image_size=256, kernel_size=7, sigma=0.03):
     the image patches producing each output pixel, in raster order, so
     every block satisfies its own observation equation exactly at zero
     noise.  The stream is a :class:`PatchStream`: no patch matrix is
-    built, here or while streaming.
+    built, here or while streaming, and the observations are formed from
+    the stream's own cut, 512 rows at a time.
 
     Returns ``(kernel, stream)`` with ``kernel`` the 2-D ground truth.
     The scene and the noise realization are dropped once the
@@ -226,7 +225,6 @@ def gen_deconv2d(seed, image_size=256, kernel_size=7, sigma=0.03):
     image = _smooth_field(rng, image_size)
     noise = rng.standard_normal(image_size * image_size)
     stream = PatchStream(image, kernel_size, np.empty(noise.shape))
-    # fill the observations from the stream's own cut, a chunk of rows at a time
     for start in range(0, noise.shape[0], _OBSERVATION_CHUNK):
         stop = min(start + _OBSERVATION_CHUNK, noise.shape[0])
         clean = stream._rows(start, stop) @ kernel.ravel()
@@ -273,7 +271,7 @@ def gen_adaptive(seed, n_taps=200, n_samples=5000, noise_var=0.05,
     second = _sparse_taps(rng, n_taps, n_active)
     noise = rng.standard_normal(n_samples)
     padded = np.concatenate([np.zeros(n_taps - 1), signal])
-    stream = ArrayStream(np.lib.stride_tricks.sliding_window_view(padded, n_taps), np.empty(n_samples))
+    stream = ArrayStream(sliding_window_view(padded, n_taps), np.empty(n_samples))
     # fill the observations a chunk of rows at a time; each chunk is a C-ordered
     # copy, since a product with the strided view would sum in another order
     for start in range(0, n_samples, _OBSERVATION_CHUNK):

@@ -22,6 +22,7 @@ import dataclasses
 import functools
 import json
 import math
+import operator
 import os
 import time
 from dataclasses import dataclass
@@ -130,10 +131,18 @@ def resolve_config(config: ExperimentConfig) -> ExperimentConfig:
         raise ConfigError(f"vartheta must lie in (0, 1], got {merged.vartheta}")
     if not merged.sgd_scale > 0.0:
         raise ConfigError(f"sgd_scale must be positive, got {merged.sgd_scale}")
-    for name in ("image_size", "kernel_size", "n_dim", "n_samples", "block_size", "change_point"):
+    for name in ("seed", "image_size", "kernel_size", "n_dim", "n_samples", "block_size",
+                 "change_point"):
         value = getattr(merged, name)
-        if value is not None and int(value) < 1:
+        if value is None:
+            continue
+        try:
+            value = operator.index(value)
+        except TypeError:
+            raise ConfigError(f"{name} must be an integer, got {value!r}") from None
+        if value < 1 and name != "seed":
             raise ConfigError(f"{name} must be positive")
+        setattr(merged, name, value)
     if merged.noise_sigma < 0.0:
         raise ConfigError(f"noise_sigma must be nonnegative, got {merged.noise_sigma}")
     # dense autocorrelation storage: keep the coefficient dimension sane
@@ -347,7 +356,12 @@ def _check_writable(path: str) -> None:
 
 
 def _build_problem(cfg: ExperimentConfig):
-    """Instantiate (truth lookup, stream, regularizer) for a config."""
+    """Instantiate (truth lookup, stream, regularizer) for a config.
+
+    The regularizer is built first: it draws no random numbers, and a
+    config it rejects is reported before any stream is generated.
+    """
+    reg = _regularizer_for(cfg)
     if cfg.experiment == "deconv2d":
         kernel, stream = gen_deconv2d(
             cfg.seed, image_size=cfg.image_size, kernel_size=cfg.kernel_size,
@@ -366,7 +380,7 @@ def _build_problem(cfg: ExperimentConfig):
             cfg.seed, n_dim=cfg.n_dim, n_rows=cfg.n_samples, sigma=cfg.noise_sigma
         )
         truth_at = lambda n: truth
-    return truth_at, stream, _regularizer_for(cfg)
+    return truth_at, stream, reg
 
 
 def _regularizer_for(cfg: ExperimentConfig):
@@ -404,7 +418,7 @@ def run_experiment(config: ExperimentConfig, measure_time: bool = True) -> RunTr
         truth_at, stream, reg = _build_problem(cfg)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    q = int(cfg.block_size)
+    q = cfg.block_size
     total = stream.n_blocks(q)
     if total < 1:
         raise ConfigError("stream shorter than one block")

@@ -26,6 +26,7 @@ identity.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -245,7 +246,10 @@ class Regularizer:
             op = np.zeros((0, n_dim))
         elif not scipy.sparse.issparse(op):
             op = np.atleast_2d(np.asarray(op, dtype=float))
-        block_size = int(block_size)
+        try:
+            block_size = operator.index(block_size)
+        except TypeError:
+            raise TypeError(f"block size must be an integer, got {block_size!r}") from None
         if block_size < 1:
             raise ValueError(f"block size must be at least 1, got {block_size}")
         if op.shape[1] != n_dim or op.shape[0] % block_size:

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from mmls import experiments
 from mmls.cli import load_config_file, main
 from mmls.experiments import ConfigError
 
@@ -144,6 +145,26 @@ def test_oversized_config_exits_2(argv, capsys):
 def test_invalid_problem_config_exits_2(argv, capsys):
     rc = main(argv)
     assert rc == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "config"
+
+
+@pytest.mark.parametrize("argv", [
+    ["adaptive", "--lambda", "-1", "--samples", "300"],
+    ["adaptive", "--operator", "tv2d", "--samples", "300"],
+    ["synthetic", "--tau", "-1"],
+    ["synthetic", "--operator", "identity"],
+    ["deconv2d", "--image-size", "32", "--kernel-size", "3", "--penalty", "welsch"],
+    ["deconv2d", "--image-size", "32", "--kernel-size", "3", "--kappa", "2"],
+])
+def test_regularizer_rejected_before_the_stream_is_generated(argv, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the stream was generated before the regularizer was checked")
+
+    for name in ("gen_deconv2d", "gen_adaptive", "gen_synthetic"):
+        monkeypatch.setattr(experiments, name, refuse)
+    assert main(argv) == 2
     lines = capsys.readouterr().err.strip().splitlines()
     assert len(lines) == 1
     assert json.loads(lines[0])["error"] == "config"

@@ -344,6 +344,30 @@ class TestStreamBlocks:
                 stream.n_blocks(size)
             with pytest.raises(ValueError, match="block size"):
                 next(stream.blocks(size))
+        # a size that is not an integer is rejected, not truncated; a numpy integer passes
+        for size in (2.5, 1.0):
+            for call in (lambda: stream.block(0, size), lambda: stream.n_blocks(size),
+                         lambda: next(stream.blocks(size))):
+                with pytest.raises(TypeError, match=f"^block size must be an integer, got {size}$"):
+                    call()
+        assert stream.n_blocks(np.int64(2)) == stream.n_rows // 2
+
+
+@pytest.mark.parametrize("shape", [(9, 13), (13, 9), (1, 7), (7, 1)], ids=str)
+@pytest.mark.parametrize("size", [1, 3, 5])
+def test_rectangular_patch_cuts_bit_for_bit(shape, size):
+    # blocks that start mid-row, span rows, and cut one-pixel-wide image rows
+    height, width = shape
+    image = np.random.default_rng(height * width + size).standard_normal(shape)
+    stream = PatchStream(image, size, np.zeros(height * width))
+    patches = patch_matrix(image, size)
+    features = stream.features
+    assert features.flags.c_contiguous and np.array_equal(features, patches)
+    for q in sorted({1, 2, 3, width, width + 1, height * width}):
+        for index in range(stream.n_blocks(q)):
+            X = stream.block(index, q).X
+            assert X.flags.f_contiguous
+            assert np.array_equal(X, patches[index * q : (index + 1) * q].T)
 
 
 @pytest.mark.parametrize("size", [*range(1, 10), 16, 64, 256])

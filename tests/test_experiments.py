@@ -191,6 +191,17 @@ class TestConfig:
         with pytest.raises(ConfigError, match="GiB resident"):
             resolve_config(ExperimentConfig(experiment="deconv2d", image_size=8192, kernel_size=21))
 
+    @pytest.mark.parametrize("name", [
+        "seed", "image_size", "kernel_size", "n_dim", "n_samples", "block_size", "change_point",
+    ])
+    def test_non_integer_sizes_rejected(self, name):
+        experiment = "deconv2d" if name in ("image_size", "kernel_size") else "synthetic"
+        with pytest.raises(ConfigError, match=f"^{name} must be an integer, got 2.5$"):
+            resolve_config(ExperimentConfig(experiment, **{name: 2.5}))
+        # numpy integers pass, and the resolved config holds Python ints
+        cfg = resolve_config(ExperimentConfig(experiment, **{name: np.int64(3)}))
+        assert type(getattr(cfg, name)) is int
+
     def test_unknown_experiment(self):
         with pytest.raises(ConfigError):
             resolve_config(ExperimentConfig(experiment="mystery"))

@@ -465,6 +465,11 @@ def test_dimension_mismatch_rejected():
     for block_size in (0, -2):
         with pytest.raises(ValueError, match=f"^block size must be at least 1, got {block_size}$"):
             Regularizer(3, op, spec, block_size)
+    # a block size that is not an integer; a numpy integer is one
+    for block_size in (1.5, 2.0, "2"):
+        with pytest.raises(TypeError, match=f"^block size must be an integer, got {block_size!r}$"):
+            Regularizer(3, op, spec, block_size)
+    assert Regularizer(3, op, spec, np.int64(2)).n_blocks == 2
     # blocks without a spec, and a spec that is not a PenaltySpec
     for bad_op, bad_spec in ((op, None), (op, "huber"), (None, "huber")):
         with pytest.raises(TypeError, match="^block spec must be a PenaltySpec"):
