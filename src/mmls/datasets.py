@@ -131,20 +131,31 @@ def _blur_axis(x: np.ndarray, axis: int) -> np.ndarray:
     Bit for bit ``scipy.ndimage.gaussian_filter1d(x, 1.0, axis, mode="reflect")``:
     the same weights, and each output ``x[0]*w[0]`` plus ``(x[-j] + x[j])*w[j]``
     added for ``j`` from 4 down to 1, the order of its symmetric-kernel loop.
+    No padded copy is made: interior rows add two slices of ``x`` into one
+    pair buffer, and the rows within ``radius`` of an edge gather their
+    reflected neighbours by index.
     """
     radius = _BLUR_WEIGHTS.size - 1
-    width = [(0, 0)] * x.ndim
-    width[axis] = (radius, radius)
-    padded = np.pad(x, width, mode="symmetric")
-
-    def shifted(offset):
-        index = [slice(None)] * x.ndim
-        index[axis] = slice(radius + offset, radius + offset + x.shape[axis])
-        return padded[tuple(index)]
-
-    out = shifted(0) * _BLUR_WEIGHTS[0]
+    n = x.shape[axis]
+    out = np.empty(x.shape)
+    # views with the blurred axis first
+    src, dst = np.moveaxis(x, axis, 0), np.moveaxis(out, axis, 0)
+    stop = n - radius
+    if stop > radius:
+        np.multiply(src[radius:stop], _BLUR_WEIGHTS[0], out=dst[radius:stop])
+        pair = np.empty_like(src[radius:stop])  # laid out in memory as ``x`` is
+        for j in range(radius, 0, -1):
+            np.add(src[radius - j : stop - j], src[radius + j : stop + j], out=pair)
+            pair *= _BLUR_WEIGHTS[j]
+            dst[radius:stop] += pair
+    # edge rows; source index of padded position k is reflected[k]
+    edge = np.r_[0 : min(radius, n), max(stop, radius) : n]
+    reflected = np.pad(np.arange(n), radius, mode="symmetric")
+    rows = src[reflected[edge + radius]] * _BLUR_WEIGHTS[0]
     for j in range(radius, 0, -1):
-        out += (shifted(-j) + shifted(j)) * _BLUR_WEIGHTS[j]
+        below, above = reflected[edge + radius - j], reflected[edge + radius + j]
+        rows += (src[below] + src[above]) * _BLUR_WEIGHTS[j]
+    dst[edge] = rows
     return out
 
 
@@ -153,16 +164,26 @@ def _smooth_field(rng, size: int) -> np.ndarray:
 
     The blur is ``ndimage.gaussian_filter(noise, 1.0, mode="reflect")``,
     done here so that importing the package does not load ``scipy.ndimage``.
+    The noise is freed after the first pass and the field normalized in
+    place, so no more than three image-sized arrays are held at once.
     """
-    noise = rng.standard_normal((size, size))
-    img = _blur_axis(_blur_axis(noise, 0), 1)
+    img = _blur_axis(_blur_axis(rng.standard_normal((size, size)), 0), 1)
     img -= img.mean()
-    return img / img.std()
+    img /= img.std()
+    return img
 
 
-# rows cut at a time when a generator forms its observations:
-# 1.7 MiB of patches at a 21x21 kernel, 0.8 MiB of tap-delay rows at 200 taps
-_OBSERVATION_CHUNK = 512
+def _chunk_rows(n_dim: int) -> int:
+    """Rows cut at a time when a generator forms its observations.
+
+    The most rows that fit in 512 KiB, rounded down to a power of two, so
+    that chunk edges keep the row grouping of a BLAS matrix-vector kernel
+    (OpenBLAS takes four rows at a time and sums the rows left over at a
+    chunk's end another way): an observation's bits then do not depend on
+    the chunk size.
+    """
+    fit = max(1, 2**16 // n_dim)
+    return 1 << (fit.bit_length() - 1)
 
 
 class PatchStream(ArrayStream):
@@ -210,11 +231,12 @@ def gen_deconv2d(seed, image_size=256, kernel_size=7, sigma=0.03):
     every block satisfies its own observation equation exactly at zero
     noise.  The stream is a :class:`PatchStream`: no patch matrix is
     built, here or while streaming, and the observations are formed from
-    the stream's own cut, 512 rows at a time.
+    the stream's own cut, at most 512 KiB of rows at a time.
 
     Returns ``(kernel, stream)`` with ``kernel`` the 2-D ground truth.
-    The scene and the noise realization are dropped once the
-    observations are formed.
+    The scene is dropped once the stream holds its padded copy, and the
+    noise is drawn one chunk at a time, so generation holds at most
+    three image-sized arrays at once.
     """
     if kernel_size % 2 != 1 or kernel_size < 1:
         raise ValueError("kernel_size must be odd and positive")
@@ -222,13 +244,15 @@ def gen_deconv2d(seed, image_size=256, kernel_size=7, sigma=0.03):
         raise ValueError("image_size must be at least kernel_size")
     rng = np.random.default_rng(seed)
     kernel = _random_smooth_kernel(rng, kernel_size)
-    image = _smooth_field(rng, image_size)
-    noise = rng.standard_normal(image_size * image_size)
-    stream = PatchStream(image, kernel_size, np.empty(noise.shape))
-    for start in range(0, noise.shape[0], _OBSERVATION_CHUNK):
-        stop = min(start + _OBSERVATION_CHUNK, noise.shape[0])
-        clean = stream._rows(start, stop) @ kernel.ravel()
-        stream.observations[start:stop] = clean + sigma * noise[start:stop]
+    taps = kernel.ravel()
+    n_rows = image_size * image_size
+    stream = PatchStream(_smooth_field(rng, image_size), kernel_size, np.empty(n_rows))
+    chunk = _chunk_rows(taps.size)
+    # the noise is drawn chunk by chunk, the same values as one whole draw
+    for start in range(0, n_rows, chunk):
+        stop = min(start + chunk, n_rows)
+        clean = stream._rows(start, stop) @ taps
+        stream.observations[start:stop] = clean + sigma * rng.standard_normal(stop - start)
     return kernel, stream
 
 
@@ -265,7 +289,13 @@ def gen_adaptive(seed, n_taps=200, n_samples=5000, noise_var=0.05,
     if n_active > n_taps:
         raise ValueError("n_active must not exceed n_taps")
     rng = np.random.default_rng(seed)
-    change = n_samples // 2 if change_point is None else int(change_point)
+    if change_point is None:
+        change = n_samples // 2
+    else:
+        try:
+            change = operator.index(change_point)
+        except TypeError:
+            raise TypeError(f"change_point must be an integer, got {change_point!r}") from None
     signal = rng.integers(0, 2, size=n_samples) * 2.0 - 1.0
     first = _sparse_taps(rng, n_taps, n_active)
     second = _sparse_taps(rng, n_taps, n_active)
@@ -274,8 +304,9 @@ def gen_adaptive(seed, n_taps=200, n_samples=5000, noise_var=0.05,
     stream = ArrayStream(sliding_window_view(padded, n_taps), np.empty(n_samples))
     # fill the observations a chunk of rows at a time; each chunk is a C-ordered
     # copy, since a product with the strided view would sum in another order
-    for start in range(0, n_samples, _OBSERVATION_CHUNK):
-        stop = min(start + _OBSERVATION_CHUNK, n_samples)
+    chunk = _chunk_rows(n_taps)
+    for start in range(0, n_samples, chunk):
+        stop = min(start + chunk, n_samples)
         rows = stream.matrix[start:stop].copy()
         clean = np.where(np.arange(start + 1, stop + 1) <= change, rows @ first, rows @ second)
         stream.observations[start:stop] = clean + np.sqrt(noise_var) * noise[start:stop]

@@ -34,7 +34,7 @@ from . import moments as moments_mod
 from .datasets import gen_adaptive, gen_deconv2d, gen_synthetic
 from .engine import DivergenceError, IterationReport, MMEngine, SubspaceStrategy
 from .moments import MomentState, Sample
-from .penalties import PenaltySpec, Regularizer
+from .penalties import PenaltySpec, Regularizer, _coerce_dim
 
 __all__ = [
     "ConfigError",
@@ -158,15 +158,17 @@ def resolve_config(config: ExperimentConfig) -> ExperimentConfig:
 
 
 def resident_bytes(cfg: ExperimentConfig) -> int:
-    """Bytes of the float64 arrays a run of the resolved ``cfg`` keeps for its whole length.
+    """Upper bound on the bytes of float64 arrays a run of the resolved ``cfg`` holds at once.
 
     Every run keeps the ``n_dim``-square autocorrelation and four trace
-    columns of one entry per block.  Its stream keeps, for deconv2d, the
-    image, its zero-padded copy, the noise and the observations (the
-    patch rows are cut block by block and never held together); for
-    adaptive, the signal, its zero-padded copy, the noise and the
-    observations; for synthetic, the row matrix, the noise and the
-    observations.
+    columns of one entry per block.  For its stream this counts, for
+    deconv2d, three image-sized arrays and the zero-padded image, at least
+    what generation holds at once (a blur pass's input, output and pair
+    buffer; then the scene, the observations and the padded copy, the two
+    that the run keeps).  For adaptive it counts the signal, its
+    zero-padded copy, the noise and the observations; for synthetic, the
+    row matrix, the noise and the observations.  Patch and tap-delay rows
+    are cut a chunk or a block at a time and never held together.
     """
     if cfg.experiment == "deconv2d":
         rows = cfg.image_size**2
@@ -193,7 +195,7 @@ def build_isotropic_tv_regularizer(kernel_rows, kernel_cols, lam, delta, tau=1e-
     ridge ``tau`` keeps the overall objective strongly convex.  The
     stacked difference operator is assembled in CSR form directly.
     """
-    rows, cols = int(kernel_rows), int(kernel_cols)
+    rows, cols = _coerce_dim(kernel_rows, "kernel_rows"), _coerce_dim(kernel_cols, "kernel_cols")
     n = rows * cols
     spec = PenaltySpec("l2lkappa-power", lam=lam, delta=delta, kappa=1.0)
     pixel = np.arange(n)
@@ -212,9 +214,13 @@ def build_isotropic_tv_regularizer(kernel_rows, kernel_cols, lam, delta, tau=1e-
 
 
 def identity_blocks_regularizer(n_dim, spec: PenaltySpec, tau=0.0):
-    """One scalar penalty block per coordinate: ``sum_s psi(|h_s|)``."""
-    n = int(n_dim)
-    return Regularizer(n, np.eye(n), spec, quad=tau)
+    """One scalar penalty block per coordinate: ``sum_s psi(|h_s|)``.
+
+    The block operator is the identity, passed in sparse form so that no
+    dense ``n_dim``-square matrix is built.
+    """
+    n = _coerce_dim(n_dim)
+    return Regularizer(n, scipy.sparse.identity(n, format="csr"), spec, quad=tau)
 
 
 # --- baseline and metrics -----------------------------------------------------

@@ -169,28 +169,30 @@ def _abs_checked(t):
 class Operator:
     """A fixed matrix stored as a scaled identity ``s * I`` or in CSR form.
 
-    The form is picked from the matrix given: a dense square matrix with
-    a constant diagonal and a zero off-diagonal becomes ``s * I``, whose
-    product ``s * x`` is a fresh array (bit-exact for ``s = 1``); any
-    other dense matrix is converted to CSR once, and a scipy sparse
-    matrix is taken in CSR form without densifying it.  The transpose is
-    built from the CSR copy.  Supports ``@`` on 1-D and 2-D right sides
-    (arrays or nested sequences), ``.T``, ``.shape`` and ``toarray()``;
-    dense array arithmetic on an operator raises ``TypeError``.
+    The form is picked from the matrix given: a square matrix, dense or
+    scipy sparse, with a constant diagonal and a zero off-diagonal
+    becomes ``s * I``, whose product ``s * x`` is a fresh array (bit-exact
+    for ``s = 1``); any other dense matrix is converted to CSR once, and
+    any other scipy sparse matrix is taken in CSR form without densifying
+    it.  The transpose is built from the CSR copy.  Supports ``@`` on 1-D
+    and 2-D right sides (arrays or nested sequences), ``.T``, ``.shape``
+    and ``toarray()``; dense array arithmetic on an operator raises
+    ``TypeError``.
     """
 
     __array_ufunc__ = None
 
     def __init__(self, mat):
-        if not scipy.sparse.issparse(mat):
+        sparse = scipy.sparse.issparse(mat)
+        if not sparse:
             mat = np.asarray(mat, dtype=float)
-            diag = np.diagonal(mat)
-            if (mat.shape[0] == mat.shape[1] and np.all(diag == diag[0])
-                    and np.count_nonzero(mat) == np.count_nonzero(diag)):
-                self.shape = mat.shape
+        self.shape = mat.shape
+        if mat.shape[0] == mat.shape[1]:
+            diag = mat.diagonal()
+            nonzero = mat.count_nonzero() if sparse else np.count_nonzero(mat)
+            if np.all(diag == diag[0]) and nonzero == np.count_nonzero(diag):
                 self._scale, self._csr, self.T = float(diag[0]), None, self
                 return
-        self.shape = mat.shape
         self._scale, self._csr = None, scipy.sparse.csr_array(mat, dtype=float)
         transpose = object.__new__(Operator)
         transpose.shape, transpose._scale = self.shape[::-1], None
@@ -258,8 +260,7 @@ class Regularizer:
         if not isinstance(spec, PenaltySpec) and (spec is not None or op.shape[0]):
             raise TypeError(f"block spec must be a PenaltySpec, got {spec!r}")
         self.n_dim = n_dim
-        quad = _coerce_quad(quad, n_dim)
-        self.quad = Operator(quad)
+        self.quad = _coerce_quad(quad, n_dim)
         self.lin = _coerce_vector(lin, n_dim, "lin")
         self.spec = spec
         self.block_size = block_size
@@ -269,9 +270,10 @@ class Regularizer:
             if not np.all(np.isfinite(arr)):
                 raise ValueError(f"{name} must be finite")
         self.op = Operator(op)
-        # terms that ``evaluate`` and ``curvature`` leave out: a zero ridge,
-        # ``lin`` or ``shift``, and a unit identity ``op`` (whose image is its operand)
-        self._ridge = bool(np.any(quad))
+        # terms that ``evaluate`` and ``curvature`` leave out: a zero ridge (a zero
+        # ``quad`` is the scaled identity 0 * I, so a CSR one has an entry), ``lin``
+        # or ``shift``, and a unit identity ``op`` (whose image is its operand)
+        self._ridge = self.quad._scale != 0.0
         self._lin = bool(np.any(self.lin))
         self._shift = bool(np.any(self.shift))
         self._unit_op = self.op._scale == 1.0
@@ -361,21 +363,29 @@ class Regularizer:
         return self.evaluate(h)[2]
 
 
-def _coerce_dim(n_dim):
-    n_dim = int(n_dim)
-    if n_dim < 1:
-        raise ValueError("n_dim must be at least 1")
-    return n_dim
+def _coerce_dim(value, name="n_dim"):
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
+    if value < 1:
+        raise ValueError(f"{name} must be at least 1")
+    return value
+
+
+def _scaled_identity(n_dim, scale):
+    """The operator ``scale * I`` of size ``n_dim``, built without a matrix."""
+    op = object.__new__(Operator)
+    op.shape, op._scale, op._csr, op.T = (n_dim, n_dim), float(scale), None, op
+    return op
 
 
 def _coerce_quad(quad, n_dim):
-    if quad is None:
-        return np.zeros((n_dim, n_dim))
-    if np.isscalar(quad):
-        tau = float(quad)
+    if quad is None or np.isscalar(quad):
+        tau = 0.0 if quad is None else float(quad)
         if not 0.0 <= tau < np.inf:
             raise ValueError(f"scalar quad must be finite and nonnegative, got {tau}")
-        return tau * np.eye(n_dim)
+        return _scaled_identity(n_dim, tau)
     quad = np.asarray(quad, dtype=float)
     if quad.shape != (n_dim, n_dim):
         raise ValueError(f"quad must be ({n_dim}, {n_dim}), got {quad.shape}")
@@ -388,7 +398,7 @@ def _coerce_quad(quad, n_dim):
     floor = -1e-10 * max(1.0, float(np.abs(eigvals).max()))
     if eigvals.min() < floor:
         raise ValueError("quad must be positive semidefinite")
-    return quad
+    return Operator(quad)
 
 
 def _coerce_vector(vec, size, name):

@@ -1,5 +1,7 @@
 """Shared builders for the test suite."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -42,6 +44,16 @@ def patch_matrix(image, size):
     and sharing no code with the stream."""
     windows = np.lib.stride_tricks.sliding_window_view(np.pad(image, size // 2), (size, size))
     return windows[..., ::-1, ::-1].reshape(-1, size * size)
+
+
+def traced_peak(call):
+    """Peak bytes that ``tracemalloc`` (which sees numpy's arrays) traces while ``call()`` runs."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def random_regularizer(rng, n_dim, kind="welsch", n_blocks=3, rows_per_block=2,

@@ -4,7 +4,6 @@ import os
 import pathlib
 import subprocess
 import sys
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,7 +12,7 @@ from scipy import ndimage
 from scipy.signal import convolve2d
 
 import mmls
-from conftest import patch_matrix
+from conftest import patch_matrix, traced_peak
 from mmls import gen_adaptive, gen_deconv2d, gen_synthetic
 from mmls.datasets import (
     ArrayStream,
@@ -144,13 +143,13 @@ class TestDeconv2d:
 
     def test_generation_never_holds_the_patch_matrix(self):
         # the patch matrix alone is 65,536 x 441 doubles, 221 MiB
-        tracemalloc.start()
-        try:
-            gen_deconv2d(1, image_size=256, kernel_size=21, sigma=0.03)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 32 * 2**20
+        assert traced_peak(lambda: gen_deconv2d(1, image_size=256, kernel_size=21)) < 32 * 2**20
+
+    def test_generation_holds_at_most_three_images(self):
+        # noise, first blur pass and pair buffer; then the scene, its padded
+        # copy and the observations; a chunk of patch rows is under a quarter image
+        image_bytes = 8 * 512**2
+        assert traced_peak(lambda: gen_deconv2d(1, 512, 21)) <= 3.25 * image_bytes
 
 
 def adaptive_signal(seed, stream):
@@ -189,6 +188,14 @@ class TestAdaptive:
         truth, _ = gen_adaptive(0, n_taps=16, n_samples=100, change_point=40, n_active=6)
         assert truth.at(40) is truth.first
         assert truth.at(41) is truth.second
+
+    def test_non_integer_change_point_rejected(self):
+        # rejected, not truncated; a numpy integer is one
+        for change_point in (40.5, 40.0, "40"):
+            with pytest.raises(TypeError, match=f"^change_point must be an integer, got {change_point!r}$"):
+                gen_adaptive(0, n_taps=16, n_samples=100, change_point=change_point, n_active=6)
+        truth, _ = gen_adaptive(0, n_taps=16, n_samples=100, change_point=np.int64(40), n_active=6)
+        assert truth.change_point == 40
 
     def test_sparse_truths(self):
         truth, _ = gen_adaptive(2, n_taps=64, n_samples=200, n_active=8)
@@ -257,13 +264,7 @@ class TestAdaptive:
 
     def test_generation_never_holds_the_row_matrix(self):
         # the row matrix alone is 5,000 x 200 doubles, 7.6 MiB
-        tracemalloc.start()
-        try:
-            gen_adaptive(1, n_taps=200, n_samples=5000)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 2 * 2**20
+        assert traced_peak(lambda: gen_adaptive(1, n_taps=200, n_samples=5000)) < 2 * 2**20
 
 
 class TestSynthetic:
@@ -370,9 +371,15 @@ def test_rectangular_patch_cuts_bit_for_bit(shape, size):
             assert np.array_equal(X, patches[index * q : (index + 1) * q].T)
 
 
-@pytest.mark.parametrize("size", [*range(1, 10), 16, 64, 256])
-def test_blur_is_ndimage_gaussian_filter_bit_for_bit(size):
-    noise = np.random.default_rng(size).standard_normal((size, size))
+@pytest.mark.parametrize(
+    "shape",
+    [*(pytest.param((n, n), id=str(n)) for n in (*range(1, 10), 16, 64, 256)),
+     (3, 11), (11, 3), (1, 9), (9, 1)],
+    ids=str,
+)
+def test_blur_is_ndimage_gaussian_filter_bit_for_bit(shape):
+    # the non-square shapes gather reflected edge rows on one axis only
+    noise = np.random.default_rng(shape).standard_normal(shape)
     blurred = _blur_axis(_blur_axis(noise, 0), 1)
     assert blurred.flags.c_contiguous
     assert np.array_equal(blurred, ndimage.gaussian_filter(noise, 1.0, mode="reflect"))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from conftest import traced_peak
 from mmls import (
     ExperimentConfig,
     PenaltySpec,
@@ -44,6 +45,14 @@ class TestIsotropicTV:
         b = reg.weights(np.ones(9))
         assert_allclose(b, np.full(18, lam / delta**2), rtol=1e-12)
 
+    def test_non_integer_sizes_rejected(self):
+        # rejected, not truncated; a numpy integer is one
+        with pytest.raises(TypeError, match="^kernel_rows must be an integer, got 2.5$"):
+            build_isotropic_tv_regularizer(2.5, 3, lam=1.0, delta=1.0)
+        with pytest.raises(TypeError, match="^kernel_cols must be an integer, got 3.0$"):
+            build_isotropic_tv_regularizer(2, 3.0, lam=1.0, delta=1.0)
+        assert build_isotropic_tv_regularizer(np.int64(2), 3, lam=1.0, delta=1.0).n_dim == 6
+
     def test_differences_match_neighbors(self):
         reg = build_isotropic_tv_regularizer(2, 3, lam=1.0, delta=1.0)
         h = np.arange(6.0)  # grid rows [0 1 2; 3 4 5]
@@ -73,6 +82,21 @@ class TestSparsityRegularizer:
         reg = sparsity_regularizer(4, lam, delta)
         assert reg.value(np.zeros(4)) == 0.0
         assert_allclose(reg.weights(np.zeros(4)), np.full(4, lam / delta**2))
+
+    def test_non_integer_dimension_rejected(self):
+        spec = PenaltySpec("welsch", 0.1, 0.2)
+        for n_dim in (2.5, 3.0):
+            with pytest.raises(TypeError, match=f"^n_dim must be an integer, got {n_dim!r}$"):
+                identity_blocks_regularizer(n_dim, spec)
+        assert identity_blocks_regularizer(np.int64(3), spec).n_dim == 3
+
+    def test_builds_no_dense_identity(self):
+        # a dense 2048-square identity alone is 32 MiB; the block operator is still
+        # the unit identity that the engine does not apply
+        spec = PenaltySpec("welsch", 0.1, 0.2)
+        assert traced_peak(lambda: identity_blocks_regularizer(2048, spec)) < 2**20
+        reg = identity_blocks_regularizer(2048, spec)
+        assert reg._unit_op and reg.op.T is reg.op
 
     def test_value_bounded_by_lam_times_n(self):
         rng = np.random.default_rng(0)

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from conftest import traced_peak
 from mmls import PENALTY_KINDS, PenaltySpec, Regularizer, build_isotropic_tv_regularizer
 
 ALL_SPECS = [
@@ -332,6 +333,13 @@ def test_operator_form_follows_the_matrix(rng):
     assert_allclose(dense.op @ hs, stacked @ hs, rtol=1e-12, atol=1e-13)
     residual = rng.standard_normal(5)
     assert_allclose(dense.op.T @ residual, stacked.T @ residual, rtol=1e-12, atol=1e-13)
+    # a scipy sparse scaled identity is one too; a sparse non-constant diagonal is not
+    sparse_eye = scipy.sparse.identity(n, format="csr")
+    for sparse, scale in ((sparse_eye, 1.0), (2.0 * sparse_eye, 2.0), (0.0 * sparse_eye, 0.0)):
+        form = Regularizer(n, sparse, spec).op
+        assert form.T is form and np.array_equal(form @ hs, scale * hs)
+    sparse_graded = Regularizer(n, scipy.sparse.diags(np.arange(1.0, n + 1)), spec).op
+    assert sparse_graded.T is not sparse_graded
     tv = build_isotropic_tv_regularizer(3, 4, lam=1.0, delta=1.0)
     assert tv.op.T is not tv.op
     x = rng.standard_normal(tv.n_dim)
@@ -447,6 +455,12 @@ def test_empty_block_list_degenerates_to_quadratic():
     assert reg.weights(h).shape == (0,)
 
 
+@pytest.mark.parametrize("quad", [None, 1e-10])
+def test_scalar_ridge_builds_no_dense_identity(quad):
+    # a dense 2048-square identity alone is 32 MiB
+    assert traced_peak(lambda: Regularizer(2048, quad=quad)) < 2**20
+
+
 def test_indefinite_quadratic_rejected():
     bad = np.diag([1.0, -1.0])
     with pytest.raises(ValueError):
@@ -470,6 +484,14 @@ def test_dimension_mismatch_rejected():
         with pytest.raises(TypeError, match=f"^block size must be an integer, got {block_size!r}$"):
             Regularizer(3, op, spec, block_size)
     assert Regularizer(3, op, spec, np.int64(2)).n_blocks == 2
+    # a dimension that is not an integer is rejected, not truncated; one below 1 too
+    for n_dim in (2.5, 3.0, "3"):
+        with pytest.raises(TypeError, match=f"^n_dim must be an integer, got {n_dim!r}$"):
+            Regularizer(n_dim, quad=1.0)
+    for n_dim in (0, -1):
+        with pytest.raises(ValueError, match="^n_dim must be at least 1$"):
+            Regularizer(n_dim, quad=1.0)
+    assert Regularizer(np.int64(3), quad=1.0).n_dim == 3
     # blocks without a spec, and a spec that is not a PenaltySpec
     for bad_op, bad_spec in ((op, None), (op, "huber"), (None, "huber")):
         with pytest.raises(TypeError, match="^block spec must be a PenaltySpec"):
