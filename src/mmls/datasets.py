@@ -10,20 +10,21 @@ input signal, which costs no memory.  The deconvolution stream,
 :class:`PatchStream`, defines only ``__init__`` and ``_rows``: it keeps
 the flipped, zero-padded image and cuts each block's patch rows from it.
 Neither of the last two keeps memory that grows with rows times filter
-size, and both form their observations a small chunk of rows at a time.
+size.  All three generators fill their observations through one loop,
+``ArrayStream._observe``, a small chunk of rows at a time.
 The dense patch matrix that :class:`PatchStream` is tested against is
 built in the tests, not here.
 """
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .moments import Sample
+from .penalties import _coerce_dim
 
 __all__ = [
     "ArrayStream",
@@ -66,13 +67,34 @@ class ArrayStream:
         return self.matrix[start:stop]
 
     def n_blocks(self, block_size: int) -> int:
-        try:
-            size = operator.index(block_size)
-        except TypeError:
-            raise TypeError(f"block size must be an integer, got {block_size!r}") from None
-        if size < 1:
-            raise ValueError(f"block size must be at least 1, got {size}")
-        return self.n_rows // size
+        return self.n_rows // _coerce_dim(block_size, "block size")
+
+    def _observe(self, rng, scale, truth, later=None, change=None):
+        """Fill ``observations``: each row times its truth, plus ``scale`` times noise from ``rng``.
+
+        Rows before ``change`` take ``truth`` and the rest ``later``; with
+        no ``later``, every row takes ``truth``.  The rows are cut one
+        C-ordered chunk of :func:`_chunk_rows` at a time, and each chunk is
+        freed before the next is cut.  A chunk takes one product, or both
+        and a pick if it straddles ``change``.  The noise is drawn chunk by
+        chunk, the same values as one whole draw.
+        """
+        n_rows = self.n_rows
+        if later is None:
+            change = n_rows
+        chunk = _chunk_rows(self.n_dim)
+        for start in range(0, n_rows, chunk):
+            stop = min(start + chunk, n_rows)
+            # a product with a strided view would sum in another order
+            rows = np.ascontiguousarray(self._rows(start, stop))
+            if stop <= change:
+                clean = rows @ truth
+            elif start >= change:
+                clean = rows @ later
+            else:
+                clean = np.where(np.arange(start, stop) < change, rows @ truth, rows @ later)
+            del rows
+            self.observations[start:stop] = clean + scale * rng.standard_normal(stop - start)
 
     def block(self, index: int, block_size: int) -> Sample:
         if not 0 <= index < self.n_blocks(block_size):
@@ -244,15 +266,8 @@ def gen_deconv2d(seed, image_size=256, kernel_size=7, sigma=0.03):
         raise ValueError("image_size must be at least kernel_size")
     rng = np.random.default_rng(seed)
     kernel = _random_smooth_kernel(rng, kernel_size)
-    taps = kernel.ravel()
-    n_rows = image_size * image_size
-    stream = PatchStream(_smooth_field(rng, image_size), kernel_size, np.empty(n_rows))
-    chunk = _chunk_rows(taps.size)
-    # the noise is drawn chunk by chunk, the same values as one whole draw
-    for start in range(0, n_rows, chunk):
-        stop = min(start + chunk, n_rows)
-        clean = stream._rows(start, stop) @ taps
-        stream.observations[start:stop] = clean + sigma * rng.standard_normal(stop - start)
+    stream = PatchStream(_smooth_field(rng, image_size), kernel_size, np.empty(image_size**2))
+    stream._observe(rng, sigma, kernel.ravel())
     return kernel, stream
 
 
@@ -288,31 +303,15 @@ def gen_adaptive(seed, n_taps=200, n_samples=5000, noise_var=0.05,
         raise ValueError("n_taps must not exceed n_samples")
     if n_active > n_taps:
         raise ValueError("n_active must not exceed n_taps")
+    change = n_samples // 2 if change_point is None else _coerce_dim(change_point, "change_point")
     rng = np.random.default_rng(seed)
-    if change_point is None:
-        change = n_samples // 2
-    else:
-        try:
-            change = operator.index(change_point)
-        except TypeError:
-            raise TypeError(f"change_point must be an integer, got {change_point!r}") from None
     signal = rng.integers(0, 2, size=n_samples) * 2.0 - 1.0
     first = _sparse_taps(rng, n_taps, n_active)
     second = _sparse_taps(rng, n_taps, n_active)
-    noise = rng.standard_normal(n_samples)
     padded = np.concatenate([np.zeros(n_taps - 1), signal])
     stream = ArrayStream(sliding_window_view(padded, n_taps), np.empty(n_samples))
-    # fill the observations a chunk of rows at a time; each chunk is a C-ordered
-    # copy, since a product with the strided view would sum in another order
-    chunk = _chunk_rows(n_taps)
-    for start in range(0, n_samples, chunk):
-        stop = min(start + chunk, n_samples)
-        rows = stream.matrix[start:stop].copy()
-        clean = np.where(np.arange(start + 1, stop + 1) <= change, rows @ first, rows @ second)
-        stream.observations[start:stop] = clean + np.sqrt(noise_var) * noise[start:stop]
-        del rows  # freed before the next chunk is cut, so only one is held
-    truth = PiecewiseTruth(first, second, change)
-    return truth, stream
+    stream._observe(rng, np.sqrt(noise_var), first, second, change)
+    return PiecewiseTruth(first, second, change), stream
 
 
 # --- generic random stream -------------------------------------------------
@@ -325,6 +324,6 @@ def gen_synthetic(seed, n_dim=32, n_rows=2000, sigma=0.01, truth=None):
         truth = rng.standard_normal(n_dim) / np.sqrt(n_dim)
     else:
         truth = np.asarray(truth, dtype=float).reshape(-1)
-    rows = rng.standard_normal((n_rows, n_dim))
-    obs = rows @ truth + sigma * rng.standard_normal(n_rows)
-    return truth, ArrayStream(rows, obs)
+    stream = ArrayStream(rng.standard_normal((n_rows, n_dim)), np.empty(n_rows))
+    stream._observe(rng, sigma, truth)
+    return truth, stream

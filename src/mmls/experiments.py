@@ -22,7 +22,6 @@ import dataclasses
 import functools
 import json
 import math
-import operator
 import os
 import time
 from dataclasses import dataclass
@@ -137,11 +136,9 @@ def resolve_config(config: ExperimentConfig) -> ExperimentConfig:
         if value is None:
             continue
         try:
-            value = operator.index(value)
-        except TypeError:
-            raise ConfigError(f"{name} must be an integer, got {value!r}") from None
-        if value < 1 and name != "seed":
-            raise ConfigError(f"{name} must be positive")
+            value = _coerce_dim(value, name, minimum=0 if name == "seed" else 1)
+        except (TypeError, ValueError) as err:
+            raise ConfigError(str(err)) from None
         setattr(merged, name, value)
     if merged.noise_sigma < 0.0:
         raise ConfigError(f"noise_sigma must be nonnegative, got {merged.noise_sigma}")
@@ -166,19 +163,20 @@ def resident_bytes(cfg: ExperimentConfig) -> int:
     what generation holds at once (a blur pass's input, output and pair
     buffer; then the scene, the observations and the padded copy, the two
     that the run keeps).  For adaptive it counts the signal, its
-    zero-padded copy, the noise and the observations; for synthetic, the
-    row matrix, the noise and the observations.  Patch and tap-delay rows
-    are cut a chunk or a block at a time and never held together.
+    zero-padded copy and the observations; for synthetic, the row matrix
+    and the observations.  Patch and tap-delay rows are cut a chunk or a
+    block at a time, and the noise is drawn a chunk at a time, so none of
+    these is held whole.
     """
     if cfg.experiment == "deconv2d":
         rows = cfg.image_size**2
         stream = 3 * rows + (cfg.image_size + cfg.kernel_size - 1) ** 2
     elif cfg.experiment == "adaptive":
         rows = cfg.n_samples
-        stream = 4 * rows + cfg.n_dim - 1
+        stream = 3 * rows + cfg.n_dim - 1
     else:
         rows = cfg.n_samples
-        stream = (cfg.n_dim + 2) * rows
+        stream = (cfg.n_dim + 1) * rows
     return 8 * (stream + cfg.n_dim**2 + 4 * (rows // cfg.block_size))
 
 
@@ -216,11 +214,10 @@ def build_isotropic_tv_regularizer(kernel_rows, kernel_cols, lam, delta, tau=1e-
 def identity_blocks_regularizer(n_dim, spec: PenaltySpec, tau=0.0):
     """One scalar penalty block per coordinate: ``sum_s psi(|h_s|)``.
 
-    The block operator is the identity, passed in sparse form so that no
-    dense ``n_dim``-square matrix is built.
+    The block operator is the identity, passed as the scalar 1 so that no
+    matrix is built.
     """
-    n = _coerce_dim(n_dim)
-    return Regularizer(n, scipy.sparse.identity(n, format="csr"), spec, quad=tau)
+    return Regularizer(n_dim, 1.0, spec, quad=tau)
 
 
 # --- baseline and metrics -----------------------------------------------------

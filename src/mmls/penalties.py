@@ -152,48 +152,38 @@ class PenaltySpec:
         """``(lam * psi(t), lam * nu(|t|))`` from one catalog call.
 
         ``t`` is a scalar or array of any sign; the weight is continuous at 0.
-        A scalar ``t`` gives two ``np.float64`` values.
+        A scalar ``t`` gives two ``np.float64`` values.  A non-finite ``t``
+        raises ``ValueError``.
         """
-        a = _abs_checked(t)
+        arr = np.asarray(t, dtype=float)
+        if not np.isfinite(arr).all():
+            raise ValueError("penalty argument must be finite")
+        return self._at_abs(np.abs(arr))
+
+    def _at_abs(self, a):
+        """``(lam * psi(a), lam * nu(a))`` at ``a >= 0``, with no screen."""
         value, weight = _CATALOG[self.kind](a, self.delta, self.kappa)
         return self.lam * value, self.lam * weight
 
 
-def _abs_checked(t):
-    arr = np.asarray(t, dtype=float)
-    if not np.isfinite(arr).all():
-        raise ValueError("penalty argument must be finite")
-    return np.abs(arr)
-
-
 class Operator:
-    """A fixed matrix stored as a scaled identity ``s * I`` or in CSR form.
+    """A fixed matrix in the form it is given: a scaled identity ``s * I`` or CSR.
 
-    The form is picked from the matrix given: a square matrix, dense or
-    scipy sparse, with a constant diagonal and a zero off-diagonal
-    becomes ``s * I``, whose product ``s * x`` is a fresh array (bit-exact
-    for ``s = 1``); any other dense matrix is converted to CSR once, and
-    any other scipy sparse matrix is taken in CSR form without densifying
-    it.  The transpose is built from the CSR copy.  Supports ``@`` on 1-D
-    and 2-D right sides (arrays or nested sequences), ``.T``, ``.shape``
-    and ``toarray()``; dense array arithmetic on an operator raises
+    A scalar ``s`` becomes ``s * I`` through :func:`_scaled_identity`, with
+    no matrix built; it is its own transpose, and its product ``s * x`` is
+    a fresh array (bit-exact for ``s = 1``).  Every matrix, dense or scipy
+    sparse, is taken in CSR form, without densifying a sparse one, and its
+    transpose is built from the CSR copy.  Supports ``@`` on 1-D and 2-D
+    right sides (arrays or nested sequences), ``.T``, ``.shape`` and
+    ``toarray()``; dense array arithmetic on an operator raises
     ``TypeError``.
     """
 
     __array_ufunc__ = None
 
     def __init__(self, mat):
-        sparse = scipy.sparse.issparse(mat)
-        if not sparse:
-            mat = np.asarray(mat, dtype=float)
-        self.shape = mat.shape
-        if mat.shape[0] == mat.shape[1]:
-            diag = mat.diagonal()
-            nonzero = mat.count_nonzero() if sparse else np.count_nonzero(mat)
-            if np.all(diag == diag[0]) and nonzero == np.count_nonzero(diag):
-                self._scale, self._csr, self.T = float(diag[0]), None, self
-                return
         self._scale, self._csr = None, scipy.sparse.csr_array(mat, dtype=float)
+        self.shape = self._csr.shape
         transpose = object.__new__(Operator)
         transpose.shape, transpose._scale = self.shape[::-1], None
         transpose._csr, transpose.T = self._csr.T.tocsr(), self
@@ -224,11 +214,11 @@ class Regularizer:
         Dimension of the estimated vector.
     op, spec, block_size, shift
         Every ``block_size >= 1`` consecutive rows of the stacked
-        operator ``op`` (a dense array, or a scipy sparse matrix kept
-        sparse; ``None`` means no blocks) and of ``shift`` (``None``
-        means zero) form one block ``s``, which contributes the
-        potential of the :class:`PenaltySpec` ``spec`` at
-        ``||op_s @ h - shift_s||``.  ``spec`` may be ``None`` only
+        operator ``op`` (a scalar ``s`` for ``s * I``, a dense array, or
+        a scipy sparse matrix kept sparse; ``None`` means no blocks) and
+        of ``shift`` (``None`` means zero) form one block ``s``, which
+        contributes the potential of the :class:`PenaltySpec` ``spec``
+        at ``||op_s @ h - shift_s||``.  ``spec`` may be ``None`` only
         without blocks.
     quad : None, float or (n_dim, n_dim) array
         Quadratic part.  ``None`` is zero, a scalar ``tau`` means
@@ -238,42 +228,42 @@ class Regularizer:
         Linear part ``q`` in ``-q' h``.
 
     Every entry of ``op``, ``shift``, ``quad`` and ``lin`` must be
-    finite.  ``op`` and ``quad`` are kept as :class:`Operator` instances:
-    they support ``@``, ``.T @``, ``toarray()`` and ``shape``.
+    finite.  ``op`` and ``quad`` are kept as :class:`Operator` instances
+    in the form they are given: a scalar as ``s * I``, a matrix as CSR,
+    an identity matrix included.  They support ``@``, ``.T @``,
+    ``toarray()`` and ``shape``.
     """
 
     def __init__(self, n_dim, op=None, spec=None, block_size=1, shift=None, quad=None, lin=None):
         n_dim = _coerce_dim(n_dim)
+        block_size = _coerce_dim(block_size, "block size")
         if op is None:
             op = np.zeros((0, n_dim))
-        elif not scipy.sparse.issparse(op):
-            op = np.atleast_2d(np.asarray(op, dtype=float))
-        try:
-            block_size = operator.index(block_size)
-        except TypeError:
-            raise TypeError(f"block size must be an integer, got {block_size!r}") from None
-        if block_size < 1:
-            raise ValueError(f"block size must be at least 1, got {block_size}")
-        if op.shape[1] != n_dim or op.shape[0] % block_size:
-            raise ValueError(f"block operator shape {op.shape} incompatible with "
+        if np.isscalar(op):
+            self.op = _scaled_identity(n_dim, op)
+        else:
+            self.op = Operator(op if scipy.sparse.issparse(op) else np.atleast_2d(op))
+        shape = self.op.shape
+        if shape[1] != n_dim or shape[0] % block_size:
+            raise ValueError(f"block operator shape {shape} incompatible with "
                              f"n_dim={n_dim} and block size {block_size}")
-        if not isinstance(spec, PenaltySpec) and (spec is not None or op.shape[0]):
+        if not isinstance(spec, PenaltySpec) and (spec is not None or shape[0]):
             raise TypeError(f"block spec must be a PenaltySpec, got {spec!r}")
         self.n_dim = n_dim
         self.quad = _coerce_quad(quad, n_dim)
         self.lin = _coerce_vector(lin, n_dim, "lin")
         self.spec = spec
         self.block_size = block_size
-        self.shift = _coerce_vector(shift, op.shape[0], "shift")
-        entries = op.data if scipy.sparse.issparse(op) else op
+        self.shift = _coerce_vector(shift, shape[0], "shift")
+        entries = self.op._scale if self.op._csr is None else self.op._csr.data
         for name, arr in (("block op", entries), ("shift", self.shift), ("lin", self.lin)):
             if not np.all(np.isfinite(arr)):
                 raise ValueError(f"{name} must be finite")
-        self.op = Operator(op)
-        # terms that ``evaluate`` and ``curvature`` leave out: a zero ridge (a zero
-        # ``quad`` is the scaled identity 0 * I, so a CSR one has an entry), ``lin``
-        # or ``shift``, and a unit identity ``op`` (whose image is its operand)
-        self._ridge = self.quad._scale != 0.0
+        # terms that ``evaluate`` and ``curvature`` leave out: a zero ridge (0 * I, or
+        # a CSR ``quad`` with no stored entry), ``lin`` or ``shift``, and a unit
+        # identity ``op`` (whose image is its operand)
+        quad_csr = self.quad._csr
+        self._ridge = bool(self.quad._scale) if quad_csr is None else quad_csr.nnz > 0
         self._lin = bool(np.any(self.lin))
         self._shift = bool(np.any(self.shift))
         self._unit_op = self.op._scale == 1.0
@@ -298,11 +288,12 @@ class Regularizer:
     def weights_and_penalty(self, norms):
         """Per-row weights (a block's repeated over its rows) and the penalty sum at block norms.
 
-        One catalog call for all blocks.
+        One catalog call for all blocks, with no screen: the norms are
+        nonnegative, and a NaN among them gives NaN weights and penalty.
         """
         if self.spec is None:  # no blocks
             return norms, 0.0
-        value, weights = self.spec.value_and_weight(norms)
+        value, weights = self.spec._at_abs(norms)
         return weights.repeat(self.block_size), float(value.sum())
 
     def weights_from_norms(self, norms):
@@ -355,7 +346,7 @@ class Regularizer:
         return self.evaluate(h)[0]
 
     def value(self, h):
-        """Evaluate the full regularizer at ``h``."""
+        """Evaluate the full regularizer at ``h``; a NaN in ``h`` gives NaN."""
         return self.evaluate(h)[1]
 
     def gradient(self, h):
@@ -363,13 +354,14 @@ class Regularizer:
         return self.evaluate(h)[2]
 
 
-def _coerce_dim(value, name="n_dim"):
+def _coerce_dim(value, name="n_dim", minimum=1):
+    """``value`` as an ``int``; ``TypeError`` unless it is an integer, ``ValueError`` below ``minimum``."""
     try:
         value = operator.index(value)
     except TypeError:
         raise TypeError(f"{name} must be an integer, got {value!r}") from None
-    if value < 1:
-        raise ValueError(f"{name} must be at least 1")
+    if value < minimum:
+        raise ValueError(f"{name} must be at least {minimum}, got {value}")
     return value
 
 

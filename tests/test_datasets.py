@@ -196,6 +196,10 @@ class TestAdaptive:
                 gen_adaptive(0, n_taps=16, n_samples=100, change_point=change_point, n_active=6)
         truth, _ = gen_adaptive(0, n_taps=16, n_samples=100, change_point=np.int64(40), n_active=6)
         assert truth.change_point == 40
+        # below 1 too, as the config rejects it
+        for change_point in (0, -3):
+            with pytest.raises(ValueError, match=f"^change_point must be at least 1, got {change_point}$"):
+                gen_adaptive(0, n_taps=16, n_samples=100, change_point=change_point, n_active=6)
 
     def test_sparse_truths(self):
         truth, _ = gen_adaptive(2, n_taps=64, n_samples=200, n_active=8)
@@ -240,12 +244,17 @@ class TestAdaptive:
             stream.block(len(blocks), block_size)
 
     def test_observations_bit_for_bit(self):
-        # 1,300 samples: three chunks, the last partial; the switch at 700 falls inside the second
-        truth, stream = gen_adaptive(11, n_taps=16, n_samples=1300, change_point=700, n_active=5)
-        rows = tap_delay_rows(11, stream)
-        clean = np.where(np.arange(1, 1301) <= 700, rows @ truth.first, rows @ truth.second)
-        expected = clean + np.sqrt(0.05) * adaptive_noise(11, stream, 5)
-        assert np.array_equal(stream.observations, expected)
+        # 16 taps, 1,300 samples: three chunks, the last partial; the switch at 700
+        # falls inside the second.  200 taps, 1,000 samples: chunks of 256 rows, with
+        # the switch at a chunk edge, inside the first chunk, at the last sample,
+        # and after it (no switch)
+        cases = [(11, 16, 1300, 700, 5)] + [(4, 200, 1000, change, 16) for change in (256, 100, 999, 1000)]
+        for seed, n_taps, n_samples, change, n_active in cases:
+            truth, stream = gen_adaptive(seed, n_taps, n_samples, change_point=change, n_active=n_active)
+            rows = tap_delay_rows(seed, stream)
+            clean = np.where(np.arange(1, n_samples + 1) <= change, rows @ truth.first, rows @ truth.second)
+            expected = clean + np.sqrt(0.05) * adaptive_noise(seed, stream, n_active)
+            assert np.array_equal(stream.observations, expected)
 
     def test_features_are_cut_on_read(self):
         _, stream = gen_adaptive(8, n_taps=12, n_samples=60, n_active=4)
@@ -273,6 +282,16 @@ class TestSynthetic:
         got, stream = gen_synthetic(0, n_dim=3, n_rows=20, sigma=0.0, truth=truth)
         assert got is not truth or np.shares_memory(got, truth)
         assert_allclose(stream.observations, stream.features @ truth, rtol=1e-14)
+
+    def test_observations_bit_for_bit(self):
+        # 64 columns: chunks of 1,024 rows, five of them, the last partial
+        truth, stream = gen_synthetic(9, n_dim=64, n_rows=5000, sigma=0.05)
+        rng = np.random.default_rng(9)
+        assert np.array_equal(truth, rng.standard_normal(64) / np.sqrt(64))
+        rows = rng.standard_normal((5000, 64))
+        noise = rng.standard_normal(5000)
+        assert np.array_equal(stream.features, rows)
+        assert np.array_equal(stream.observations, rows @ truth + 0.05 * noise)
 
     def test_seeded_reproducibility(self):
         a = gen_synthetic(12, n_dim=4, n_rows=10, sigma=0.3)

@@ -260,7 +260,7 @@ def _unit_identity_shifted_regularizer(rng):
     # one block of n rows on op = I with a shift and a linear term, no ridge
     spec = PenaltySpec("welsch", lam=0.1, delta=0.5)
     return Regularizer(
-        5, np.eye(5), spec, 5, shift=rng.standard_normal(5), lin=0.1 * rng.standard_normal(5)
+        5, 1.0, spec, 5, shift=rng.standard_normal(5), lin=0.1 * rng.standard_normal(5)
     )
 
 
@@ -275,7 +275,7 @@ _STRUCTURES = {
         8, PenaltySpec("huber", lam=0.2, delta=0.3), tau=1e-2
     ),
     "scaled-identity": lambda rng: Regularizer(
-        6, 2.5 * np.eye(6), PenaltySpec("huber", lam=0.2, delta=0.3), quad=0.3
+        6, 2.5, PenaltySpec("huber", lam=0.2, delta=0.3), quad=0.3
     ),
     "tv2d": lambda rng: build_isotropic_tv_regularizer(3, 4, lam=0.2, delta=0.3),
     "dense-quad": _dense_quad_regularizer,

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse
 from numpy.testing import assert_allclose
 
 from conftest import traced_peak
@@ -97,6 +98,17 @@ class TestSparsityRegularizer:
         assert traced_peak(lambda: identity_blocks_regularizer(2048, spec)) < 2**20
         reg = identity_blocks_regularizer(2048, spec)
         assert reg._unit_op and reg.op.T is reg.op
+
+    def test_identity_blocks_build_no_sparse_matrix(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a scipy.sparse matrix was built")
+
+        for name in ("identity", "eye", "csr_array", "csr_matrix"):
+            monkeypatch.setattr(scipy.sparse, name, refuse)
+        reg = identity_blocks_regularizer(6, PenaltySpec("welsch", 0.1, 0.2), tau=0.5)
+        h = np.random.default_rng(3).standard_normal(6)
+        assert reg.op.T is reg.op and np.array_equal(reg.op @ h, h)
+        assert np.array_equal(reg.quad @ h, 0.5 * h)
 
     def test_value_bounded_by_lam_times_n(self):
         rng = np.random.default_rng(0)
@@ -225,6 +237,17 @@ class TestConfig:
         # numpy integers pass, and the resolved config holds Python ints
         cfg = resolve_config(ExperimentConfig(experiment, **{name: np.int64(3)}))
         assert type(getattr(cfg, name)) is int
+
+    @pytest.mark.parametrize("name", [
+        "seed", "image_size", "kernel_size", "n_dim", "n_samples", "block_size", "change_point",
+    ])
+    def test_sizes_below_their_minimum_rejected(self, name):
+        # every size is at least 1, the seed at least 0
+        experiment = "deconv2d" if name in ("image_size", "kernel_size") else "synthetic"
+        low = -1 if name == "seed" else 0
+        with pytest.raises(ConfigError, match=f"^{name} must be at least {low + 1}, got {low}$"):
+            resolve_config(ExperimentConfig(experiment, **{name: low}))
+        assert getattr(resolve_config(ExperimentConfig(experiment, **{name: low + 1})), name) == low + 1
 
     def test_unknown_experiment(self):
         with pytest.raises(ConfigError):

@@ -293,38 +293,44 @@ def test_blocks_stack_in_declaration_order(rng):
     assert reg.n_blocks == 2
 
 
-def test_operator_form_follows_the_matrix(rng):
+def test_operator_form_follows_the_input(rng):
     n = 5
     spec = PenaltySpec("huber", lam=1.0, delta=1.0)
     h, hs = rng.standard_normal(n), rng.standard_normal((n, 2))
-    eye = np.eye(n)
-    # scaled identity, its own transpose with the bit-exact product s * x:
-    # identity blocks, a scalar ridge, a dense 2 I, no quad
-    ident = Regularizer(n, eye, spec, quad=0.3)
-    assert ident.op.T is ident.op and ident.quad.T is ident.quad
-    twice = Regularizer(n, quad=2.0 * eye).quad
-    assert twice.T is twice and np.array_equal(twice @ hs, 2.0 * hs)
-    assert np.array_equal(ident.op.toarray(), eye)
-    assert np.array_equal(ident.quad.toarray(), 0.3 * np.eye(n))
-    product = ident.op @ h
-    assert np.array_equal(product, h) and product is not h
-    assert np.array_equal(ident.quad @ hs, 0.3 * hs)
+    # a scalar s is s I, block operator or ridge: its own transpose, with the
+    # bit-exact product s * x, a fresh array
+    for scale in (1.0, 2.5, 0.0):
+        for form in (Regularizer(n, scale, spec).op, Regularizer(n, quad=scale).quad):
+            assert form.T is form and form.shape == (n, n)
+            for x in (h, hs):
+                product = form @ x
+                assert np.array_equal(product, scale * x) and product is not x
+            assert np.array_equal(form.toarray(), scale * np.eye(n))
     with pytest.raises(ValueError):
-        ident.quad @ np.ones(n + 1)
-    bare = Regularizer(n)
-    assert bare.quad.T is bare.quad and np.array_equal(bare.quad @ h, 0.0 * h)
-    assert np.array_equal(bare.quad.toarray(), np.zeros((n, n)))
-    assert bare.op.T is not bare.op and bare.op.shape == (0, n)
-    assert (bare.op @ h).shape == (0,)
-    assert np.array_equal(bare.op.T @ np.zeros(0), np.zeros(n))
-    # CSR, with a transpose of its own: dense blocks, a constant diagonal
-    # with off-diagonal entries, a non-constant diagonal, finite differences
-    ops = [rng.standard_normal((2, n)), rng.standard_normal((3, n))]
-    quad = 2.0 * eye + 0.5 * (np.eye(n, k=1) + np.eye(n, k=-1))
-    dense = Regularizer(n, np.vstack(ops), spec, 5, quad=quad)
-    graded = Regularizer(n, quad=np.diag(np.arange(1.0, n + 1))).quad
-    assert graded.T is not graded
-    stacked = np.vstack(ops)
+        Regularizer(n, quad=0.3).quad @ np.ones(n + 1)
+    with pytest.raises(ValueError, match="^block op must be finite$"):
+        Regularizer(n, np.inf, spec)
+    # every matrix is CSR, an identity too, with the scalar form's products and
+    # regularizer passes bit for bit
+    sparse_eye = scipy.sparse.identity(n, format="csr")
+    weights = rng.uniform(0.5, 2.0, n)
+    for mat, scale in ((np.eye(n), 1.0), (2.5 * np.eye(n), 2.5), (sparse_eye, 1.0)):
+        matrix = Regularizer(n, mat, spec, quad=scale * np.eye(n))
+        scalar = Regularizer(n, scale, spec, quad=scale)
+        for got, expected in ((matrix.op, scalar.op), (matrix.quad, scalar.quad)):
+            assert got.T is not got and got._csr.format == "csr"
+            assert np.array_equal(got.toarray(), expected.toarray())
+            for x in (h, hs):
+                assert np.array_equal(got @ x, expected @ x)
+                assert np.array_equal(got.T @ x, expected.T @ x)
+        for got, expected in zip(matrix.evaluate(h), scalar.evaluate(h)):
+            assert np.array_equal(got, expected)
+        assert np.array_equal(matrix.curvature(hs, weights), scalar.curvature(hs, weights))
+    # CSR, with a transpose of its own: dense blocks, a banded quad, finite
+    # differences, and no blocks; no quad is 0 I
+    stacked = rng.standard_normal((5, n))
+    quad = 2.0 * np.eye(n) + 0.5 * (np.eye(n, k=1) + np.eye(n, k=-1))
+    dense = Regularizer(n, stacked, spec, 5, quad=quad)
     assert dense.op.T is not dense.op and dense.quad.T is not dense.quad
     assert np.array_equal(dense.op.toarray(), stacked)
     assert np.array_equal(dense.op.T.toarray(), stacked.T)
@@ -333,19 +339,35 @@ def test_operator_form_follows_the_matrix(rng):
     assert_allclose(dense.op @ hs, stacked @ hs, rtol=1e-12, atol=1e-13)
     residual = rng.standard_normal(5)
     assert_allclose(dense.op.T @ residual, stacked.T @ residual, rtol=1e-12, atol=1e-13)
-    # a scipy sparse scaled identity is one too; a sparse non-constant diagonal is not
-    sparse_eye = scipy.sparse.identity(n, format="csr")
-    for sparse, scale in ((sparse_eye, 1.0), (2.0 * sparse_eye, 2.0), (0.0 * sparse_eye, 0.0)):
-        form = Regularizer(n, sparse, spec).op
-        assert form.T is form and np.array_equal(form @ hs, scale * hs)
-    sparse_graded = Regularizer(n, scipy.sparse.diags(np.arange(1.0, n + 1)), spec).op
-    assert sparse_graded.T is not sparse_graded
     tv = build_isotropic_tv_regularizer(3, 4, lam=1.0, delta=1.0)
     assert tv.op.T is not tv.op
     x = rng.standard_normal(tv.n_dim)
     assert tv.quad.T is tv.quad and np.array_equal(tv.quad @ x, 1e-10 * x)
+    bare = Regularizer(n)
+    assert bare.quad.T is bare.quad and np.array_equal(bare.quad.toarray(), np.zeros((n, n)))
+    assert bare.op.T is not bare.op and bare.op.shape == (0, n)
+    assert (bare.op @ h).shape == (0,)
+    assert np.array_equal(bare.op.T @ np.zeros(0), np.zeros(n))
     with pytest.raises(TypeError):
-        eye + ident.quad
+        np.eye(n) + bare.quad
+
+
+class _Refuse:
+    def __matmul__(self, x):
+        raise AssertionError("a zero ridge was applied")
+
+
+@pytest.mark.parametrize("quad", [None, 0.0, "dense-zero"])
+def test_zero_quad_adds_no_ridge_term(rng, quad):
+    # no quad, 0 I and a dense zero matrix (CSR with no stored entry) are never applied
+    n = 4
+    if quad == "dense-zero":
+        quad = np.zeros((n, n))
+    reg = Regularizer(n, rng.standard_normal((2, n)), PenaltySpec("huber", lam=1.0, delta=1.0),
+                      quad=quad, lin=rng.standard_normal(n))
+    reg.quad = _Refuse()
+    reg.evaluate(rng.standard_normal(n))
+    reg.curvature(rng.standard_normal((n, 2)), np.ones(2))
 
 
 def _dense_tv_operator(rows, cols):
@@ -489,7 +511,7 @@ def test_dimension_mismatch_rejected():
         with pytest.raises(TypeError, match=f"^n_dim must be an integer, got {n_dim!r}$"):
             Regularizer(n_dim, quad=1.0)
     for n_dim in (0, -1):
-        with pytest.raises(ValueError, match="^n_dim must be at least 1$"):
+        with pytest.raises(ValueError, match=f"^n_dim must be at least 1, got {n_dim}$"):
             Regularizer(n_dim, quad=1.0)
     assert Regularizer(np.int64(3), quad=1.0).n_dim == 3
     # blocks without a spec, and a spec that is not a PenaltySpec
