@@ -24,7 +24,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .moments import Sample
-from .penalties import _coerce_dim
+from .penalties import _coerce_dim, _coerce_vector
 
 __all__ = [
     "ArrayStream",
@@ -48,10 +48,8 @@ class ArrayStream:
 
     def _keep(self, observations, n_rows: int, n_dim: int) -> None:
         """Keep ``observations`` and ``n_dim``; check there are ``n_rows`` observations."""
-        self.observations = np.asarray(observations, dtype=float).reshape(-1)
+        self.observations = _coerce_vector(observations, n_rows, "observations")
         self.n_dim = n_dim
-        if self.observations.shape[0] != n_rows:
-            raise ValueError("features and observations disagree on the number of rows")
 
     @property
     def n_rows(self) -> int:
@@ -323,7 +321,7 @@ def gen_synthetic(seed, n_dim=32, n_rows=2000, sigma=0.01, truth=None):
     if truth is None:
         truth = rng.standard_normal(n_dim) / np.sqrt(n_dim)
     else:
-        truth = np.asarray(truth, dtype=float).reshape(-1)
+        truth = _coerce_vector(truth, n_dim, "truth")
     stream = ArrayStream(rng.standard_normal((n_rows, n_dim)), np.empty(n_rows))
     stream._observe(rng, sigma, truth)
     return truth, stream

@@ -62,7 +62,7 @@ from scipy.linalg import lapack
 
 from . import moments
 from .moments import MomentState, Sample
-from .penalties import Regularizer
+from .penalties import Regularizer, _coerce_vector
 
 __all__ = [
     "SubspaceStrategy",
@@ -147,11 +147,7 @@ class EngineState:
         reconstruction is exact.
         """
         n = reg.n_dim
-        h = np.zeros(n) if h1 is None else np.asarray(h1, dtype=float).reshape(-1).copy()
-        if h.shape[0] != n:
-            raise ValueError(f"h1 must have length {n}")
-        if not np.all(np.isfinite(h)):
-            raise ValueError("h1 must be finite")
+        h = _coerce_vector(h1, n, "h1", finite=True).copy()
         return cls(
             step=0,
             h=h,

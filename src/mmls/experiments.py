@@ -31,7 +31,7 @@ import scipy.sparse
 
 from . import moments as moments_mod
 from .datasets import gen_adaptive, gen_deconv2d, gen_synthetic
-from .engine import DivergenceError, IterationReport, MMEngine, SubspaceStrategy
+from .engine import DIVERGENCE_NORM, DivergenceError, IterationReport, MMEngine, SubspaceStrategy
 from .moments import MomentState, Sample
 from .penalties import PenaltySpec, Regularizer, _coerce_dim
 
@@ -230,7 +230,9 @@ class SGDStepper:
     ``1/2 ||y - X' h||^2 + Psi(h)`` by ``scale / sqrt(k)``.  Its reports
     carry the pre-step objective and gradient norm, as the engine's do,
     and 0 in the MM-only fields ``step_quadratic``, ``subspace_dim`` and
-    ``rank``.
+    ``rank``.  A step raises :class:`DivergenceError` under the engine's
+    test, an iterate norm above ``DIVERGENCE_NORM`` or not finite, and
+    keeps the previous iterate.
     """
 
     def __init__(self, reg: Regularizer, scale: float, forgetting: float = 1.0):
@@ -247,10 +249,11 @@ class SGDStepper:
         k = stats.count
         objective = moments_mod.objective(stats, self.reg, self.h)
         grad_norm = float(np.linalg.norm(moments_mod.gradient(stats, self.reg, self.h)))
-        g = sample.X @ (sample.X.T @ self.h - sample.y) + self.reg.gradient(self.h)
+        g = sample.X @ (sample.X.T @ self.h - sample.y) + self.reg.evaluate(self.h)[2]
         h = self.h - (self.scale / np.sqrt(k)) * g
-        if not np.all(np.isfinite(h)):
-            raise DivergenceError(k, f"sgd iterate became non-finite at step {k}")
+        # the engine's test: false for a NaN entry too
+        if not math.sqrt(float(h.dot(h))) <= DIVERGENCE_NORM:
+            raise DivergenceError(k, f"sgd iterate diverged at step {k}")
         self.h = h
         return IterationReport(objective, grad_norm, step_quadratic=0.0, subspace_dim=0, rank=0)
 

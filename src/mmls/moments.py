@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.blas import dsymv, dsyrk
 
-from .penalties import Regularizer
+from .penalties import Regularizer, _coerce_vector
 
 __all__ = [
     "Sample",
@@ -202,13 +202,13 @@ def objective(state: MomentState, reg: Regularizer, h) -> float:
     """Streamed objective ``F(h)`` under the current statistics."""
     h = _check_vec(state, reg, h)
     data = 0.5 * state.power - float(state.cross @ h) + 0.5 * float(h @ (state.autocorr @ h))
-    return data + reg.value(h)
+    return data + reg.evaluate(h)[1]
 
 
 def normal_rhs(state: MomentState, reg: Regularizer, h) -> np.ndarray:
     """Right-hand side ``c(h)`` of the reweighted normal equations."""
     h = _check_vec(state, reg, h)
-    b = reg.weights(h)
+    b = reg.evaluate(h)[0]
     return state.cross + reg.lin + reg.op.T @ (b * reg.shift)
 
 
@@ -219,7 +219,7 @@ def normal_matrix(state: MomentState, reg: Regularizer, h) -> np.ndarray:
     matrix while iterating.
     """
     h = _check_vec(state, reg, h)
-    b = reg.weights(h)
+    b = reg.evaluate(h)[0]
     op = reg.op.toarray()
     mat = state.autocorr + reg.quad.toarray() + (op * b[:, None]).T @ op
     return 0.5 * (mat + mat.T)
@@ -234,9 +234,6 @@ def gradient(state: MomentState, reg: Regularizer, h) -> np.ndarray:
 
 
 def _check_vec(state: MomentState, reg: Regularizer, h) -> np.ndarray:
-    h = np.asarray(h, dtype=float).reshape(-1)
-    if h.shape[0] != state.n_dim or reg.n_dim != state.n_dim:
-        raise ValueError(
-            f"dimension mismatch: h has {h.shape[0]}, state {state.n_dim}, regularizer {reg.n_dim}"
-        )
-    return h
+    if reg.n_dim != state.n_dim:
+        raise ValueError(f"dimension mismatch: state {state.n_dim}, regularizer {reg.n_dim}")
+    return _coerce_vector(h, state.n_dim, "h")

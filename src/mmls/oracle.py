@@ -3,7 +3,11 @@
 These run on frozen statistics and never share code with the streaming
 engine's recursive path, so agreement between the two is meaningful.
 Besides the solvers, :func:`majorant_value` evaluates the dense quadratic
-surrogate the engine minimizes over its subspace.
+surrogate the engine minimizes over its subspace.  Their inputs pass the
+checks of :mod:`mmls.penalties` (every vector through ``_coerce_vector``,
+the closed form's ridge through ``_coerce_quad``), so they reject what a
+:class:`Regularizer` rejects; input validation is all they share with the
+engine.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ import scipy.linalg
 from . import moments
 from .engine import SubspaceStrategy
 from .moments import MomentState
-from .penalties import Regularizer
+from .penalties import Regularizer, _coerce_quad, _coerce_vector
 
 __all__ = [
     "BatchSolution",
@@ -53,9 +57,8 @@ def majorant_value(state: MomentState, reg: Regularizer, anchor, h) -> float:
     Equals the objective at the anchor and dominates it everywhere; built
     densely from :func:`mmls.moments.gradient` and ``normal_matrix``.
     """
-    anchor = np.asarray(anchor, dtype=float).reshape(-1)
-    h = np.asarray(h, dtype=float).reshape(-1)
-    diff = h - anchor
+    anchor = _coerce_vector(anchor, state.n_dim, "anchor")
+    diff = _coerce_vector(h, state.n_dim, "h") - anchor
     grad = moments.gradient(state, reg, anchor)
     curv = moments.normal_matrix(state, reg, anchor)
     return (
@@ -88,7 +91,7 @@ def batch_half_quadratic(state, reg, h0=None, tol=1e-10, max_iter=500) -> BatchS
         carries the last iterate.
     """
     _require_positive_definite(state, reg)
-    h = np.zeros(state.n_dim) if h0 is None else np.asarray(h0, dtype=float).reshape(-1).copy()
+    h = _coerce_vector(h0, state.n_dim, "h0", finite=True).copy()
     grad_norm = float(np.linalg.norm(moments.gradient(state, reg, h)))
     iterations = 0
     while grad_norm > tol and iterations < max_iter:
@@ -115,13 +118,8 @@ def quadratic_closed_form(state, quad=None, lin=None) -> np.ndarray:
     regularized least-squares estimate.
     """
     n = state.n_dim
-    if quad is None:
-        quad = np.zeros((n, n))
-    elif np.isscalar(quad):
-        quad = float(quad) * np.eye(n)
-    lin = np.zeros(n) if lin is None else np.asarray(lin, dtype=float).reshape(-1)
-    mat = state.autocorr + np.asarray(quad, dtype=float)
-    return scipy.linalg.solve(mat, state.cross + lin, assume_a="sym")
+    mat = state.autocorr + _coerce_quad(quad, n).toarray()
+    return scipy.linalg.solve(mat, state.cross + _coerce_vector(lin, n, "lin"), assume_a="sym")
 
 
 def subspace_mm_path(state, reg, h0, strategy=SubspaceStrategy.MEMORY_GRADIENT,
@@ -133,7 +131,7 @@ def subspace_mm_path(state, reg, h0, strategy=SubspaceStrategy.MEMORY_GRADIENT,
     equations; returns the iterates ``[h0, h1, ..., h_{n_steps}]``.
     """
     strategy = SubspaceStrategy(strategy)
-    h = np.asarray(h0, dtype=float).reshape(-1).copy()
+    h = _coerce_vector(h0, state.n_dim, "h0", finite=True).copy()
     h_prev = h.copy()
     path = [h.copy()]
     for step in range(1, n_steps + 1):

@@ -251,14 +251,13 @@ class Regularizer:
             raise TypeError(f"block spec must be a PenaltySpec, got {spec!r}")
         self.n_dim = n_dim
         self.quad = _coerce_quad(quad, n_dim)
-        self.lin = _coerce_vector(lin, n_dim, "lin")
+        self.lin = _coerce_vector(lin, n_dim, "lin", finite=True)
         self.spec = spec
         self.block_size = block_size
-        self.shift = _coerce_vector(shift, shape[0], "shift")
+        self.shift = _coerce_vector(shift, shape[0], "shift", finite=True)
         entries = self.op._scale if self.op._csr is None else self.op._csr.data
-        for name, arr in (("block op", entries), ("shift", self.shift), ("lin", self.lin)):
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"{name} must be finite")
+        if not np.all(np.isfinite(entries)):
+            raise ValueError("block op must be finite")
         # terms that ``evaluate`` and ``curvature`` leave out: a zero ridge (0 * I, or
         # a CSR ``quad`` with no stored entry), ``lin`` or ``shift``, and a unit
         # identity ``op`` (whose image is its operand)
@@ -310,7 +309,8 @@ class Regularizer:
         The value sums as ``1/2 h' Q h - q' h``, then the penalty; the
         gradient as ``Q h - q``, then ``op' (weights * residual)``.  A zero
         ridge, ``lin`` or ``shift`` is left out and a unit identity ``op``
-        is not applied, which changes no bit of either sum.
+        is not applied, which changes no bit of either sum.  A NaN in ``h``
+        gives NaN entries, with no error.
         """
         h = np.asarray(h, dtype=float)
         res = h if self._unit_op else self.op @ h
@@ -342,15 +342,15 @@ class Regularizer:
         return mat
 
     def weights(self, h):
-        """Weight vector at ``h``: ``nu_s(||op_s h - shift_s||)`` per row."""
+        """Weights of :meth:`evaluate`; kept while perfbench traces it by name."""
         return self.evaluate(h)[0]
 
     def value(self, h):
-        """Evaluate the full regularizer at ``h``; a NaN in ``h`` gives NaN."""
+        """Value of :meth:`evaluate`; kept while perfbench traces it by name."""
         return self.evaluate(h)[1]
 
     def gradient(self, h):
-        """Gradient of the regularizer at ``h``."""
+        """Gradient of :meth:`evaluate`; kept while perfbench traces it by name."""
         return self.evaluate(h)[2]
 
 
@@ -393,10 +393,18 @@ def _coerce_quad(quad, n_dim):
     return Operator(quad)
 
 
-def _coerce_vector(vec, size, name):
+def _coerce_vector(vec, size, name, finite=False):
+    """``vec`` as a 1-D float64 array of length ``size``; ``None`` is zeros.
+
+    A wrong length raises ``ValueError``, and so, with ``finite``, does a
+    non-finite entry.  The one vector coercion of the package, shared by
+    the engine and the references as input validation only.
+    """
     if vec is None:
         return np.zeros(size)
     vec = np.asarray(vec, dtype=float).reshape(-1)
     if vec.shape != (size,):
         raise ValueError(f"{name} must have length {size}, got {vec.shape}")
+    if finite and not np.isfinite(vec).all():
+        raise ValueError(f"{name} must be finite")
     return vec

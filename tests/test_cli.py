@@ -106,7 +106,6 @@ def test_divergent_run_exits_3(tmp_path, capsys):
     assert err["iteration"] >= 1
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_divergent_sgd_run_exits_3(capsys):
     rc = main([
         "synthetic", "--strategy", "sgd", "--sgd-scale", "1e9", "--samples", "60",
@@ -116,18 +115,23 @@ def test_divergent_sgd_run_exits_3(capsys):
     assert err["error"] == "divergence"
 
 
-@pytest.mark.parametrize("argv", [
-    pytest.param(["deconv2d", "--image-size", "16384", "--kernel-size", "21"], id="deconv2d"),
-    pytest.param(["adaptive", "--samples", "1000000000000"], id="adaptive"),
-    pytest.param(["synthetic", "--samples", "1000000000000", "--n-dim", "16"], id="synthetic"),
+@pytest.mark.parametrize("argv, detail", [
+    pytest.param(["deconv2d", "--image-size", "16384", "--kernel-size", "21"], "GiB resident",
+                 id="deconv2d"),
+    pytest.param(["adaptive", "--samples", "1000000000000"], "GiB resident", id="adaptive"),
+    pytest.param(["synthetic", "--samples", "1000000000000", "--n-dim", "16"], "GiB resident",
+                 id="synthetic"),
+    # resident count under the cap: the coefficient dimension is what is rejected
+    pytest.param(["synthetic", "--n-dim", "4097", "--samples", "5000"], "dense-storage cap 4096",
+                 id="n-dim"),
 ])
-def test_oversized_config_exits_2(argv, capsys):
-    # rejected by the resident-bytes count, before anything is allocated
+def test_oversized_config_exits_2(argv, detail, capsys):
+    # rejected by resolve_config, before anything is allocated
     assert main(argv) == 2
     lines = capsys.readouterr().err.strip().splitlines()
     assert len(lines) == 1
     err = json.loads(lines[0])
-    assert err["error"] == "config" and "GiB resident" in err["detail"]
+    assert err["error"] == "config" and detail in err["detail"]
 
 
 @pytest.mark.parametrize("argv", [
@@ -215,7 +219,6 @@ def test_unwritable_out_exits_2_before_streaming(tmp_path, capsys, target):
     (["--strategy", "sgd", "--sgd-scale", "1e9"], 3),
     (["--tau", "-1"], 2),
 ])
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_failed_run_leaves_existing_trace_untouched(tmp_path, capsys, argv, rc):
     out = tmp_path / "run.csv"
     out.write_text("an earlier trace\n")

@@ -16,7 +16,7 @@ from mmls import (
     run_experiment,
 )
 from mmls import moments
-from mmls.engine import DivergenceError
+from mmls.engine import DIVERGENCE_NORM, DivergenceError
 from mmls.experiments import (
     ALGORITHMS,
     ConfigError,
@@ -153,6 +153,19 @@ class TestSGD:
         with pytest.raises(DivergenceError) as info:
             stepper.step(X, y)
         assert info.value.iteration == 2
+        assert stepper.h is h
+
+    def test_divergence_caught_by_the_engine_norm_bound(self):
+        # h = 1e3, -7.1e5, 4.1e8, -2.0e11, then 9.1e13 passes DIVERGENCE_NORM
+        # long before the iterate overflows
+        stepper = SGDStepper(Regularizer(1), scale=1e3)
+        for _ in range(4):
+            stepper.step([[1.0]], [1.0])
+        h = stepper.h
+        assert 1e11 < abs(float(h[0])) <= DIVERGENCE_NORM
+        with pytest.raises(DivergenceError) as info:
+            stepper.step([[1.0]], [1.0])
+        assert info.value.iteration == 5
         assert stepper.h is h
 
     def test_instantaneous_gradient_matches_block_residual(self):

@@ -5,7 +5,14 @@ import pytest
 from numpy.testing import assert_allclose
 
 from conftest import make_sample_log, random_regularizer, stream_moments
-from mmls import HalfQuadraticError, Regularizer, batch_half_quadratic, quadratic_closed_form
+from mmls import (
+    HalfQuadraticError,
+    Regularizer,
+    batch_half_quadratic,
+    gen_synthetic,
+    majorant_value,
+    quadratic_closed_form,
+)
 from mmls import moments as mom
 from mmls.oracle import subspace_mm_path
 
@@ -133,3 +140,28 @@ def test_frozen_path_descends_and_matches_engine_rule(rng):
     assert all(b <= a + 1e-10 * max(1.0, abs(a)) for a, b in zip(values, values[1:]))
     sol = batch_half_quadratic(state, reg, tol=1e-10)
     assert np.linalg.norm(path[-1] - sol.h_star) <= 1e-5
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda state, reg: batch_half_quadratic(state, reg, h0=[np.nan, 0.0]),
+                 "h0 must be finite", id="nan-start"),
+    pytest.param(lambda state, reg: batch_half_quadratic(state, reg, h0=[np.inf, 0.0]),
+                 "h0 must be finite", id="inf-start"),
+    pytest.param(lambda state, reg: subspace_mm_path(state, reg, [np.nan, 0.0]),
+                 "h0 must be finite", id="nan-path-start"),
+    pytest.param(lambda state, reg: majorant_value(state, reg, np.zeros(2), h=[0.5]),
+                 "h must have length 2", id="short-h"),
+    pytest.param(lambda state, reg: quadratic_closed_form(state, quad=-2.0),
+                 "scalar quad must be finite and nonnegative", id="negative-quad"),
+    pytest.param(lambda state, reg: quadratic_closed_form(state, quad=[[1.0, 5.0], [0.0, 1.0]]),
+                 "quad must be symmetric", id="asymmetric-quad"),
+    pytest.param(lambda state, reg: quadratic_closed_form(state, lin=[1.0]),
+                 "lin must have length 2", id="short-lin"),
+    pytest.param(lambda state, reg: gen_synthetic(0, n_dim=3, n_rows=10, truth=[1.0, 2.0]),
+                 "truth must have length 3", id="short-truth"),
+])
+def test_references_reject_malformed_input(rng, call, message):
+    # the references reject, with the regularizer's messages, what a Regularizer rejects
+    state = stream_moments(make_sample_log(rng, 2, 1, 10), 1.0)
+    with pytest.raises(ValueError, match=f"^{message}"):
+        call(state, Regularizer(2, quad=0.1))

@@ -402,25 +402,6 @@ def test_tv_operator_is_the_csr_of_its_dense_blocks(rows, cols):
     assert np.array_equal(tv.op.T @ r, reference.T.tocsr() @ r)
 
 
-def test_stacked_blocks_match_block_list():
-    # the caller's blocks stacked into one dense and one CSR operator give the same regularizer
-    rng = np.random.default_rng(6)
-    spec = PenaltySpec("huber", lam=1.0, delta=0.5)
-    ops = [rng.standard_normal((2, 4)), rng.standard_normal((2, 4))]
-    shift = rng.standard_normal(4)
-    dense = Regularizer(4, np.vstack(ops), spec, 2, shift=shift, quad=0.1)
-    for op in (np.vstack(ops), scipy.sparse.csr_array(np.vstack(ops))):
-        stacked = Regularizer(4, op, spec, 2, shift=shift, quad=0.1)
-        assert np.array_equal(stacked.op.toarray(), dense.op.toarray())
-        h = rng.standard_normal(4)
-        assert stacked.value(h) == pytest.approx(dense.value(h), rel=1e-14)
-        assert_allclose(stacked.gradient(h), dense.gradient(h), rtol=1e-14)
-    with pytest.raises(ValueError, match="incompatible"):
-        Regularizer(4, np.vstack(ops), spec, 3)
-    with pytest.raises(ValueError, match="^block op must be finite"):
-        Regularizer(2, scipy.sparse.csr_array(np.array([[np.nan, 1.0]])), spec)
-
-
 @pytest.mark.parametrize("blocks", ["dense-and-csr", "none-and-empty"])
 def test_one_constructor_for_every_operator_form(rng, blocks):
     # the same blocks as a dense array and a CSR matrix, or no blocks as ``None``
@@ -454,6 +435,10 @@ _HUBER = PenaltySpec("huber", lam=1.0, delta=1.0)
     [
         pytest.param(
             {"op": np.array([[np.nan, 1.0]]), "spec": _HUBER}, "block op", id="op"
+        ),
+        pytest.param(
+            {"op": scipy.sparse.csr_array(np.array([[np.nan, 1.0]])), "spec": _HUBER},
+            "block op", id="csr-op",
         ),
         pytest.param(
             {"op": np.array([[1.0, 0.0]]), "spec": _HUBER, "shift": np.array([np.inf])},
