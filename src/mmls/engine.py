@@ -48,7 +48,8 @@ per call than ``@``.  No array of an old state is written.
 
 This module is only that recursive path: the dense references it is
 tested against, in :mod:`mmls.moments` and :mod:`mmls.oracle`, share
-none of its code.
+none of its code.  The SGD baseline (:class:`mmls.experiments.SGDStepper`)
+shares its pre-step evaluation, fed ``autocorr @ h`` by a direct product.
 """
 
 from __future__ import annotations
@@ -120,16 +121,16 @@ class IterationReport:
 class EngineState:
     """Iterate, subspace basis and the one recursive cache.
 
-    After ``step`` iterations: ``h`` is the new iterate (in the range of
-    ``basis``, with coordinates ``coords``), ``h_prev`` the previous one,
+    After a step: ``h`` is the new iterate (in the range of ``basis``,
+    with coordinates ``coords``), ``h_prev`` the previous one,
     ``grad`` the gradient at ``h_prev`` under the latest statistics, and
     ``autocorr_basis`` holds ``autocorr @ basis``.  In the low-dimensional
     subspaces its column 1 is the image of ``h_prev`` and seeds the next
     step column.  The regularizer's curvature on the basis is not kept:
-    each step takes it afresh (:meth:`Regularizer.curvature`).
+    each step takes it afresh (:meth:`Regularizer.curvature`).  The
+    step count is the statistics' ``count``.
     """
 
-    step: int
     h: np.ndarray
     h_prev: np.ndarray
     coords: np.ndarray
@@ -149,7 +150,6 @@ class EngineState:
         n = reg.n_dim
         h = _coerce_vector(h1, n, "h1", finite=True).copy()
         return cls(
-            step=0,
             h=h,
             h_prev=h.copy(),
             coords=np.array([0.0, 1.0]),
@@ -224,6 +224,20 @@ def _pinv_psd_solve(mat, rhs):
     return sol, int(np.count_nonzero(keep))
 
 
+def _pre_step(stats: MomentState, reg: Regularizer, h, autocorr_h):
+    """The pre-step evaluation both steppers report and step from, in one penalty pass.
+
+    Given ``autocorr_h = autocorr @ h`` under ``stats``, returns the
+    penalty weights, ``grad Psi(h)``, ``grad F(h)``, ``||grad F(h)||^2``
+    and ``F(h)``.  Non-finite entries pass through unscreened.
+    """
+    weights, reg_value, reg_grad = reg.evaluate(h)
+    grad = autocorr_h - stats.cross + reg_grad
+    grad_sq = float(grad.dot(grad))
+    data = 0.5 * stats.power - float(stats.cross.dot(h)) + 0.5 * float(h.dot(autocorr_h))
+    return weights, reg_grad, grad, grad_sq, data + reg_value
+
+
 class MMEngine:
     """Single-owner driver pairing an :class:`EngineState` with statistics.
 
@@ -252,18 +266,19 @@ class MMEngine:
         """Consume one block and return its report.
 
         Folds the block into the statistics in place (see
-        :func:`mmls.moments.update`), reconstructs the gradient at ``h``
-        from the carried autocorrelation image and one regularizer pass,
-        builds the basis and that image with :func:`build_subspace`, adds
-        the regularizer's curvature on the basis, and solves the reduced
+        :func:`mmls.moments.update`), evaluates the objective and gradient
+        at ``h`` from the carried autocorrelation image and one regularizer
+        pass (:func:`_pre_step`, which the SGD baseline shares), builds the
+        basis and that image with :func:`build_subspace`, adds the
+        regularizer's curvature on the basis, and solves the reduced
         system for the step.  A gradient that vanishes exactly gives a
         zero step (``rank = 0``), so stationary points are fixed points
         bit for bit.
 
         If the step at block ``k`` raises :class:`DivergenceError`,
         ``moments`` already includes block ``k`` (``moments.count == k``)
-        while ``state`` is still the one after block ``k - 1``
-        (``state.step == k - 1``); the engine should be discarded then.
+        while ``state`` is still the object held after block ``k - 1``;
+        the engine should be discarded then.
         """
         state, reg, strategy = self.state, self.reg, self.strategy
         sample = Sample(X, y)
@@ -277,10 +292,7 @@ class MMEngine:
         Xt_h = XtD.dot(state.coords)
         autocorr_h = (1.0 - inv_w) * state.autocorr_basis.dot(state.coords) + inv_w * X.dot(Xt_h)
 
-        # penalty weights, regularizer value and gradient at the current h, from one pass
-        weights, reg_value, reg_grad = reg.evaluate(state.h)
-        grad = autocorr_h - stats.cross + reg_grad
-        grad_sq = float(grad.dot(grad))
+        weights, _, grad, grad_sq, objective = _pre_step(stats, reg, state.h, autocorr_h)
         if not grad_sq < math.inf and not np.isfinite(grad).all():
             raise DivergenceError(step, f"non-finite gradient at iteration {step}")
 
@@ -311,11 +323,7 @@ class MMEngine:
         if not math.sqrt(float(h_next.dot(h_next))) <= DIVERGENCE_NORM:
             raise DivergenceError(step)
         step_quadratic = float(shifted.dot(reduced.dot(shifted)))
-
-        data = 0.5 * stats.power - float(stats.cross.dot(state.h)) + 0.5 * float(state.h.dot(autocorr_h))
-        objective = data + reg_value
         self.state = EngineState(
-            step=step,
             h=h_next,
             h_prev=state.h,
             coords=coords,

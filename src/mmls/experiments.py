@@ -31,7 +31,7 @@ import scipy.sparse
 
 from . import moments as moments_mod
 from .datasets import gen_adaptive, gen_deconv2d, gen_synthetic
-from .engine import DIVERGENCE_NORM, DivergenceError, IterationReport, MMEngine, SubspaceStrategy
+from .engine import DIVERGENCE_NORM, DivergenceError, IterationReport, MMEngine, SubspaceStrategy, _pre_step
 from .moments import MomentState, Sample
 from .penalties import PenaltySpec, Regularizer, _coerce_dim
 
@@ -158,7 +158,11 @@ def resident_bytes(cfg: ExperimentConfig) -> int:
     """Upper bound on the bytes of float64 arrays a run of the resolved ``cfg`` holds at once.
 
     Every run keeps the ``n_dim``-square autocorrelation and four trace
-    columns of one entry per block.  For its stream this counts, for
+    columns of one entry per block.  A full-space step holds up to ten
+    more such squares at once, so eleven are counted for it: the old and
+    the new identity basis and autocorrelation copy, the regularizer's
+    curvature products (two squares each for the two-row-per-pixel tv2d
+    operator) and the reduced system.  For its stream this counts, for
     deconv2d, three image-sized arrays and the zero-padded image, at least
     what generation holds at once (a blur pass's input, output and pair
     buffer; then the scene, the observations and the padded copy, the two
@@ -177,7 +181,8 @@ def resident_bytes(cfg: ExperimentConfig) -> int:
     else:
         rows = cfg.n_samples
         stream = (cfg.n_dim + 1) * rows
-    return 8 * (stream + cfg.n_dim**2 + 4 * (rows // cfg.block_size))
+    squares = 11 if cfg.strategy == "full-space" else 1
+    return 8 * (stream + squares * cfg.n_dim**2 + 4 * (rows // cfg.block_size))
 
 
 # --- regularizer builders ---------------------------------------------------
@@ -228,11 +233,14 @@ class SGDStepper:
 
     Block ``k`` steps along the gradient of its own penalized residual
     ``1/2 ||y - X' h||^2 + Psi(h)`` by ``scale / sqrt(k)``.  Its reports
-    carry the pre-step objective and gradient norm, as the engine's do,
-    and 0 in the MM-only fields ``step_quadratic``, ``subspace_dim`` and
-    ``rank``.  A step raises :class:`DivergenceError` under the engine's
-    test, an iterate norm above ``DIVERGENCE_NORM`` or not finite, and
-    keeps the previous iterate.
+    carry the pre-step objective and gradient norm from the engine's own
+    pre-step evaluation, fed ``autocorr @ h`` by one product with the
+    stored triangle (:func:`mmls.moments.autocorr_matvec`); that one
+    penalty pass also gives the step's ``grad Psi(h)``.  The MM-only fields
+    ``step_quadratic``, ``subspace_dim`` and ``rank`` are 0.  A step
+    raises :class:`DivergenceError` under the engine's test, an iterate
+    norm above ``DIVERGENCE_NORM`` or not finite, and keeps the previous
+    iterate.
     """
 
     def __init__(self, reg: Regularizer, scale: float, forgetting: float = 1.0):
@@ -247,15 +255,15 @@ class SGDStepper:
         sample = Sample(X, y)
         stats = moments_mod.update(self.moments, sample)
         k = stats.count
-        objective = moments_mod.objective(stats, self.reg, self.h)
-        grad_norm = float(np.linalg.norm(moments_mod.gradient(stats, self.reg, self.h)))
-        g = sample.X @ (sample.X.T @ self.h - sample.y) + self.reg.evaluate(self.h)[2]
+        autocorr_h = moments_mod.autocorr_matvec(stats, self.h)
+        _, reg_grad, _, grad_sq, objective = _pre_step(stats, self.reg, self.h, autocorr_h)
+        g = sample.X @ (sample.X.T @ self.h - sample.y) + reg_grad
         h = self.h - (self.scale / np.sqrt(k)) * g
         # the engine's test: false for a NaN entry too
         if not math.sqrt(float(h.dot(h))) <= DIVERGENCE_NORM:
             raise DivergenceError(k, f"sgd iterate diverged at step {k}")
         self.h = h
-        return IterationReport(objective, grad_norm, step_quadratic=0.0, subspace_dim=0, rank=0)
+        return IterationReport(objective, math.sqrt(grad_sq), step_quadratic=0.0, subspace_dim=0, rank=0)
 
 
 def nrmse(estimate, truth) -> float:

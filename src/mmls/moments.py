@@ -89,15 +89,18 @@ class MomentState:
     ``weight_total <- 1 + forgetting * weight_total`` so no power of the
     forgetting factor is ever formed.
 
-    The state owns ``cross`` and ``autocorr``: the constructor copies them
+    The constructor rejects a forgetting factor outside (0, 1].  The
+    state owns ``cross`` and ``autocorr``: the constructor copies them
     into fresh C-contiguous float64 arrays, the layout ``update`` writes
     into in place (BLAS would silently work on a copy of any other).
-    Reading ``autocorr`` returns the array given to the constructor, or,
-    after an update, mirrors the upper triangle in place first.
+    Reading ``autocorr`` returns that owned copy, after an update with
+    the upper triangle first mirrored in place.
     """
 
     def __init__(self, power: float, cross, autocorr, count: int, forgetting: float,
                  weight_total: float, block_size: int | None = None):
+        if not (0.0 < forgetting <= 1.0):
+            raise ValueError(f"forgetting factor must lie in (0, 1], got {forgetting}")
         self.power = power
         self.cross = np.array(cross, dtype=np.float64, order="C")
         self._autocorr = np.array(autocorr, dtype=np.float64, order="C")
@@ -122,12 +125,11 @@ class MomentState:
 
     @classmethod
     def zeros(cls, n_dim: int, forgetting: float = 1.0) -> "MomentState":
-        if not (0.0 < forgetting <= 1.0):
-            raise ValueError(f"forgetting factor must lie in (0, 1], got {forgetting}")
+        # a zero-byte view: the constructor's copy is the one N x N allocation
         return cls(
             power=0.0,
             cross=np.zeros(n_dim),
-            autocorr=np.zeros((n_dim, n_dim)),
+            autocorr=np.broadcast_to(0.0, (n_dim, n_dim)),
             count=0,
             forgetting=float(forgetting),
             weight_total=0.0,

@@ -1,6 +1,7 @@
 """Command-line interface."""
 
 import json
+import re
 
 import pytest
 
@@ -231,6 +232,13 @@ def test_load_config_rejects_malformed_line(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("this is not a pair\n")
     with pytest.raises(ConfigError):
+        load_config_file(str(cfg))
+
+
+def test_load_config_rejects_bad_value(tmp_path):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("seed = abc\n")
+    with pytest.raises(ConfigError, match=re.escape(f"{cfg}:1: bad value for 'seed'")):
         load_config_file(str(cfg))
 
 

@@ -225,6 +225,10 @@ class TestAdaptive:
         with pytest.raises(ValueError):
             gen_adaptive(0, n_taps=100, n_samples=50)
 
+    def test_more_active_taps_than_taps_rejected(self):
+        with pytest.raises(ValueError, match="^n_active must not exceed n_taps$"):
+            gen_adaptive(0, n_taps=8, n_samples=40, n_active=9)
+
     @pytest.mark.parametrize("block_size", [1, 3])
     def test_blocks_are_tap_delay_rows_bit_for_bit(self, block_size):
         _, stream = gen_adaptive(3, n_taps=8, n_samples=40, n_active=3)

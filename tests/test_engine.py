@@ -87,7 +87,7 @@ def test_step_leaves_the_previous_state_unchanged(rng, strategy):
     for _ in range(4):
         previous = engine.state
         snapshot = {field.name: np.copy(getattr(previous, field.name))
-                    for field in dataclasses.fields(previous) if field.name != "step"}
+                    for field in dataclasses.fields(previous)}
         report = engine.step(rng.standard_normal((6, 2)), rng.standard_normal(2))
         for name, array in snapshot.items():
             assert np.array_equal(getattr(previous, name), array), name
@@ -674,17 +674,42 @@ def test_gradient_screens_survive_underflow_and_overflow():
         engine.step([[1e-150]], [1e305])
 
 
+@pytest.mark.parametrize("strategy", list(SubspaceStrategy))
+def test_non_finite_gradient_raises_with_iteration(strategy):
+    # the second block's autocorrelation overflows, and with it autocorr @ h
+    engine = MMEngine(Regularizer(1), strategy=strategy)
+    engine.step([[1.0]], [1.0])
+    state = engine.state
+    with np.errstate(all="ignore"), pytest.raises(DivergenceError) as info:
+        engine.step([[1e200]], [1.0])
+    assert str(info.value) == "non-finite gradient at iteration 2"
+    assert info.value.iteration == 2
+    assert engine.state is state
+
+
+@pytest.mark.parametrize("strategy", list(SubspaceStrategy))
+def test_zero_reduced_matrix_gives_a_zero_step(strategy):
+    # no data yet and no curvature: the reduced matrix is exactly zero, while
+    # the linear term makes the gradient nonzero
+    engine = MMEngine(Regularizer(2, lin=[1.0, 0.0]), strategy=strategy)
+    report = engine.step(np.zeros((2, 1)), [0.0])
+    assert report.rank == 0
+    assert np.array_equal(engine.h, np.zeros(2))
+    assert np.array_equal(engine.state.grad, [-1.0, 0.0])
+
+
 def test_divergence_leaves_statistics_one_block_ahead():
     reg = Regularizer(1)
     engine = MMEngine(reg, strategy="memory-gradient")
     engine.step([[1.0]], [1.0])
     engine.step([[1.0]], [1.0])
+    state_after_block_2 = engine.state
     h_before = engine.h.copy()
     with pytest.raises(DivergenceError) as info:
         engine.step([[1.0]], [1e13])
     assert info.value.iteration == 3
     assert engine.moments.count == 3
-    assert engine.state.step == 2
+    assert engine.state is state_after_block_2
     assert engine.moments.cross[0] == pytest.approx((2.0 + 1e13) / 3.0)
     assert np.array_equal(engine.h, h_before)
 

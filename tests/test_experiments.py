@@ -5,7 +5,7 @@ import pytest
 import scipy.sparse
 from numpy.testing import assert_allclose
 
-from conftest import traced_peak
+from conftest import random_regularizer, traced_peak
 from mmls import (
     ExperimentConfig,
     PenaltySpec,
@@ -168,10 +168,38 @@ class TestSGD:
         assert info.value.iteration == 5
         assert stepper.h is h
 
+    def test_reports_match_the_references(self, rng):
+        reg = random_regularizer(rng, 5, kind="welsch")
+        stepper = SGDStepper(reg, scale=0.1, forgetting=0.95)
+        for _ in range(4):
+            h = stepper.h
+            report = stepper.step(rng.standard_normal((5, 3)), rng.standard_normal(3))
+            expected = moments.objective(stepper.moments, reg, h)
+            assert report.objective == pytest.approx(expected, rel=1e-12)
+            expected = float(np.linalg.norm(moments.gradient(stepper.moments, reg, h)))
+            assert report.grad_norm == pytest.approx(expected, rel=1e-12)
+
+    def test_one_penalty_pass_and_no_mirror_per_step(self, rng, monkeypatch):
+        calls = {"penalty": 0, "mirror": 0}
+        weights_and_penalty, mirror = Regularizer.weights_and_penalty, moments._mirror_upper
+
+        def count_penalty(reg, norms):
+            calls["penalty"] += 1
+            return weights_and_penalty(reg, norms)
+
+        def count_mirror(mat):
+            calls["mirror"] += 1
+            mirror(mat)
+
+        monkeypatch.setattr(Regularizer, "weights_and_penalty", count_penalty)
+        monkeypatch.setattr(moments, "_mirror_upper", count_mirror)
+        stepper = SGDStepper(random_regularizer(rng, 5, kind="huber"), scale=0.1)
+        for k in range(1, 4):
+            stepper.step(rng.standard_normal((5, 2)), rng.standard_normal(2))
+            assert calls == {"penalty": k, "mirror": 0}
+
     def test_instantaneous_gradient_matches_block_residual(self):
         rng = np.random.default_rng(5)
-        from conftest import random_regularizer
-
         reg = random_regularizer(rng, 4, kind="huber")
         X = rng.standard_normal((4, 3))
         y = rng.standard_normal(3)
@@ -211,6 +239,10 @@ class TestNrmse:
         with pytest.raises(ValueError):
             nrmse(np.ones(2), np.zeros(2))
 
+    def test_length_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="^estimate and truth must have equal length$"):
+            nrmse([1, 2], [1, 2, 3])
+
 
 class TestConfig:
     def test_defaults_filled(self):
@@ -239,6 +271,25 @@ class TestConfig:
         assert 2**29 < resident_bytes(cfg) < 2**30
         with pytest.raises(ConfigError, match="GiB resident"):
             resolve_config(ExperimentConfig(experiment="deconv2d", image_size=8192, kernel_size=21))
+
+    def test_full_space_at_the_dense_storage_cap_is_accepted(self):
+        cfg = resolve_config(ExperimentConfig(
+            experiment="synthetic", strategy="full-space", n_dim=4096, n_samples=5000
+        ))
+        # eleven 4096-square arrays and the row matrix: about 1.5 GiB, under the cap
+        assert 1.4 * 2**30 < resident_bytes(cfg) < 1.6 * 2**30
+
+    @pytest.mark.parametrize("strategy", ["memory-gradient", "full-space", "sgd"])
+    @pytest.mark.parametrize("problem", [
+        dict(experiment="synthetic", n_dim=384, n_samples=10),
+        dict(experiment="adaptive", n_dim=150, n_samples=150),
+        dict(experiment="deconv2d", image_size=24, kernel_size=21),
+    ], ids=["synthetic", "adaptive", "deconv2d"])
+    def test_resident_bytes_bounds_the_traced_peak(self, problem, strategy):
+        cfg = ExperimentConfig(strategy=strategy, **problem)
+        peak = traced_peak(lambda: run_experiment(cfg, measure_time=False))
+        # the MiB of slack covers interpreter and library allocations
+        assert peak <= resident_bytes(resolve_config(cfg)) + 2**20
 
     @pytest.mark.parametrize("name", [
         "seed", "image_size", "kernel_size", "n_dim", "n_samples", "block_size", "change_point",
@@ -273,6 +324,16 @@ class TestConfig:
     def test_bad_strategy(self):
         with pytest.raises(ConfigError):
             resolve_config(ExperimentConfig(experiment="synthetic", strategy="bogus"))
+
+    def test_negative_noise_rejected(self):
+        with pytest.raises(ConfigError, match=r"^noise_sigma must be nonnegative, got -1.0$"):
+            resolve_config(ExperimentConfig(experiment="synthetic", noise_sigma=-1.0))
+
+    def test_unknown_operator_rejected(self):
+        # the command line offers only the known operators; a config object can name any
+        cfg = ExperimentConfig(experiment="synthetic", operator="sparse")
+        with pytest.raises(ConfigError, match="^unknown operator 'sparse'; expected tv2d, identity or none$"):
+            run_experiment(cfg, measure_time=False)
 
 
 class TestRunExperiment:

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from conftest import brute_force_moments, make_sample_log, random_regularizer, stream_moments
+from conftest import (
+    brute_force_moments, make_sample_log, random_regularizer, stream_moments, traced_peak,
+)
 from mmls import ArrayStream, Regularizer
 from mmls.moments import (
     MomentState,
@@ -244,7 +246,36 @@ def test_invalid_forgetting_rejected():
         MomentState.zeros(2, 1.5)
 
 
+@pytest.mark.parametrize("forgetting", [-1.0, np.nan])
+def test_constructor_rejects_invalid_forgetting(forgetting):
+    # unchecked, -1 makes the second update divide by a zero weight total and NaN poisons the statistics
+    with pytest.raises(ValueError, match=r"^forgetting factor must lie in \(0, 1\], got "):
+        MomentState(0.0, [0.0], [[0.0]], 0, forgetting=forgetting, weight_total=0.0)
+
+
+def test_zeros_allocates_one_square():
+    n_dim = 1024
+    assert traced_peak(lambda: MomentState.zeros(n_dim)) < 1.05 * 8 * n_dim * n_dim
+    autocorr = MomentState.zeros(n_dim).autocorr
+    assert autocorr.flags.c_contiguous and autocorr.flags.owndata and autocorr.flags.writeable
+    assert not autocorr.any()
+
+
+@pytest.mark.parametrize("X, y, message", [
+    ([[1.0, 2.0]], [1.0], "block mismatch: X has 2 columns, y has 1 entries"),
+    (np.zeros((2, 0)), [], "block size must be at least 1"),
+], ids=["mismatch", "empty"])
+def test_malformed_sample_rejected(X, y, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        Sample(X, y)
+
+
 # --- objective -----------------------------------------------------------
+
+
+def test_references_reject_a_regularizer_of_another_dimension():
+    with pytest.raises(ValueError, match="^dimension mismatch: state 2, regularizer 3$"):
+        objective(MomentState.zeros(2), Regularizer(3), [0, 0])
 
 
 def test_objective_at_origin_is_half_power(rng):

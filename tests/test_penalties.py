@@ -468,6 +468,11 @@ def test_scalar_ridge_builds_no_dense_identity(quad):
     assert traced_peak(lambda: Regularizer(2048, quad=quad)) < 2**20
 
 
+def test_quadratic_of_another_dimension_rejected():
+    with pytest.raises(ValueError, match=re.escape("quad must be (3, 3), got (2, 2)")):
+        Regularizer(3, quad=np.eye(2))
+
+
 def test_indefinite_quadratic_rejected():
     bad = np.diag([1.0, -1.0])
     with pytest.raises(ValueError):
