@@ -7,9 +7,11 @@ Runs each of :data:`COMMANDS` through the ``mmls`` command line with
 ``--no-wall-time``, once on the sources of this checkout and once on those
 under ``PARENT_ROOT/src``, each run in a fresh interpreter with BLAS on one
 thread.  For each command it prints ``identical`` when the two traces are
-byte-identical, and otherwise the largest relative deviation of each column
-from the parent's value.  Exits 1 if any pair of traces differs or any run
-fails, 0 otherwise.
+byte-identical, and otherwise, for each column, the largest relative
+deviation from the parent's value, the block (trace row) where it occurs
+and the deviation in the last row: roundoff moves tend to peak mid-run on
+small values.  Exits 1 if any pair of traces differs or any run fails, 0
+otherwise.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -50,23 +53,36 @@ COMMANDS = (
 ONE_BLAS_THREAD = {var: "1" for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
 
 
+class Deviation(NamedTuple):
+    """A column's largest relative deviation, its 1-based block (``None`` if
+    the traces do not align), and the deviation in the last row."""
+
+    largest: float
+    block: int | None
+    last: float
+
+
 def compare_csv(parent: str, change: str) -> dict | None:
-    """``None`` for byte-identical traces, else the largest relative deviation per column.
+    """``None`` for byte-identical traces, else a :class:`Deviation` per column.
 
     A value ``c`` deviates from its parent value ``p`` by ``|c - p| / |p|``,
-    which is infinite where ``p`` is 0 and ``c`` is not.  Traces whose
-    headers or shapes differ deviate by ``inf`` in every parent column.
+    which is infinite where ``p`` is 0 and ``c`` is not; the first row of
+    the largest is its block.  Traces whose headers or shapes differ
+    deviate by ``inf`` in every parent column.
     """
     if parent == change:
         return None
     names = parent.partition("\n")[0].split(",")
     old, new = _table(parent), _table(change)
     if old.shape != new.shape or change.partition("\n")[0].split(",") != names:
-        return dict.fromkeys(names, math.inf)
+        return dict.fromkeys(names, Deviation(math.inf, None, math.inf))
     with np.errstate(divide="ignore", invalid="ignore"):
         deviation = np.abs(new - old) / np.abs(old)
     deviation[old == new] = 0.0
-    return {name: float(value) for name, value in zip(names, deviation.max(axis=0, initial=0.0))}
+    return {
+        name: Deviation(float(column.max()), int(column.argmax()) + 1, float(column[-1]))
+        for name, column in zip(names, deviation.T)
+    }
 
 
 def _table(text: str) -> np.ndarray:
@@ -110,7 +126,11 @@ def main(argv=None) -> int:
                     print(f"{command}: identical")
                 else:
                     status = 1
-                    columns = ", ".join(f"{name} {value:.3g}" for name, value in deviation.items())
+                    columns = ", ".join(
+                        f"{name} {dev.largest:.3g} at block {dev.block}, last row {dev.last:.3g}"
+                        if dev.largest else f"{name} 0"
+                        for name, dev in deviation.items()
+                    )
                     print(f"{command}: max relative deviation {columns}")
     return status
 

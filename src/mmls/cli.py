@@ -12,22 +12,16 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import typing
 
 from .engine import DivergenceError
 from .experiments import (
+    _FIELD_TYPES,
     ALGORITHMS,
     EXPERIMENTS,
     ConfigError,
     ExperimentConfig,
     run_experiment,
 )
-
-# config key -> value type, the non-None member of an optional field
-_FIELD_TYPES = {
-    name: next((t for t in typing.get_args(hint) if t is not type(None)), hint)
-    for name, hint in typing.get_type_hints(ExperimentConfig).items()
-}
 
 
 def load_config_file(path: str) -> dict:

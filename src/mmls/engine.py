@@ -14,15 +14,13 @@ The memory-gradient subspace spans the negative gradient, the current
 iterate, and the last step; gradient-only is the same subspace without the
 step column.  For both the per-step cost stays at a few matrix-vector
 products because the one dense piece of the curvature, the N x N
-autocorrelation, is only ever applied through a recursion:
-
-* the gradient ``autocorr h - cross + grad Psi(h)`` takes ``autocorr h``
-  from the cached ``autocorr @ basis_prev`` product, folding the new block
-  in instead of touching the dense autocorrelation matrix;
-* the images of the iterate columns under the autocorrelation transfer
-  from one iteration to the next, so only the fresh gradient column
-  requires a full product; the image is assembled by the same column
-  recipe as the basis (:func:`build_subspace`).
+autocorrelation, reaches the iterates only through a recursion: the state
+carries ``images = autocorr @ [h, h_prev]``, and each block is folded into
+them by the same forgetting recursion as the statistics.  Column 0 gives
+the gradient ``autocorr h - cross + grad Psi(h)``; with column 1 and one
+product for the fresh gradient column, the column recipe that builds the
+basis (:func:`build_subspace`) also builds ``autocorr @ basis``.  Full space
+reads the autocorrelation in place; no N x N array outlives the step.
 
 The regularizer's share of the step is not recursive: its penalty
 operator ``op`` and quadratic matrix are structured
@@ -59,7 +57,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lapack
+from scipy.linalg import blas, lapack
 
 from . import moments
 from .moments import MomentState, Sample
@@ -119,44 +117,26 @@ class IterationReport:
 
 @dataclass
 class EngineState:
-    """Iterate, subspace basis and the one recursive cache.
+    """Iterate, previous iterate, gradient and their one recursive cache.
 
-    After a step: ``h`` is the new iterate (in the range of ``basis``,
-    with coordinates ``coords``), ``h_prev`` the previous one,
-    ``grad`` the gradient at ``h_prev`` under the latest statistics, and
-    ``autocorr_basis`` holds ``autocorr @ basis``.  In the low-dimensional
-    subspaces its column 1 is the image of ``h_prev`` and seeds the next
-    step column.  The regularizer's curvature on the basis is not kept:
-    each step takes it afresh (:meth:`Regularizer.curvature`).  The
-    step count is the statistics' ``count``.
+    After a step, ``h`` is the new iterate, ``h_prev`` the previous one
+    and ``grad`` the gradient at ``h_prev`` under the latest statistics;
+    ``images`` is the ``(N, 2)`` array ``autocorr @ [h, h_prev]`` under
+    those statistics, which the next step folds its block into.  The step
+    count is the statistics' ``count``.
     """
 
     h: np.ndarray
     h_prev: np.ndarray
-    coords: np.ndarray
-    basis: np.ndarray
-    autocorr_basis: np.ndarray
     grad: np.ndarray
+    images: np.ndarray
 
     @classmethod
     def initial(cls, reg: Regularizer, h1=None) -> "EngineState":
-        """State before any block.
-
-        The start ``h`` (zero by default) is encoded as the basis
-        ``[0, h]`` with coordinates ``[0, 1]``, so column 1 holds the
-        image of ``h_prev`` from the first step on and the first gradient
-        reconstruction is exact.
-        """
+        """State before any block: the start ``h`` (zero by default) twice, and zero images."""
         n = reg.n_dim
         h = _coerce_vector(h1, n, "h1", finite=True).copy()
-        return cls(
-            h=h,
-            h_prev=h.copy(),
-            coords=np.array([0.0, 1.0]),
-            basis=np.column_stack([np.zeros(n), h]),
-            autocorr_basis=np.zeros((n, 2)),
-            grad=np.zeros(n),
-        )
+        return cls(h=h, h_prev=h.copy(), grad=np.zeros(n), images=np.zeros((n, 2)))
 
 
 def build_subspace(strategy, grad, h, h_prev, step) -> np.ndarray:
@@ -267,9 +247,9 @@ class MMEngine:
 
         Folds the block into the statistics in place (see
         :func:`mmls.moments.update`), evaluates the objective and gradient
-        at ``h`` from the carried autocorrelation image and one regularizer
-        pass (:func:`_pre_step`, which the SGD baseline shares), builds the
-        basis and that image with :func:`build_subspace`, adds the
+        at ``h`` from the carried images and one regularizer pass
+        (:func:`_pre_step`, which the SGD baseline shares), builds the
+        basis and its image with :func:`build_subspace`, adds the
         regularizer's curvature on the basis, and solves the reduced
         system for the step.  A gradient that vanishes exactly gives a
         zero step (``rank = 0``), so stationary points are fixed points
@@ -287,27 +267,25 @@ class MMEngine:
         step = stats.count
         inv_w = 1.0 / stats.weight_total
 
-        # image of the current iterate under the autocorrelation, carried forward recursively
-        XtD = X.T.dot(state.basis)
-        Xt_h = XtD.dot(state.coords)
-        autocorr_h = (1.0 - inv_w) * state.autocorr_basis.dot(state.coords) + inv_w * X.dot(Xt_h)
+        # the block folds into the images of h and h_prev as into the statistics,
+        # (1 - 1/w) images + (1/w) X X' [h, h_prev], by one gemm on a copy of the old images
+        Xt_hs = X.T.dot(np.array((state.h, state.h_prev)).T)
+        images = blas.dgemm(inv_w, X, Xt_hs, beta=1.0 - inv_w, c=state.images)
+        autocorr_h = images[:, 0]
 
         weights, _, grad, grad_sq, objective = _pre_step(stats, reg, state.h, autocorr_h)
         if not grad_sq < math.inf and not np.isfinite(grad).all():
             raise DivergenceError(step, f"non-finite gradient at iteration {step}")
 
         basis = build_subspace(strategy, grad, state.h, state.h_prev, step)
-
         if strategy is SubspaceStrategy.FULL_SPACE:
-            # a copy: the next update overwrites ``stats.autocorr`` in place
-            autocorr_basis = stats.autocorr.copy()
+            # read in place: no N x N array outlives the step
+            autocorr_basis = stats.autocorr
             anchor = state.h
         else:
-            # the recipe is linear: applied to the images of grad, h and
-            # h_prev (column 1 of the old basis) it gives autocorr @ basis
-            autocorr_h_prev = (1.0 - inv_w) * state.autocorr_basis[:, 1] + inv_w * X.dot(XtD[:, 1])
+            # the recipe is linear: applied to the images of grad, h and h_prev it gives autocorr @ basis
             autocorr_basis = build_subspace(
-                strategy, moments.autocorr_matvec(stats, grad), autocorr_h, autocorr_h_prev, step
+                strategy, moments.autocorr_matvec(stats, grad), autocorr_h, images[:, 1], step
             )
             anchor = _ANCHOR[: basis.shape[1]]
         reduced = reduced_matrix(basis, autocorr_basis, reg.curvature(basis, weights))
@@ -326,10 +304,8 @@ class MMEngine:
         self.state = EngineState(
             h=h_next,
             h_prev=state.h,
-            coords=coords,
-            basis=basis,
-            autocorr_basis=autocorr_basis,
             grad=grad,
+            images=np.array((autocorr_basis.dot(coords), autocorr_h)).T,
         )
         return IterationReport(
             objective=objective,

@@ -22,8 +22,10 @@ import dataclasses
 import functools
 import json
 import math
+import numbers
 import os
 import time
+import typing
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,6 +91,12 @@ class ExperimentConfig:
     out: str | None = None
 
 
+# config key -> value type, the non-None member of an optional field
+_FIELD_TYPES = {
+    name: next((t for t in typing.get_args(hint) if t is not type(None)), hint)
+    for name, hint in typing.get_type_hints(ExperimentConfig).items()
+}
+
 _DEFAULTS = {
     "deconv2d": dict(
         block_size=64, vartheta=1.0, operator="tv2d", penalty="l2lkappa-power",
@@ -120,26 +128,27 @@ def resolve_config(config: ExperimentConfig) -> ExperimentConfig:
         merged.block_size = 1
     if merged.experiment == "deconv2d":
         merged.n_dim = merged.kernel_size**2
-    for field in dataclasses.fields(merged):
-        value = getattr(merged, field.name)
-        if isinstance(value, float) and not np.isfinite(value):
-            raise ConfigError(f"{field.name} must be finite, got {value}")
+    # every number as a Python int or float, as the sidecar's JSON takes it
+    for name, kind in _FIELD_TYPES.items():
+        value = getattr(merged, name)
+        if value is None or kind not in (int, float):
+            continue
+        if kind is int:
+            try:
+                value = _coerce_dim(value, name, minimum=0 if name == "seed" else 1)
+            except (TypeError, ValueError) as err:
+                raise ConfigError(str(err)) from None
+        elif not isinstance(value, numbers.Real):
+            raise ConfigError(f"{name} must be a real number, got {value!r}")
+        elif not math.isfinite(value := float(value)):
+            raise ConfigError(f"{name} must be finite, got {value}")
+        setattr(merged, name, value)
     if merged.strategy not in ALGORITHMS:
         raise ConfigError(f"unknown strategy {merged.strategy!r}; expected one of {ALGORITHMS}")
     if not (0.0 < merged.vartheta <= 1.0):
         raise ConfigError(f"vartheta must lie in (0, 1], got {merged.vartheta}")
     if not merged.sgd_scale > 0.0:
         raise ConfigError(f"sgd_scale must be positive, got {merged.sgd_scale}")
-    for name in ("seed", "image_size", "kernel_size", "n_dim", "n_samples", "block_size",
-                 "change_point"):
-        value = getattr(merged, name)
-        if value is None:
-            continue
-        try:
-            value = _coerce_dim(value, name, minimum=0 if name == "seed" else 1)
-        except (TypeError, ValueError) as err:
-            raise ConfigError(str(err)) from None
-        setattr(merged, name, value)
     if merged.noise_sigma < 0.0:
         raise ConfigError(f"noise_sigma must be nonnegative, got {merged.noise_sigma}")
     # dense autocorrelation storage: keep the coefficient dimension sane
@@ -158,11 +167,13 @@ def resident_bytes(cfg: ExperimentConfig) -> int:
     """Upper bound on the bytes of float64 arrays a run of the resolved ``cfg`` holds at once.
 
     Every run keeps the ``n_dim``-square autocorrelation and four trace
-    columns of one entry per block.  A full-space step holds up to ten
-    more such squares at once, so eleven are counted for it: the old and
-    the new identity basis and autocorrelation copy, the regularizer's
-    curvature products (two squares each for the two-row-per-pixel tv2d
-    operator) and the reduced system.  For its stream this counts, for
+    columns of one entry per block.  A full-space step holds up to seven
+    more such squares at once, so eight are counted for it: the identity
+    basis, the regularizer's curvature products (two squares each for the
+    two-row-per-pixel tv2d operator) and the reduced system; it reads the
+    autocorrelation in place, and nothing of that size outlives the step
+    (a traced peak of 7.24 squares in all at 441 dimensions with tv2d).
+    For its stream this counts, for
     deconv2d, three image-sized arrays and the zero-padded image, at least
     what generation holds at once (a blur pass's input, output and pair
     buffer; then the scene, the observations and the padded copy, the two
@@ -181,7 +192,7 @@ def resident_bytes(cfg: ExperimentConfig) -> int:
     else:
         rows = cfg.n_samples
         stream = (cfg.n_dim + 1) * rows
-    squares = 11 if cfg.strategy == "full-space" else 1
+    squares = 8 if cfg.strategy == "full-space" else 1
     return 8 * (stream + squares * cfg.n_dim**2 + 4 * (rows // cfg.block_size))
 
 

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from mmls import PenaltySpec, Regularizer
+from mmls import PenaltySpec, Regularizer, engine
 from mmls.moments import MomentState, Sample, update
 
 
@@ -54,6 +54,23 @@ def traced_peak(call):
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def spy_on_reduced_matrix(monkeypatch):
+    """Record the ``(basis, autocorr_basis, curvature)`` of every reduced matrix ``MMEngine.step`` builds.
+
+    In full space ``autocorr_basis`` is the statistics' own autocorrelation,
+    so it holds the step's value only until the next block is folded in.
+    """
+    calls = []
+    build = engine.reduced_matrix
+
+    def spy(basis, autocorr_basis, curvature):
+        calls.append((basis, autocorr_basis, curvature))
+        return build(basis, autocorr_basis, curvature)
+
+    monkeypatch.setattr(engine, "reduced_matrix", spy)
+    return calls
 
 
 def random_regularizer(rng, n_dim, kind="welsch", n_blocks=3, rows_per_block=2,

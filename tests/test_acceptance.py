@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import random_regularizer
+from conftest import random_regularizer, spy_on_reduced_matrix
 from mmls import (
     ExperimentConfig,
     MMEngine,
@@ -106,9 +106,10 @@ def test_criterion_02_per_step_descent():
              f"{total} iterations across 6 configs")
 
 
-def test_criterion_03_recursion_equivalence():
+def test_criterion_03_recursion_equivalence(monkeypatch):
     started = time.perf_counter()
     n_dim, block = 32, 4
+    bases = spy_on_reduced_matrix(monkeypatch)
     for forgetting in (1.0, 0.99):
         rng = np.random.default_rng(17)
         reg = random_regularizer(rng, n_dim, kind="welsch", n_blocks=4, rows_per_block=3,
@@ -120,8 +121,11 @@ def test_criterion_03_recursion_equivalence():
             state, stats = engine.state, engine.moments
             direct = mom.gradient(stats, reg, h_before)
             assert np.linalg.norm(state.grad - direct) <= 1e-8 * (1.0 + np.linalg.norm(direct))
-            ref = stats.autocorr @ state.basis
-            assert np.linalg.norm(state.autocorr_basis - ref) <= 1e-8 * (1.0 + np.linalg.norm(ref))
+            ref = stats.autocorr @ np.column_stack([state.h, state.h_prev])
+            assert np.linalg.norm(state.images - ref) <= 1e-8 * (1.0 + np.linalg.norm(ref))
+            basis, autocorr_basis, _ = bases.pop()
+            ref = stats.autocorr @ basis
+            assert np.linalg.norm(autocorr_basis - ref) <= 1e-8 * (1.0 + np.linalg.norm(ref))
     announce(3, "recursion equivalence", time.perf_counter() - started, 10.0,
              "500 iterations, forgetting in {1, 0.99}")
 

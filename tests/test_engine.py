@@ -8,7 +8,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.linalg import lapack
 
-from conftest import make_sample_log, random_regularizer
+from conftest import make_sample_log, random_regularizer, spy_on_reduced_matrix
 from mmls import (
     DivergenceError,
     MMEngine,
@@ -26,14 +26,6 @@ from mmls import (
 from mmls import moments as mom
 from mmls.engine import RANK_CUTOFF, _pinv_psd_solve
 from mmls.experiments import SGDStepper
-
-
-def anchor_coords(strategy, state):
-    if SubspaceStrategy(strategy) is SubspaceStrategy.FULL_SPACE:
-        return state.h_prev
-    unit = np.zeros(state.basis.shape[1])
-    unit[1] = 1.0
-    return unit
 
 
 class TestBuildSubspace:
@@ -214,14 +206,15 @@ class TestReducedSolve:
         assert info.value.iteration == 1
 
 
-def test_scalar_worked_example():
+def test_scalar_worked_example(monkeypatch):
     # single observation (X, y) = (1, 2): the step lands on the exact
     # least-squares minimizer and the reduced system is rank one
+    bases = spy_on_reduced_matrix(monkeypatch)
     reg = Regularizer(1)
     engine = MMEngine(reg, strategy="memory-gradient")
     report = engine.step(np.array([[1.0]]), np.array([2.0]))
     assert engine.state.grad == pytest.approx(-2.0)
-    assert_allclose(engine.state.basis, np.array([[2.0, 0.0]]))
+    assert_allclose(bases.pop()[0], np.array([[2.0, 0.0]]))
     assert engine.h[0] == pytest.approx(2.0)
     assert report.subspace_dim == 2
     assert report.rank == 1
@@ -283,6 +276,15 @@ _STRUCTURES = {
 }
 
 
+def _assert_images_match_direct(state, stats, call):
+    """The carried ``images`` and the step's basis image ``call[1]`` against direct products."""
+    ref = stats.autocorr @ np.column_stack([state.h, state.h_prev])
+    assert np.linalg.norm(state.images - ref) <= 1e-8 * (1.0 + np.linalg.norm(ref))
+    basis, autocorr_basis, _ = call
+    ref = stats.autocorr @ basis
+    assert np.linalg.norm(autocorr_basis - ref) <= 1e-8 * (1.0 + np.linalg.norm(ref))
+
+
 @pytest.mark.parametrize("strategy", ["memory-gradient", "gradient-only", "full-space"])
 @pytest.mark.parametrize(
     "structure, forgetting",
@@ -295,7 +297,8 @@ _STRUCTURES = {
         for forgetting in (1.0, 0.99)
     ],
 )
-def test_recursive_gradient_and_caches_match_direct(rng, strategy, structure, forgetting):
+def test_recursive_gradient_and_caches_match_direct(rng, monkeypatch, strategy, structure, forgetting):
+    bases = spy_on_reduced_matrix(monkeypatch)
     reg = _STRUCTURES[structure](rng)
     n_dim = reg.n_dim
     engine = MMEngine(reg, strategy=strategy, forgetting=forgetting)
@@ -307,8 +310,7 @@ def test_recursive_gradient_and_caches_match_direct(rng, strategy, structure, fo
         state, stats = engine.state, engine.moments
         direct = mom.gradient(stats, reg, h_before)
         assert np.linalg.norm(state.grad - direct) <= 1e-9 * (1.0 + np.linalg.norm(direct))
-        ref = stats.autocorr @ state.basis
-        assert np.linalg.norm(state.autocorr_basis - ref) <= 1e-8 * (1.0 + np.linalg.norm(ref))
+        _assert_images_match_direct(state, stats, bases.pop())
 
 
 @pytest.mark.parametrize("strategy", ["memory-gradient", "gradient-only", "full-space"])
@@ -357,15 +359,17 @@ def test_recursive_gradient_quadratic_closed_form_second_step(rng):
     assert_allclose(engine.state.grad, expected, rtol=1e-10, atol=1e-12)
 
 
-def test_reduced_matrix_matches_dense_congruence(rng):
+def test_reduced_matrix_matches_dense_congruence(rng, monkeypatch):
+    bases = spy_on_reduced_matrix(monkeypatch)
     reg = random_regularizer(rng, 6, kind="welsch")
     engine = MMEngine(reg, strategy="memory-gradient")
     for _ in range(8):
         engine.step(rng.standard_normal((6, 2)), rng.standard_normal(2))
     state = engine.state
+    basis, autocorr_basis, _ = bases.pop()
     weights = reg.weights(state.h_prev)
-    reduced = reduced_matrix(state.basis, state.autocorr_basis, reg.curvature(state.basis, weights))
-    dense = state.basis.T @ mom.normal_matrix(engine.moments, reg, state.h_prev) @ state.basis
+    reduced = reduced_matrix(basis, autocorr_basis, reg.curvature(basis, weights))
+    dense = basis.T @ mom.normal_matrix(engine.moments, reg, state.h_prev) @ basis
     assert_allclose(reduced, dense, rtol=1e-10, atol=1e-12)
 
 
@@ -387,14 +391,15 @@ def test_identity_operator_cache_equals_basis_exactly(rng, monkeypatch):
     from mmls import PenaltySpec, identity_blocks_regularizer
 
     received = _spy_on_solver(monkeypatch)
+    bases = spy_on_reduced_matrix(monkeypatch)
     reg = identity_blocks_regularizer(5, PenaltySpec("welsch", lam=0.1, delta=0.5))
     engine = MMEngine(reg, strategy="memory-gradient")
     for _ in range(25):
         engine.step(rng.standard_normal((5, 1)), rng.standard_normal(1))
-        state = engine.state
-        assert np.array_equal(reg.op @ state.basis, state.basis)
+        basis, autocorr_basis, _ = bases.pop()
+        assert np.array_equal(reg.op @ basis, basis)
         expected = reduced_matrix(
-            state.basis, state.autocorr_basis, reg.curvature(state.basis, reg.weights(state.h_prev))
+            basis, autocorr_basis, reg.curvature(basis, reg.weights(engine.state.h_prev))
         )
         assert np.array_equal(received.pop(), expected)
 
@@ -404,16 +409,17 @@ def test_unit_scaled_identity_caches_are_the_basis(rng, monkeypatch, strategy):
     # at s = 1 both images equal the basis bit for bit (fresh arrays, not
     # the basis itself), and the solver sees the matrix built from the basis
     received = _spy_on_solver(monkeypatch)
+    bases = spy_on_reduced_matrix(monkeypatch)
     reg = identity_blocks_regularizer(5, PenaltySpec("welsch", lam=0.1, delta=0.5), tau=1.0)
     engine = MMEngine(reg, strategy=strategy)
     for _ in range(10):
         engine.step(rng.standard_normal((5, 1)), rng.standard_normal(1))
-        state = engine.state
-        for image in (reg.op @ state.basis, reg.quad @ state.basis):
-            assert np.array_equal(image, state.basis)
-            assert not np.shares_memory(image, state.basis)
+        basis, autocorr_basis, _ = bases.pop()
+        for image in (reg.op @ basis, reg.quad @ basis):
+            assert np.array_equal(image, basis)
+            assert not np.shares_memory(image, basis)
         expected = reduced_matrix(
-            state.basis, state.autocorr_basis, reg.curvature(state.basis, reg.weights(state.h_prev))
+            basis, autocorr_basis, reg.curvature(basis, reg.weights(engine.state.h_prev))
         )
         assert np.array_equal(received.pop(), expected)
 
@@ -441,18 +447,20 @@ def test_operator_images_are_the_direct_products(rng, monkeypatch, form, strateg
     # from the regularizer's curvature, which equals the congruence of the
     # op and quad images of the basis taken directly with ``@``
     received = _spy_on_solver(monkeypatch)
+    bases = spy_on_reduced_matrix(monkeypatch)
     reg = _OPERATOR_FORMS[form](rng)
     n_dim = reg.n_dim
     engine = MMEngine(reg, strategy=strategy, forgetting=0.99)
     for _ in range(25):
         engine.step(rng.standard_normal((n_dim, 2)), rng.standard_normal(2))
-        state = engine.state
-        basis, weights = state.basis, reg.weights(state.h_prev)
+        (basis, autocorr_basis, _), = bases
+        bases.clear()
+        weights = reg.weights(engine.state.h_prev)
         curvature = reg.curvature(basis, weights)
         op_basis = reg.op @ basis
         direct = basis.T @ (reg.quad @ basis) + op_basis.T @ (weights[:, None] * op_basis)
         assert np.array_equal(curvature, direct)
-        expected = reduced_matrix(basis, state.autocorr_basis, curvature)
+        expected = reduced_matrix(basis, autocorr_basis, curvature)
         assert len(received) == 1
         assert np.array_equal(received.pop(), expected)
 
@@ -519,9 +527,10 @@ def test_block_size_change_is_rejected_without_side_effects(rng, make):
         assert np.array_equal(probed.h, clean.h)
 
 
-def test_autocorr_cache_stays_coherent_over_a_long_run():
+def test_autocorr_cache_stays_coherent_over_a_long_run(monkeypatch):
     # the one recursive cache must not drift: 10^4 single-sample blocks
     # under forgetting, checked against direct products every 1000 blocks
+    bases = spy_on_reduced_matrix(monkeypatch)
     rng = np.random.default_rng(29)
     n_dim = 16
     reg = random_regularizer(rng, n_dim, kind="huber", lam=0.2, delta=0.3)
@@ -530,36 +539,37 @@ def test_autocorr_cache_stays_coherent_over_a_long_run():
     for count, row in enumerate(samples, start=1):
         h_before = engine.h  # a step replaces the iterate array, never writes it
         engine.step(row[:n_dim, None], row[n_dim:])
+        call = bases.pop()
         if count % 1000:
             continue
         state, stats = engine.state, engine.moments
         direct = mom.gradient(stats, reg, h_before)
         assert np.linalg.norm(state.grad - direct) <= 1e-8 * (1.0 + np.linalg.norm(direct))
-        ref = stats.autocorr @ state.basis
-        assert np.linalg.norm(state.autocorr_basis - ref) <= 1e-8 * (1.0 + np.linalg.norm(ref))
+        _assert_images_match_direct(state, stats, call)
 
 
-def test_reduced_matrix_full_space_is_curvature(rng):
+def test_reduced_matrix_full_space_is_curvature(rng, monkeypatch):
+    bases = spy_on_reduced_matrix(monkeypatch)
     reg = random_regularizer(rng, 5, kind="huber")
     engine = MMEngine(reg, strategy="full-space")
     for _ in range(6):
         engine.step(rng.standard_normal((5, 2)), rng.standard_normal(2))
     state = engine.state
+    basis, autocorr_basis, _ = bases.pop()
     weights = reg.weights(state.h_prev)
-    reduced = reduced_matrix(state.basis, state.autocorr_basis, reg.curvature(state.basis, weights))
+    reduced = reduced_matrix(basis, autocorr_basis, reg.curvature(basis, weights))
     assert_allclose(reduced, mom.normal_matrix(engine.moments, reg, state.h_prev), rtol=1e-10)
 
 
-def test_reduced_matrix_without_blocks(rng):
+def test_reduced_matrix_without_blocks(rng, monkeypatch):
+    bases = spy_on_reduced_matrix(monkeypatch)
     reg = Regularizer(4, quad=0.2)
     engine = MMEngine(reg, strategy="memory-gradient")
     for _ in range(5):
         engine.step(rng.standard_normal((4, 2)), rng.standard_normal(2))
-    state = engine.state
-    reduced = reduced_matrix(
-        state.basis, state.autocorr_basis, reg.curvature(state.basis, np.zeros(0))
-    )
-    expected = state.basis.T @ ((engine.moments.autocorr + reg.quad.toarray()) @ state.basis)
+    basis, autocorr_basis, _ = bases.pop()
+    reduced = reduced_matrix(basis, autocorr_basis, reg.curvature(basis, np.zeros(0)))
+    expected = basis.T @ ((engine.moments.autocorr + reg.quad.toarray()) @ basis)
     assert_allclose(reduced, 0.5 * (expected + expected.T), rtol=1e-9, atol=1e-12)
 
 
@@ -586,15 +596,17 @@ def test_gradient_norms_vanish_on_replayed_dataset():
     assert min(norms) <= 1e-6
 
 
-def test_iterate_stays_in_basis_range(rng):
+def test_iterate_stays_in_basis_range(rng, monkeypatch):
+    bases = spy_on_reduced_matrix(monkeypatch)
     reg = random_regularizer(rng, 6)
     engine = MMEngine(reg, strategy="memory-gradient")
     for _ in range(30):
         engine.step(rng.standard_normal((6, 1)), rng.standard_normal(1))
-        state = engine.state
-        coeffs, *_ = np.linalg.lstsq(state.basis, state.h, rcond=None)
-        residual = np.linalg.norm(state.basis @ coeffs - state.h)
-        assert residual <= 1e-8 * (1.0 + np.linalg.norm(state.h))
+        basis = bases.pop()[0]
+        h = engine.h
+        coeffs, *_ = np.linalg.lstsq(basis, h, rcond=None)
+        residual = np.linalg.norm(basis @ coeffs - h)
+        assert residual <= 1e-8 * (1.0 + np.linalg.norm(h))
 
 
 @pytest.mark.parametrize("strategy", ["memory-gradient", "gradient-only", "full-space"])
@@ -613,19 +625,19 @@ def test_descent_inequality_every_step(rng, strategy):
 
 
 @pytest.mark.parametrize("strategy", ["memory-gradient", "gradient-only", "full-space"])
-def test_subspace_optimality_after_each_step(rng, strategy):
+def test_subspace_optimality_after_each_step(rng, monkeypatch, strategy):
+    # the surrogate's gradient at the new iterate, grad + A(h) (h_next - h),
+    # taken by direct products, vanishes on the basis
+    bases = spy_on_reduced_matrix(monkeypatch)
     reg = random_regularizer(rng, 6, kind="welsch", tau=1e-2)
     engine = MMEngine(reg, strategy=strategy)
     for _ in range(80):
         engine.step(rng.standard_normal((6, 2)), rng.standard_normal(2))
         state = engine.state
-        weights = reg.weights(state.h_prev)
-        reduced = reduced_matrix(
-            state.basis, state.autocorr_basis, reg.curvature(state.basis, weights)
-        )
-        shifted = state.coords - anchor_coords(strategy, state)
-        residual = state.basis.T @ state.grad + reduced @ shifted
-        scale = max(1.0, np.linalg.norm(state.basis.T @ state.grad))
+        basis = bases.pop()[0]
+        curvature = mom.normal_matrix(engine.moments, reg, state.h_prev)
+        residual = basis.T @ (state.grad + curvature @ (state.h - state.h_prev))
+        scale = max(1.0, np.linalg.norm(basis.T @ state.grad))
         assert np.linalg.norm(residual) <= 1e-8 * scale
 
 

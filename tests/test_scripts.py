@@ -60,10 +60,17 @@ def test_compare_traces_reports_the_largest_relative_deviation():
     assert compare_csv(parent, parent) is None
     moved = "n,objective,grad_norm\n1,2.000002,0\n2,-4.000008,1e-3\n"
     deviation = compare_csv(parent, moved)
-    assert deviation["n"] == 0.0 and deviation["grad_norm"] == 0.0
-    assert deviation["objective"] == pytest.approx(2e-6)
-    assert compare_csv(parent, parent.replace(",0\n", ",1e-300\n"))["grad_norm"] == math.inf
+    assert deviation["n"] == deviation["grad_norm"] == (0.0, 1, 0.0)
+    assert deviation["objective"] == pytest.approx((2e-6, 2, 2e-6))
+    # the largest move is reported at its block, next to the last row's
+    peaked = "n,objective,grad_norm\n1,2.00002,0\n2,-4.000008,1e-3\n"
+    assert compare_csv(parent, peaked)["objective"] == pytest.approx((1e-5, 1, 2e-6))
+    late = "n,objective,grad_norm\n1,2,0\n2,-4,1.1e-3\n"
+    assert compare_csv(parent, late)["grad_norm"] == pytest.approx((0.1, 2, 0.1))
+    assert compare_csv(parent, parent.replace(",0\n", ",1e-300\n"))["grad_norm"] == (math.inf, 1, 0.0)
     # the same numbers in other digits differ as text but deviate by nothing
-    assert compare_csv(parent, parent.replace("1e-3", "0.001")) == dict.fromkeys(["n", "objective", "grad_norm"], 0.0)
+    unmoved = (0.0, 1, 0.0)
+    assert compare_csv(parent, parent.replace("1e-3", "0.001")) == dict.fromkeys(["n", "objective", "grad_norm"], unmoved)
     short = "n,objective,grad_norm\n1,2,0\n"
-    assert compare_csv(parent, short) == dict.fromkeys(["n", "objective", "grad_norm"], math.inf)
+    misaligned = (math.inf, None, math.inf)
+    assert compare_csv(parent, short) == dict.fromkeys(["n", "objective", "grad_norm"], misaligned)
