@@ -19,8 +19,13 @@ carries ``images = autocorr @ [h, h_prev]``, and each block is folded into
 them by the same forgetting recursion as the statistics.  Column 0 gives
 the gradient ``autocorr h - cross + grad Psi(h)``; with column 1 and one
 product for the fresh gradient column, the column recipe that builds the
-basis (:func:`build_subspace`) also builds ``autocorr @ basis``.  Full space
-reads the autocorrelation in place; no N x N array outlives the step.
+basis (:func:`build_subspace`) builds ``autocorr @ basis`` in the same
+call, from each vector stacked on its image.  The state keeps the
+iterates stacked on their images for that reason, and the step writes
+the next state into a copy of that stack.  Full space folds the
+statistics' running scale in and reads the autocorrelation in place
+(:func:`mmls.moments.autocorr_in_place`); no N x N array outlives the
+step.
 
 The regularizer's share of the step is not recursive: its penalty
 operator ``op`` and quadratic matrix are structured
@@ -124,19 +129,34 @@ class EngineState:
     ``images`` is the ``(N, 2)`` array ``autocorr @ [h, h_prev]`` under
     those statistics, which the next step folds its block into.  The step
     count is the statistics' ``count``.
+
+    ``h``, ``h_prev`` and ``images`` are views of one C-ordered
+    ``(2, 2, N)`` array, ``stack``: ``stack[0]`` is ``[h, h_prev]`` and
+    ``stack[1]`` their images, so ``stack[:, 0]`` is ``h`` on its image.
     """
 
-    h: np.ndarray
-    h_prev: np.ndarray
+    stack: np.ndarray
     grad: np.ndarray
-    images: np.ndarray
+
+    @property
+    def h(self) -> np.ndarray:
+        return self.stack[0, 0]
+
+    @property
+    def h_prev(self) -> np.ndarray:
+        return self.stack[0, 1]
+
+    @property
+    def images(self) -> np.ndarray:
+        return self.stack[1].T
 
     @classmethod
     def initial(cls, reg: Regularizer, h1=None) -> "EngineState":
         """State before any block: the start ``h`` (zero by default) twice, and zero images."""
         n = reg.n_dim
-        h = _coerce_vector(h1, n, "h1", finite=True).copy()
-        return cls(h=h, h_prev=h.copy(), grad=np.zeros(n), images=np.zeros((n, 2)))
+        stack = np.zeros((2, 2, n))
+        stack[0] = _coerce_vector(h1, n, "h1", finite=True)
+        return cls(stack=stack, grad=np.zeros(n))
 
 
 def build_subspace(strategy, grad, h, h_prev, step) -> np.ndarray:
@@ -144,24 +164,29 @@ def build_subspace(strategy, grad, h, h_prev, step) -> np.ndarray:
 
     Memory gradient uses ``[-grad, h, h - h_prev]`` (two columns at the
     first step), gradient-only ``[-grad, h]``, full space the identity,
-    always as a new C-ordered array.  Degenerate columns are kept; the
+    always as a new array; a low-dimensional basis is Fortran-ordered,
+    each column contiguous.  Degenerate columns are kept; the
     pseudo-inverse absorbs them.
 
     The low-dimensional recipes are linear in ``(grad, h, h_prev)``, so
-    the engine also builds the recursive autocorrelation image with it:
-    passing ``M @ grad``, ``M @ h`` and ``M @ h_prev`` yields ``M @ basis``.
+    one call also builds an image of the basis: given stacks of shape
+    ``(m, N)`` -- ``[grad, M @ grad]``, ``[h, M @ h]`` and
+    ``[h_prev, M @ h_prev]`` -- it returns ``(m, N, dim)`` with the basis
+    at ``[0]`` and ``M @ basis`` at ``[1]``, each Fortran-ordered.
     """
     if type(strategy) is not SubspaceStrategy:
         strategy = SubspaceStrategy(strategy)
     if strategy is SubspaceStrategy.FULL_SPACE:
-        return np.eye(h.shape[0])
+        return np.eye(h.shape[-1])
     memory = strategy is SubspaceStrategy.MEMORY_GRADIENT and step > 1
-    basis = np.empty((h.shape[0], 3 if memory else 2))
-    np.negative(grad, out=basis[:, 0])
-    basis[:, 1] = h
+    # rows of ``columns`` are the columns of the basis (of each stacked member)
+    columns = np.empty(h.shape[:-1] + (3 if memory else 2, h.shape[-1]))
+    by_column = columns.swapaxes(0, -2)
+    np.negative(grad, out=by_column[0])
+    by_column[1] = h
     if memory:
-        np.subtract(h, h_prev, out=basis[:, 2])
-    return basis
+        np.subtract(h, h_prev, out=by_column[2])
+    return columns.swapaxes(-1, -2)
 
 
 def reduced_matrix(basis, autocorr_basis, curvature) -> np.ndarray:
@@ -249,7 +274,7 @@ class MMEngine:
         :func:`mmls.moments.update`), evaluates the objective and gradient
         at ``h`` from the carried images and one regularizer pass
         (:func:`_pre_step`, which the SGD baseline shares), builds the
-        basis and its image with :func:`build_subspace`, adds the
+        basis and its image in one :func:`build_subspace` call, adds the
         regularizer's curvature on the basis, and solves the reduced
         system for the step.  A gradient that vanishes exactly gives a
         zero step (``rank = 0``), so stationary points are fixed points
@@ -268,25 +293,27 @@ class MMEngine:
         inv_w = 1.0 / stats.weight_total
 
         # the block folds into the images of h and h_prev as into the statistics,
-        # (1 - 1/w) images + (1/w) X X' [h, h_prev], by one gemm on a copy of the old images
-        Xt_hs = X.T.dot(np.array((state.h, state.h_prev)).T)
-        images = blas.dgemm(inv_w, X, Xt_hs, beta=1.0 - inv_w, c=state.images)
-        autocorr_h = images[:, 0]
+        # (1 - 1/w) images + (1/w) X X' [h, h_prev], by one gemm in place on a
+        # copy of the old stack; the copy becomes the next state's
+        stack = state.stack.copy()
+        Xt_hs = X.T.dot(stack[0].T)
+        blas.dgemm(inv_w, X, Xt_hs, beta=1.0 - inv_w, c=stack[1].T, overwrite_c=1)
+        autocorr_h = stack[1, 0]
 
-        weights, _, grad, grad_sq, objective = _pre_step(stats, reg, state.h, autocorr_h)
+        weights, _, grad, grad_sq, objective = _pre_step(stats, reg, stack[0, 0], autocorr_h)
         if not grad_sq < math.inf and not np.isfinite(grad).all():
             raise DivergenceError(step, f"non-finite gradient at iteration {step}")
 
-        basis = build_subspace(strategy, grad, state.h, state.h_prev, step)
         if strategy is SubspaceStrategy.FULL_SPACE:
-            # read in place: no N x N array outlives the step
-            autocorr_basis = stats.autocorr
-            anchor = state.h
+            basis = build_subspace(strategy, grad, stack[0, 0], stack[0, 1], step)
+            # folded at every block, so no scaled N x N copy is made
+            autocorr_basis = moments.autocorr_in_place(stats)
+            anchor = stack[0, 0]
         else:
-            # the recipe is linear: applied to the images of grad, h and h_prev it gives autocorr @ basis
-            autocorr_basis = build_subspace(
-                strategy, moments.autocorr_matvec(stats, grad), autocorr_h, images[:, 1], step
-            )
+            # the recipe is linear: on each vector stacked on its image it builds
+            # the basis and autocorr @ basis together
+            grads = np.array((grad, moments.autocorr_matvec(stats, grad)))
+            basis, autocorr_basis = build_subspace(strategy, grads, stack[:, 0], stack[:, 1], step)
             anchor = _ANCHOR[: basis.shape[1]]
         reduced = reduced_matrix(basis, autocorr_basis, reg.curvature(basis, weights))
 
@@ -296,17 +323,15 @@ class MMEngine:
         else:
             shifted, rank = np.zeros(basis.shape[1]), 0
         coords = anchor + shifted
-        h_next = basis.dot(coords)
+        # h and its image move to the h_prev slots, and h_next and its image fill h's
+        stack[:, 1] = stack[:, 0]
+        h_next = basis.dot(coords, out=stack[0, 0])
         # false for a NaN entry too; an infinite one makes the norm infinite
         if not math.sqrt(float(h_next.dot(h_next))) <= DIVERGENCE_NORM:
             raise DivergenceError(step)
+        autocorr_basis.dot(coords, out=stack[1, 0])
         step_quadratic = float(shifted.dot(reduced.dot(shifted)))
-        self.state = EngineState(
-            h=h_next,
-            h_prev=state.h,
-            grad=grad,
-            images=np.array((autocorr_basis.dot(coords), autocorr_h)).T,
-        )
+        self.state = EngineState(stack=stack, grad=grad)
         return IterationReport(
             objective=objective,
             grad_norm=math.sqrt(grad_sq),

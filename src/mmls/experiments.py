@@ -143,6 +143,14 @@ def resolve_config(config: ExperimentConfig) -> ExperimentConfig:
         elif not math.isfinite(value := float(value)):
             raise ConfigError(f"{name} must be finite, got {value}")
         setattr(merged, name, value)
+    # a path-like ``out`` as the string the sidecar and ``meta_path`` take
+    if merged.out is not None:
+        try:
+            merged.out = os.fspath(merged.out)
+        except TypeError:
+            pass
+        if not isinstance(merged.out, str):
+            raise ConfigError(f"out must be a string or path-like, got {config.out!r}")
     if merged.strategy not in ALGORITHMS:
         raise ConfigError(f"unknown strategy {merged.strategy!r}; expected one of {ALGORITHMS}")
     if not (0.0 < merged.vartheta <= 1.0):

@@ -13,19 +13,31 @@ curvature matrix ``A(h) = autocorr + Q + op' Diag(b(h)) op`` and the
 normal-equation right-hand side ``c(h) = cross + q + op' Diag(b(h)) shift``
 so that ``grad F(h) = A(h) h - c(h)``.
 
-``update`` folds each block into the state's own buffers in place: one
-BLAS ``dsyrk`` blends ``X X'`` into the upper triangle of ``autocorr``,
-and no N x N temporary is formed.  The lower triangle is filled by an
-exact copy of the upper one on the first read of ``autocorr`` after an
-update, so every reader still sees a full, exactly symmetric array;
-``autocorr_matvec`` multiplies by the stored triangle without that
-copy.  A caller that needs the statistics before a block must copy them
-first.
+The autocorrelation is kept as ``autocorr = scale * stored``, an
+unnormalized sum with a running scale, so that ``update`` folds each
+block into the upper triangle of ``stored`` in place with no pass over
+the old entries: one BLAS ``dsyr`` for a one-column block, ``dsyrk``
+otherwise, both adding to ``stored`` as it is.  The forgetting factor
+and the running mean move only the scale.  The first block, and a scale
+that has decayed below :data:`FOLD_BELOW`, take one ``dsyrk`` that
+scales ``stored`` as it adds, after which the scale is 1 again; the
+fold happens at a fixed block count, so reruns stay bit-identical.  No
+N x N temporary is formed.
 
-Apart from ``update`` and ``autocorr_matvec``, everything here is the
-direct (dense) evaluation path; the engine module reproduces the
-gradient and curvature products through low-rank recursions and is
-tested against these references.
+The lower triangle is filled by an exact copy of the upper one on the
+first read after an update.  Reading ``autocorr`` returns ``stored``
+itself while the scale is 1 and a new scaled array otherwise; a read
+never changes ``stored``'s upper triangle or the scale, so it changes
+no later bit.  ``autocorr_matvec`` multiplies by the stored triangle,
+with the scale as the BLAS ``alpha``, and needs no mirror;
+``autocorr_in_place`` folds the scale in first and returns ``stored``
+itself, for a reader of the whole matrix that must not copy it.  A
+caller that needs the statistics before a block must copy them first.
+
+Apart from ``update``, ``autocorr_matvec`` and ``autocorr_in_place``,
+everything here is the direct (dense) evaluation path; the engine module
+reproduces the gradient and curvature products through low-rank
+recursions and is tested against these references.
 """
 
 from __future__ import annotations
@@ -33,7 +45,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.blas import dsymv, dsyrk
+from scipy.linalg.blas import dgemv, dsymv, dsyr, dsyrk
 
 from .penalties import Regularizer, _coerce_vector
 
@@ -42,11 +54,17 @@ __all__ = [
     "MomentState",
     "update",
     "autocorr_matvec",
+    "autocorr_in_place",
     "objective",
     "normal_rhs",
     "normal_matrix",
     "gradient",
 ]
+
+# a running scale below this is folded into the stored sum: 2**-256 keeps
+# ``stored`` within 2**256 of ``autocorr``, and at forgetting 0.995 it
+# folds once every 35,000 blocks or so
+FOLD_BELOW = 2.0**-256
 
 
 @dataclass
@@ -90,11 +108,13 @@ class MomentState:
     forgetting factor is ever formed.
 
     The constructor rejects a forgetting factor outside (0, 1].  The
-    state owns ``cross`` and ``autocorr``: the constructor copies them
-    into fresh C-contiguous float64 arrays, the layout ``update`` writes
-    into in place (BLAS would silently work on a copy of any other).
-    Reading ``autocorr`` returns that owned copy, after an update with
-    the upper triangle first mirrored in place.
+    state owns ``cross`` and the stored autocorrelation: the constructor
+    copies them into fresh C-contiguous float64 arrays, the layout
+    ``update`` writes into in place (BLAS would silently work on a copy
+    of any other), and starts at scale 1.  ``autocorr`` is
+    ``scale * stored``; reading it returns ``stored`` itself (after an
+    update with the upper triangle first mirrored in place) while the
+    scale is 1, and a new scaled array otherwise.
     """
 
     def __init__(self, power: float, cross, autocorr, count: int, forgetting: float,
@@ -103,25 +123,34 @@ class MomentState:
             raise ValueError(f"forgetting factor must lie in (0, 1], got {forgetting}")
         self.power = power
         self.cross = np.array(cross, dtype=np.float64, order="C")
-        self._autocorr = np.array(autocorr, dtype=np.float64, order="C")
+        self._stored = np.array(autocorr, dtype=np.float64, order="C")
+        self._scale = 1.0
         self._mirrored = True
         self.count = count
         self.forgetting = forgetting
         self.weight_total = weight_total
         self.block_size = block_size
         n = self.cross.shape[0] if self.cross.ndim == 1 else -1
-        if self._autocorr.shape != (n, n):
+        if self._stored.shape != (n, n):
             raise ValueError(
-                f"autocorr shape {self._autocorr.shape} does not match cross shape {self.cross.shape}"
+                f"autocorr shape {self._stored.shape} does not match cross shape {self.cross.shape}"
             )
 
     @property
     def autocorr(self) -> np.ndarray:
-        """The full autocorrelation matrix, exactly symmetric after an update (owned, not a copy)."""
+        """The full autocorrelation matrix, exactly symmetric after an update.
+
+        The stored array itself at scale 1, otherwise a new one.
+        """
+        stored = self._full_stored()
+        return stored if self._scale == 1.0 else self._scale * stored
+
+    def _full_stored(self) -> np.ndarray:
+        """``stored`` with its lower triangle mirrored from the upper one."""
         if not self._mirrored:
-            _mirror_upper(self._autocorr)
+            _mirror_upper(self._stored)
             self._mirrored = True
-        return self._autocorr
+        return self._stored
 
     @classmethod
     def zeros(cls, n_dim: int, forgetting: float = 1.0) -> "MomentState":
@@ -144,11 +173,18 @@ def update(state: MomentState, sample: Sample) -> MomentState:
     """Fold one block into ``state`` in place and return ``state``.
 
     With ``w`` the new ``weight_total``, ``autocorr <- (1 - 1/w) autocorr
-    + (1/w) X X'`` is one ``dsyrk`` on the upper triangle; the lower one
-    is left stale until ``autocorr`` is next read, which mirrors it.
-    ``cross`` and ``power`` move toward the block's ``X y`` and ``y'y`` by
-    ``1/w`` of the difference.  A rejected block (dimension mismatch or
-    block-size change) raises before any field changes.
+    + (1/w) X X'`` becomes ``scale <- (1 - 1/w) scale`` and ``stored <-
+    stored + (1/w) / scale X X'`` on the upper triangle: one ``dsyr`` for
+    a one-column block, one ``dsyrk`` otherwise.  When the new scale is
+    below :data:`FOLD_BELOW` -- always at the first block, from
+    ``weight_total`` 0, where it is 0 -- one ``dsyrk`` forms ``scale * stored + (1/w) X X'`` and the scale
+    returns to 1, so the first block's ``autocorr`` is ``X X'`` bit for
+    bit.  The lower triangle is left stale until ``autocorr`` is next
+    read, which mirrors it.  ``cross <- (1 - 1/w) cross + (1/w) X y`` is
+    one ``dgemv`` in place, and ``power`` moves toward the block's ``y'y``
+    by ``1/w`` of the difference.  A rejected
+    block (dimension mismatch or block-size change) raises before any
+    field changes.
     """
     if sample.n_dim != state.n_dim:
         raise ValueError(f"sample dimension {sample.n_dim} != state dimension {state.n_dim}")
@@ -158,13 +194,22 @@ def update(state: MomentState, sample: Sample) -> MomentState:
         )
     weight_total = 1.0 + state.forgetting * state.weight_total
     inv_w = 1.0 / weight_total
+    scale = (1.0 - inv_w) * state._scale
     X = sample.X
-    state.cross += (X.dot(sample.y) - state.cross) / weight_total
-    # ``autocorr.T`` is the Fortran-order view BLAS writes through; its lower
-    # triangle is the upper triangle of ``autocorr`` and, mirrored, equals
-    # numpy's ``X @ X.T`` bit for bit.  Stream blocks are Fortran-ordered
-    # row slices, so f2py copies only ``X`` of other layouts.
-    dsyrk(inv_w, X, beta=1.0 - inv_w, c=state._autocorr.T, lower=1, overwrite_c=1)
+    dgemv(inv_w, X, sample.y, beta=1.0 - inv_w, y=state.cross, overwrite_y=1)
+    # ``stored.T`` is the Fortran-order view BLAS writes through; its lower
+    # triangle is the upper triangle of ``stored`` and, mirrored, equals
+    # numpy's ``X @ X.T`` bit for bit after the first block.  Stream blocks
+    # are Fortran-ordered row slices, so f2py copies only ``X`` of other layouts.
+    stored = state._stored.T
+    if scale < FOLD_BELOW:
+        dsyrk(inv_w, X, beta=scale, c=stored, lower=1, overwrite_c=1)
+        scale = 1.0
+    elif X.shape[1] == 1:
+        dsyr(inv_w / scale, X[:, 0], lower=1, a=stored, overwrite_a=1)
+    else:
+        dsyrk(inv_w / scale, X, beta=1.0, c=stored, lower=1, overwrite_c=1)
+    state._scale = scale
     state._mirrored = False
     state.power += (float(sample.y.dot(sample.y)) - state.power) / weight_total
     state.count += 1
@@ -174,12 +219,26 @@ def update(state: MomentState, sample: Sample) -> MomentState:
 
 
 def autocorr_matvec(state: MomentState, vec) -> np.ndarray:
-    """``autocorr @ vec`` from the upper triangle alone, by one BLAS ``dsymv``.
+    """``autocorr @ vec`` from the stored upper triangle alone, by one BLAS ``dsymv``.
 
-    Reads the stored triangle directly, so it needs no mirror after an
-    update.  Agrees with ``state.autocorr @ vec`` up to roundoff.
+    The scale is ``dsymv``'s ``alpha``, so it needs no mirror and forms
+    no scaled copy.  Agrees with ``state.autocorr @ vec`` up to roundoff.
     """
-    return dsymv(1.0, state._autocorr.T, vec, lower=1)
+    return dsymv(state._scale, state._stored.T, vec, lower=1)
+
+
+def autocorr_in_place(state: MomentState) -> np.ndarray:
+    """The full autocorrelation as the state's own array, with no N x N copy.
+
+    Folds the running scale into the stored sum in place (one pass; the
+    scale becomes 1) and returns ``autocorr``, which is then ``stored``
+    itself.  Unlike reading ``autocorr``, the fold moves later bits, so a
+    caller must make it at the same blocks on every run.
+    """
+    if state._scale != 1.0:
+        np.multiply(state._stored, state._scale, out=state._stored)
+        state._scale = 1.0
+    return state._full_stored()
 
 
 _TILE = 64
@@ -203,7 +262,7 @@ def _mirror_upper(mat: np.ndarray) -> None:
 def objective(state: MomentState, reg: Regularizer, h) -> float:
     """Streamed objective ``F(h)`` under the current statistics."""
     h = _check_vec(state, reg, h)
-    data = 0.5 * state.power - float(state.cross @ h) + 0.5 * float(h @ (state.autocorr @ h))
+    data = 0.5 * state.power - float(state.cross @ h) + 0.5 * float(h @ _autocorr_times(state, h))
     return data + reg.evaluate(h)[1]
 
 
@@ -232,7 +291,12 @@ def gradient(state: MomentState, reg: Regularizer, h) -> np.ndarray:
     h = _check_vec(state, reg, h)
     res = reg.residual(h)
     b = reg.weights_and_penalty(reg.block_norms(res))[0]
-    return state.autocorr @ h + reg.quad @ h - state.cross - reg.lin + reg.op.T @ (b * res)
+    return _autocorr_times(state, h) + reg.quad @ h - state.cross - reg.lin + reg.op.T @ (b * res)
+
+
+def _autocorr_times(state: MomentState, h) -> np.ndarray:
+    """``autocorr @ h`` as the scale times the product with the mirrored stored array (no N x N copy)."""
+    return state._scale * (state._full_stored() @ h)
 
 
 def _check_vec(state: MomentState, reg: Regularizer, h) -> np.ndarray:

@@ -289,11 +289,14 @@ class Regularizer:
 
         One catalog call for all blocks, with no screen: the norms are
         nonnegative, and a NaN among them gives NaN weights and penalty.
+        One-row blocks take the catalog's weights as they are.
         """
         if self.spec is None:  # no blocks
             return norms, 0.0
         value, weights = self.spec._at_abs(norms)
-        return weights.repeat(self.block_size), float(value.sum())
+        if self.block_size > 1:
+            weights = weights.repeat(self.block_size)
+        return weights, float(value.sum())
 
     def weights_from_norms(self, norms):
         """Weights of :meth:`weights_and_penalty`; kept while perfbench traces it by name."""

@@ -67,9 +67,53 @@ def test_build_subspace_matches_column_stack(rng, strategy, step):
     basis = build_subspace(SubspaceStrategy(strategy), grad, h, h_prev, step)
     columns = [-grad, h] + ([h - h_prev] if strategy == "memory-gradient" and step > 1 else [])
     assert np.array_equal(basis, np.column_stack(columns))
-    assert basis.flags.c_contiguous
+    assert basis.flags.f_contiguous
     for arg in (grad, h, h_prev):
         assert not np.shares_memory(basis, arg)
+
+
+@pytest.mark.parametrize("strategy", ["memory-gradient", "gradient-only"])
+@pytest.mark.parametrize("step", [1, 4])
+def test_build_subspace_on_stacks_builds_the_basis_and_its_image(rng, strategy, step):
+    grad, h, h_prev = rng.standard_normal((3, 7))
+    mat = rng.standard_normal((7, 7))
+    stacks = [np.array((vec, mat @ vec)) for vec in (grad, h, h_prev)]
+    basis, image = build_subspace(SubspaceStrategy(strategy), *stacks, step)
+    assert np.array_equal(basis, build_subspace(strategy, grad, h, h_prev, step))
+    columns = [-mat @ grad, mat @ h] + (
+        [mat @ h - mat @ h_prev] if strategy == "memory-gradient" and step > 1 else []
+    )
+    assert np.array_equal(image, np.column_stack(columns))
+    assert basis.flags.f_contiguous and image.flags.f_contiguous
+
+
+@pytest.mark.parametrize("strategy", [s.value for s in SubspaceStrategy] + ["sgd"])
+def test_reading_autocorr_changes_no_later_bit(rng, strategy):
+    # at forgetting 0.6 the statistics' running scale folds into the stored
+    # sum about every 350 blocks; one stepper's matrix is read after every block
+    reg = random_regularizer(rng, 5, kind="huber")
+
+    def stepper():
+        if strategy == "sgd":
+            return SGDStepper(reg, scale=0.1, forgetting=0.6)
+        return MMEngine(reg, strategy=strategy, forgetting=0.6)
+
+    reader, plain = stepper(), stepper()
+    folds = 0
+    for _ in range(400):
+        X, y = rng.standard_normal((5, 2)), rng.standard_normal(2)
+        scale = reader.moments._scale
+        reports = [reader.step(X, y), plain.step(X, y)]
+        folds += reader.moments._scale > scale
+        reader.moments.autocorr
+        assert repr(reports[0]) == repr(reports[1])
+        assert reader.h.tobytes() == plain.h.tobytes()
+    # full space folds the scale in at every block before it reads the matrix
+    assert folds == (0 if strategy == "full-space" else 1)
+    assert np.array_equal(reader.moments.autocorr, plain.moments.autocorr)
+    if strategy != "sgd":
+        assert reader.state.stack.tobytes() == plain.state.stack.tobytes()
+        assert reader.state.grad.tobytes() == plain.state.grad.tobytes()
 
 
 @pytest.mark.parametrize("strategy", list(SubspaceStrategy))

@@ -344,6 +344,25 @@ class TestConfig:
         assert meta["config"]["tau"] == float(np.float32(1e-6))
         assert meta["summary"]["iterations"] == 20
 
+    def test_path_out_writes_the_csv_and_its_sidecar(self, tmp_path):
+        import json
+
+        out = tmp_path / "p.csv"
+        cfg = ExperimentConfig("synthetic", n_dim=4, n_samples=20, out=out)
+        assert resolve_config(cfg).out == str(out)
+        trace = run_experiment(cfg, measure_time=False)
+        assert len(out.read_text().splitlines()) == 1 + len(trace)
+        meta = json.loads((tmp_path / "p.json").read_text())
+        assert meta["config"]["out"] == str(out)
+        assert meta["summary"]["iterations"] == 20
+
+    @pytest.mark.parametrize("out", [7, b"p.csv", ["p.csv"]])
+    def test_out_that_is_not_a_path_rejected(self, tmp_path, out):
+        cfg = ExperimentConfig("synthetic", n_dim=4, n_samples=20, out=out)
+        with pytest.raises(ConfigError, match="^out must be a string or path-like"):
+            run_experiment(cfg)
+        assert list(tmp_path.iterdir()) == []
+
     def test_unknown_experiment(self):
         with pytest.raises(ConfigError):
             resolve_config(ExperimentConfig(experiment="mystery"))

@@ -11,8 +11,10 @@ from conftest import (
 )
 from mmls import ArrayStream, Regularizer
 from mmls.moments import (
+    FOLD_BELOW,
     MomentState,
     Sample,
+    autocorr_in_place,
     autocorr_matvec,
     gradient,
     normal_matrix,
@@ -168,19 +170,70 @@ def test_update_allocates_no_square_temporary(rng):
     assert peak < n_dim * n_dim * 8 / 4
 
 
-def test_lazy_mirror_matches_reading_after_every_update(rng):
-    # n_dim 130 spans a partial 64-wide mirror panel
-    samples = make_sample_log(rng, 130, 5, 3)
-    lazy, eager = MomentState.zeros(130, 0.9), MomentState.zeros(130, 0.9)
+def _count_folds(state, samples):
+    """Update ``state`` with ``samples``; the number of times the scale was folded into the sum."""
+    folds = 0
     for sample in samples:
+        scale = state._scale
+        update(state, sample)
+        folds += state.count > 1 and state._scale > scale
+        assert FOLD_BELOW <= state._scale <= 1.0
+    return folds
+
+
+def test_lazy_mirror_matches_reading_after_every_update(rng):
+    # n_dim 130 spans a partial 64-wide mirror panel; at forgetting 0.6 the
+    # scale falls below FOLD_BELOW about every 350 blocks, so 800 cross two folds
+    samples = make_sample_log(rng, 130, 5, 800)
+    lazy, eager = MomentState.zeros(130, 0.6), MomentState.zeros(130, 0.6)
+    folds = 0
+    for k, sample in enumerate(samples):
         update(eager, sample)
         eager.autocorr  # each read mirrors the triangle written since the last one
-    update(lazy, samples[0])
-    lazy.autocorr
-    update(lazy, samples[1])
-    update(lazy, samples[2])
+        folds += _count_folds(lazy, [sample])
+        if k in (0, 1, 400):
+            lazy.autocorr
+    assert folds == 2 and lazy._scale < 1.0
     assert np.array_equal(lazy.autocorr, eager.autocorr)
     assert np.array_equal(lazy.autocorr, lazy.autocorr.T)
+
+
+@pytest.mark.parametrize(("block", "count"), [(1, 5000), (4, 4000)])
+def test_scaled_statistics_match_closed_forms_across_folds(rng, block, count):
+    # at forgetting 0.9 the scale falls below FOLD_BELOW about every 1,700 blocks
+    samples = make_sample_log(rng, 6, block, count)
+    state = MomentState.zeros(6, 0.9)
+    assert _count_folds(state, samples) >= 2
+    power, cross, autocorr, total = brute_force_moments(samples, 0.9)
+    assert state.power == pytest.approx(power, rel=1e-10)
+    assert_allclose(state.cross, cross, rtol=1e-10)
+    assert_allclose(state.autocorr, autocorr, rtol=1e-10)
+    assert state.weight_total == pytest.approx(total, rel=1e-12)
+    vec = rng.standard_normal(6)
+    expected = autocorr @ vec
+    assert np.linalg.norm(autocorr_matvec(state, vec) - expected) <= 1e-13 * np.linalg.norm(expected)
+
+
+def test_autocorr_in_place_folds_the_scale_into_the_stored_sum(rng):
+    samples = make_sample_log(rng, 5, 2, 6)
+    state, reference = stream_moments(samples[:4], 0.9), stream_moments(samples[:4], 0.9)
+    full = autocorr_in_place(state)
+    assert full is state._stored and state._scale == 1.0
+    assert np.array_equal(state.autocorr, full) and np.array_equal(full, full.T)
+    assert_allclose(full, reference.autocorr, rtol=1e-15)
+    for sample in samples[4:]:
+        update(state, sample)
+    assert_allclose(state.autocorr, brute_force_moments(samples, 0.9)[2], rtol=1e-12)
+
+
+def test_reading_autocorr_leaves_the_stored_sum_alone(rng):
+    state = stream_moments(make_sample_log(rng, 5, 2, 4), 0.9)
+    assert state._scale < 1.0
+    stored = state._stored.copy()
+    first = state.autocorr
+    assert not np.shares_memory(first, state._stored)
+    assert np.array_equal(np.triu(state._stored), np.triu(stored))
+    assert np.array_equal(state.autocorr, first)
 
 
 @pytest.mark.parametrize("n_dim", [3, 441])
