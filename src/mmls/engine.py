@@ -37,17 +37,20 @@ both leave out the terms that are identically zero or the identity, so
 the step pays only for the terms the regularizer has and never reads an
 operator's storage form.
 
-The reduced system is solved through a Cholesky factor when LAPACK's
-estimate of its reciprocal condition number exceeds 1e-8, the usual case.
-Otherwise -- the factorization fails, or the system is nearly singular --
-a symmetric eigendecomposition pseudo-inverse gives the minimum-norm step
-``u`` (eigenvalues below 1e-12 of the largest are treated as zero), so
-rank-deficient subspaces -- a zero gradient column, a zero step, the zero
-initial iterate -- need no special casing.  The gate sits far above that
-cutoff, so both paths report the same rank.  One dot product gives the
-gradient norm and its screen for non-finite entries.  The step's vector
-and small-matrix products go through ``ndarray.dot``, which costs less
-per call than ``@``.  No array of an old state is written.
+The reduced system, whose right side ``-basis' grad`` is the basis'
+product with its own column 0, is factored (Cholesky) and solved by one
+LAPACK ``dposv`` call.  The solution is kept when LAPACK's estimate of
+the reciprocal condition number, from the same factor, exceeds 1e-8,
+the usual case.  Otherwise -- the factorization fails, or the system is
+nearly singular -- a symmetric eigendecomposition pseudo-inverse gives
+the minimum-norm step ``u`` (eigenvalues below 1e-12 of the largest are
+treated as zero), so rank-deficient subspaces -- a zero gradient column,
+a zero step, the zero initial iterate -- need no special casing.  The
+gate sits far above that cutoff, so both paths report the same rank.
+One dot product gives the gradient norm and its screen for non-finite
+entries.  The step's vector and small-matrix products go through
+``ndarray.dot``, which costs less per call than ``@``.  No array of an
+old state is written.
 
 This module is only that recursive path: the dense references it is
 tested against, in :mod:`mmls.moments` and :mod:`mmls.oracle`, share
@@ -102,7 +105,7 @@ class DivergenceError(RuntimeError):
         super().__init__(message or f"divergence detected at iteration {iteration}")
 
 
-@dataclass
+@dataclass(slots=True)
 class IterationReport:
     """Per-step diagnostics.
 
@@ -120,7 +123,7 @@ class IterationReport:
     rank: int
 
 
-@dataclass
+@dataclass(slots=True)
 class EngineState:
     """Iterate, previous iterate, gradient and their one recursive cache.
 
@@ -203,20 +206,21 @@ def reduced_matrix(basis, autocorr_basis, curvature) -> np.ndarray:
 def _pinv_psd_solve(mat, rhs):
     """Minimum-norm solution of ``mat @ u = rhs``, ``mat`` symmetric PSD; returns (u, rank).
 
-    A Cholesky factor (``dpotrf``) solves the system (``dpotrs``, rank
-    ``dim``) when ``dpocon`` estimates the reciprocal condition number
-    above :data:`CHOLESKY_RCOND`.  Otherwise, and when the factorization
-    fails, the eigendecomposition pseudo-inverse drops eigenvalues below
+    One ``dposv`` call factors ``mat`` (Cholesky) and solves the system;
+    its solution is kept (rank ``dim``) when ``dpocon``, on the same
+    factor, estimates the reciprocal condition number above
+    :data:`CHOLESKY_RCOND`.  Otherwise, and when the factorization fails,
+    the eigendecomposition pseudo-inverse drops eigenvalues below
     :data:`RANK_CUTOFF` of the largest.  A non-finite ``mat`` gives a NaN
     solution, which the engine's divergence guard rejects.
     """
-    factor, info = lapack.dpotrf(mat, lower=1)
+    factor, sol, info = lapack.dposv(mat, rhs, lower=1)
     if info == 0:
         # dlange sums column j of ``mat.T`` (no copy for a C-ordered ``mat``) in
         # the order ``np.abs(mat).sum(axis=0)`` sums column j of the symmetric ``mat``
         rcond, info = lapack.dpocon(factor, lapack.dlange("1", mat.T), uplo="L")
         if info == 0 and rcond > CHOLESKY_RCOND:
-            return lapack.dpotrs(factor, rhs, lower=1)[0], rhs.shape[0]
+            return sol, rhs.shape[0]
     if not np.isfinite(mat).all():
         return np.full_like(rhs, np.nan), 0
     vals, vecs = np.linalg.eigh(mat)
@@ -308,18 +312,21 @@ class MMEngine:
             basis = build_subspace(strategy, grad, stack[0, 0], stack[0, 1], step)
             # folded at every block, so no scaled N x N copy is made
             autocorr_basis = moments.autocorr_in_place(stats)
-            anchor = stack[0, 0]
+            anchor, full = stack[0, 0], True
         else:
             # the recipe is linear: on each vector stacked on its image it builds
             # the basis and autocorr @ basis together
             grads = np.array((grad, moments.autocorr_matvec(stats, grad)))
             basis, autocorr_basis = build_subspace(strategy, grads, stack[:, 0], stack[:, 1], step)
-            anchor = _ANCHOR[: basis.shape[1]]
+            anchor, full = _ANCHOR[: basis.shape[1]], False
         reduced = reduced_matrix(basis, autocorr_basis, reg.curvature(basis, weights))
 
         # the sum of squares can underflow to 0 on a nonzero gradient
         if grad_sq > 0.0 or grad.any():
-            shifted, rank = _pinv_psd_solve(reduced, -basis.T.dot(grad))
+            # column 0 of a low-dimensional basis is -grad, so its product is
+            # -basis' grad bit for bit; the identity basis of full space leaves -grad
+            rhs = -grad if full else basis.T.dot(basis[:, 0])
+            shifted, rank = _pinv_psd_solve(reduced, rhs)
         else:
             shifted, rank = np.zeros(basis.shape[1]), 0
         coords = anchor + shifted

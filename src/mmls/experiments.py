@@ -175,7 +175,15 @@ def resident_bytes(cfg: ExperimentConfig) -> int:
     """Upper bound on the bytes of float64 arrays a run of the resolved ``cfg`` holds at once.
 
     Every run keeps the ``n_dim``-square autocorrelation and four trace
-    columns of one entry per block.  A full-space step holds up to seven
+    columns of one entry per block.  While streaming it also holds two
+    blocks, the one being stepped and the next one being cut (a deconv2d
+    block is copied out of the image; the other streams' blocks are
+    views), and vectors of ``n_dim`` entries: the regularizer's operator
+    and shift, the iterates stacked on their images (the old state's and
+    the new one), the basis and its image, and the penalty residuals,
+    weights and operator products of the step, counted as 32 per
+    coordinate (``tracemalloc`` measures at most 28 with tv2d, two
+    operator rows per coordinate).  A full-space step holds up to seven
     more such squares at once, so eight are counted for it: the identity
     basis, the regularizer's curvature products (two squares each for the
     two-row-per-pixel tv2d operator) and the reduced system; it reads the
@@ -201,7 +209,8 @@ def resident_bytes(cfg: ExperimentConfig) -> int:
         rows = cfg.n_samples
         stream = (cfg.n_dim + 1) * rows
     squares = 8 if cfg.strategy == "full-space" else 1
-    return 8 * (stream + squares * cfg.n_dim**2 + 4 * (rows // cfg.block_size))
+    step = 2 * cfg.n_dim * cfg.block_size + 32 * cfg.n_dim
+    return 8 * (stream + step + squares * cfg.n_dim**2 + 4 * (rows // cfg.block_size))
 
 
 # --- regularizer builders ---------------------------------------------------
@@ -287,9 +296,13 @@ class SGDStepper:
 
 def nrmse(estimate, truth) -> float:
     """Normalized error ``||estimate - truth|| / ||truth||``."""
-    estimate = np.asarray(estimate, dtype=float).reshape(-1)
-    # contiguous, as ``np.linalg.norm`` makes it, so the dot sums in its order
-    truth = np.asarray(truth, dtype=float).ravel()
+    # 1-D float64 arrays are used as they are, the truth only if contiguous
+    # (as ``np.linalg.norm`` makes it), so that the dot sums in its order
+    if not (type(estimate) is np.ndarray and estimate.dtype == np.float64 and estimate.ndim == 1):
+        estimate = np.asarray(estimate, dtype=float).reshape(-1)
+    if not (type(truth) is np.ndarray and truth.dtype == np.float64 and truth.ndim == 1
+            and truth.flags.c_contiguous):
+        truth = np.asarray(truth, dtype=float).ravel()
     if estimate.shape != truth.shape:
         raise ValueError("estimate and truth must have equal length")
     scale = math.sqrt(truth.dot(truth))

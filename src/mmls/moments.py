@@ -19,10 +19,12 @@ block into the upper triangle of ``stored`` in place with no pass over
 the old entries: one BLAS ``dsyr`` for a one-column block, ``dsyrk``
 otherwise, both adding to ``stored`` as it is.  The forgetting factor
 and the running mean move only the scale.  The first block, and a scale
-that has decayed below :data:`FOLD_BELOW`, take one ``dsyrk`` that
-scales ``stored`` as it adds, after which the scale is 1 again; the
-fold happens at a fixed block count, so reruns stay bit-identical.  No
-N x N temporary is formed.
+that has decayed below :data:`FOLD_BELOW` (2^-64, so that ``stored``
+never exceeds ``autocorr`` by more than 2^64 and the statistics keep all
+but that factor of the float64 range), take one ``dsyrk`` that scales
+``stored`` as it adds, after which the scale is 1 again.  The fold
+happens at a fixed block count -- every 8,850 blocks or so at forgetting
+0.995 -- so reruns stay bit-identical.  No N x N temporary is formed.
 
 The lower triangle is filled by an exact copy of the upper one on the
 first read after an update.  Reading ``autocorr`` returns ``stored``
@@ -61,13 +63,14 @@ __all__ = [
     "gradient",
 ]
 
-# a running scale below this is folded into the stored sum: 2**-256 keeps
-# ``stored`` within 2**256 of ``autocorr``, and at forgetting 0.995 it
-# folds once every 35,000 blocks or so
-FOLD_BELOW = 2.0**-256
+# a running scale below this is folded into the stored sum: 2**-64 keeps
+# ``stored`` within 2**64 (about 1.8e19) of ``autocorr``, so the statistics
+# hold all but that factor of float64's range; at forgetting 0.995 it folds
+# once every 8,850 blocks or so (first at block 7,795)
+FOLD_BELOW = 2.0**-64
 
 
-@dataclass
+@dataclass(slots=True)
 class Sample:
     """One stream block: regressors ``X`` (n_dim, block) and targets ``y``."""
 
@@ -86,7 +89,9 @@ class Sample:
             )
         if self.y.shape[0] < 1:
             raise ValueError("block size must be at least 1")
-        if not (np.isfinite(self.X).all() and np.isfinite(self.y).all()):
+        # the reduction ``ndarray.all`` makes, without its Python frame
+        if not (np.logical_and.reduce(np.isfinite(self.X), axis=None)
+                and np.logical_and.reduce(np.isfinite(self.y))):
             raise ValueError("sample entries must be finite")
 
     @property
@@ -186,16 +191,15 @@ def update(state: MomentState, sample: Sample) -> MomentState:
     block (dimension mismatch or block-size change) raises before any
     field changes.
     """
-    if sample.n_dim != state.n_dim:
-        raise ValueError(f"sample dimension {sample.n_dim} != state dimension {state.n_dim}")
-    if state.block_size is not None and sample.block_size != state.block_size:
-        raise ValueError(
-            f"block size changed mid-stream: {sample.block_size} != {state.block_size}"
-        )
+    X = sample.X
+    n_dim, block_size = X.shape
+    if n_dim != state.cross.shape[0]:
+        raise ValueError(f"sample dimension {n_dim} != state dimension {state.n_dim}")
+    if state.block_size is not None and block_size != state.block_size:
+        raise ValueError(f"block size changed mid-stream: {block_size} != {state.block_size}")
     weight_total = 1.0 + state.forgetting * state.weight_total
     inv_w = 1.0 / weight_total
     scale = (1.0 - inv_w) * state._scale
-    X = sample.X
     dgemv(inv_w, X, sample.y, beta=1.0 - inv_w, y=state.cross, overwrite_y=1)
     # ``stored.T`` is the Fortran-order view BLAS writes through; its lower
     # triangle is the upper triangle of ``stored`` and, mirrored, equals
@@ -205,7 +209,7 @@ def update(state: MomentState, sample: Sample) -> MomentState:
     if scale < FOLD_BELOW:
         dsyrk(inv_w, X, beta=scale, c=stored, lower=1, overwrite_c=1)
         scale = 1.0
-    elif X.shape[1] == 1:
+    elif block_size == 1:
         dsyr(inv_w / scale, X[:, 0], lower=1, a=stored, overwrite_a=1)
     else:
         dsyrk(inv_w / scale, X, beta=1.0, c=stored, lower=1, overwrite_c=1)
@@ -214,7 +218,7 @@ def update(state: MomentState, sample: Sample) -> MomentState:
     state.power += (float(sample.y.dot(sample.y)) - state.power) / weight_total
     state.count += 1
     state.weight_total = weight_total
-    state.block_size = sample.block_size
+    state.block_size = block_size
     return state
 
 

@@ -69,7 +69,8 @@ def _power(a, d, k):
 
 
 def _welsch(a, d, k):
-    kernel = np.exp(-(a * a) / (2.0 * d * d))
+    # the negation rides on the scalar divisor: the same bits as -(a * a) / (2 d^2)
+    kernel = np.exp((a * a) / (-2.0 * d * d))
     return 1.0 - kernel, kernel / (d * d)
 
 
@@ -278,6 +279,8 @@ class Regularizer:
     def block_norms(self, residual):
         """Euclidean norm of each block of a stacked residual, its squares added left to right."""
         squares = residual * residual
+        if self.block_size == 1:
+            return np.sqrt(squares)
         # row j of every block is the strided slice squares[j::block_size]
         sums = squares[:: self.block_size]
         for j in range(1, self.block_size):
@@ -296,7 +299,7 @@ class Regularizer:
         value, weights = self.spec._at_abs(norms)
         if self.block_size > 1:
             weights = weights.repeat(self.block_size)
-        return weights, float(value.sum())
+        return weights, float(np.add.reduce(value))
 
     def weights_from_norms(self, norms):
         """Weights of :meth:`weights_and_penalty`; kept while perfbench traces it by name."""

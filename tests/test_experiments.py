@@ -288,8 +288,10 @@ class TestConfig:
     def test_resident_bytes_bounds_the_traced_peak(self, problem, strategy):
         cfg = ExperimentConfig(strategy=strategy, **problem)
         peak = traced_peak(lambda: run_experiment(cfg, measure_time=False))
-        # the MiB of slack covers interpreter and library allocations
-        assert peak <= resident_bytes(resolve_config(cfg)) + 2**20
+        # the 128 KiB of slack covers interpreter and library allocations (the
+        # peaks here exceed the count by at most 12 KiB); it is less than one
+        # N x N array, 176 KiB at N=150
+        assert peak <= resident_bytes(resolve_config(cfg)) + 2**17
 
     @pytest.mark.parametrize("name", [
         "seed", "image_size", "kernel_size", "n_dim", "n_samples", "block_size", "change_point",

@@ -183,7 +183,7 @@ def _count_folds(state, samples):
 
 def test_lazy_mirror_matches_reading_after_every_update(rng):
     # n_dim 130 spans a partial 64-wide mirror panel; at forgetting 0.6 the
-    # scale falls below FOLD_BELOW about every 350 blocks, so 800 cross two folds
+    # scale falls below FOLD_BELOW every 87 blocks, so 800 cross nine folds
     samples = make_sample_log(rng, 130, 5, 800)
     lazy, eager = MomentState.zeros(130, 0.6), MomentState.zeros(130, 0.6)
     folds = 0
@@ -193,14 +193,14 @@ def test_lazy_mirror_matches_reading_after_every_update(rng):
         folds += _count_folds(lazy, [sample])
         if k in (0, 1, 400):
             lazy.autocorr
-    assert folds == 2 and lazy._scale < 1.0
+    assert folds == 9 and lazy._scale < 1.0
     assert np.array_equal(lazy.autocorr, eager.autocorr)
     assert np.array_equal(lazy.autocorr, lazy.autocorr.T)
 
 
 @pytest.mark.parametrize(("block", "count"), [(1, 5000), (4, 4000)])
 def test_scaled_statistics_match_closed_forms_across_folds(rng, block, count):
-    # at forgetting 0.9 the scale falls below FOLD_BELOW about every 1,700 blocks
+    # at forgetting 0.9 the scale falls below FOLD_BELOW about every 420 blocks
     samples = make_sample_log(rng, 6, block, count)
     state = MomentState.zeros(6, 0.9)
     assert _count_folds(state, samples) >= 2
@@ -212,6 +212,17 @@ def test_scaled_statistics_match_closed_forms_across_folds(rng, block, count):
     vec = rng.standard_normal(6)
     expected = autocorr @ vec
     assert np.linalg.norm(autocorr_matvec(state, vec) - expected) <= 1e-13 * np.linalg.norm(expected)
+
+
+@pytest.mark.parametrize("x", [1e120, 1e140])
+def test_scaled_statistics_keep_large_entries_finite(x):
+    # at forgetting 0.5 the scale halves every block, so ``stored`` grows to
+    # 2**64 times ``autocorr`` (x**2, up to 1e280) before each fold
+    state = MomentState.zeros(2, 0.5)
+    sample = Sample(np.full((2, 1), x), np.ones(1))
+    for _ in range(300):
+        update(state, sample)
+    assert_allclose(state.autocorr, np.full((2, 2), x * x), rtol=1e-15)
 
 
 def test_autocorr_in_place_folds_the_scale_into_the_stored_sum(rng):
