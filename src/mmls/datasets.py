@@ -3,7 +3,7 @@
 A stream is a sequence of feature rows: row ``l`` holds the regressor
 producing observation ``l``, so a block of size ``q`` is the transposed
 row slice paired with its observations.  :class:`ArrayStream` serves
-``block``, ``blocks`` and ``features`` through one hook, ``_rows``, from
+``block`` and ``features`` through one hook, ``_rows``, from
 its row matrix ``matrix``.  The synthetic stream's matrix is an array;
 the adaptive stream's is a read-only window view of the zero-padded
 input signal, which costs no memory.  The deconvolution stream,
@@ -39,7 +39,7 @@ class ArrayStream:
 
     The row matrix ``matrix`` may be a view.  A subclass that keeps less
     calls :meth:`_keep` from its ``__init__`` and overrides :meth:`_rows`,
-    the one hook through which ``block``, ``blocks`` and ``features`` read.
+    the one hook through which ``block`` and ``features`` read.
     """
 
     def __init__(self, features, observations):
@@ -65,6 +65,7 @@ class ArrayStream:
         return self.matrix[start:stop]
 
     def n_blocks(self, block_size: int) -> int:
+        """Number of whole blocks of ``block_size`` rows; a trailing partial block is dropped."""
         return self.n_rows // _coerce_dim(block_size, "block size")
 
     def _observe(self, rng, scale, truth, later=None, change=None):
@@ -100,11 +101,6 @@ class ArrayStream:
         start = index * block_size
         stop = start + block_size
         return Sample(self._rows(start, stop).T, self.observations[start:stop])
-
-    def blocks(self, block_size: int):
-        """Yield consecutive blocks; a trailing partial block is dropped."""
-        for index in range(self.n_blocks(block_size)):
-            yield self.block(index, block_size)
 
 
 @dataclass

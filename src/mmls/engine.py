@@ -22,10 +22,15 @@ product for the fresh gradient column, the column recipe that builds the
 basis (:func:`build_subspace`) builds ``autocorr @ basis`` in the same
 call, from each vector stacked on its image.  The state keeps the
 iterates stacked on their images for that reason, and the step writes
-the next state into a copy of that stack.  Full space folds the
-statistics' running scale in and reads the autocorrelation in place
-(:func:`mmls.moments.autocorr_in_place`); no N x N array outlives the
-step.
+the next state into a copy of that stack.
+
+Full space minimizes the same surrogate over all of R^N, so it has no
+basis: it forms ``A(h)`` once as a new dense matrix, the regularizer's
+part from :meth:`Regularizer.curvature` with ``basis=None`` and the
+autocorrelation read from the statistics (never written), solves
+``A(h) u = -grad`` and steps to ``h + u``, whose image is one product with
+the stored triangle (:func:`mmls.moments.autocorr_matvec`).  No N x N
+array outlives the step.
 
 The regularizer's share of the step is not recursive: its penalty
 operator ``op`` and quadratic matrix are structured
@@ -38,15 +43,16 @@ the step pays only for the terms the regularizer has and never reads an
 operator's storage form.
 
 The reduced system, whose right side ``-basis' grad`` is the basis'
-product with its own column 0, is factored (Cholesky) and solved by one
-LAPACK ``dposv`` call.  The solution is kept when LAPACK's estimate of
-the reciprocal condition number, from the same factor, exceeds 1e-8,
-the usual case.  Otherwise -- the factorization fails, or the system is
-nearly singular -- a symmetric eigendecomposition pseudo-inverse gives
-the minimum-norm step ``u`` (eigenvalues below 1e-12 of the largest are
-treated as zero), so rank-deficient subspaces -- a zero gradient column,
-a zero step, the zero initial iterate -- need no special casing.  The
-gate sits far above that cutoff, so both paths report the same rank.
+product with its own column 0, and full space's ``A(h) u = -grad`` are
+factored (Cholesky) and solved by one LAPACK ``dposv`` call.  The
+solution is kept when LAPACK's estimate of the reciprocal condition
+number, from the same factor, exceeds 1e-8, the usual case.  Otherwise
+-- the factorization fails, or the system is nearly singular -- a
+symmetric eigendecomposition pseudo-inverse gives the minimum-norm step
+``u`` (eigenvalues below 1e-12 of the largest are treated as zero), so
+rank-deficient subspaces -- a zero gradient column, a zero step, the
+zero initial iterate -- need no special casing.  The gate sits far above
+that cutoff, so both paths report the same rank.
 One dot product gives the gradient norm and its screen for non-finite
 entries.  The step's vector and small-matrix products go through
 ``ndarray.dot``, which costs less per call than ``@``.  No array of an
@@ -166,13 +172,14 @@ def build_subspace(strategy, grad, h, h_prev, step) -> np.ndarray:
     """Assemble the basis for iteration ``step`` (columns in fixed order).
 
     Memory gradient uses ``[-grad, h, h - h_prev]`` (two columns at the
-    first step), gradient-only ``[-grad, h]``, full space the identity,
-    always as a new array; a low-dimensional basis is Fortran-ordered,
-    each column contiguous.  Degenerate columns are kept; the
-    pseudo-inverse absorbs them.
+    first step) and gradient-only ``[-grad, h]``, always as a new
+    Fortran-ordered array, each column contiguous.  Degenerate columns
+    are kept; the pseudo-inverse absorbs them.  Full space has no basis
+    (its step solves the surrogate's normal equations) and raises
+    ``ValueError``.
 
-    The low-dimensional recipes are linear in ``(grad, h, h_prev)``, so
-    one call also builds an image of the basis: given stacks of shape
+    Both recipes are linear in ``(grad, h, h_prev)``, so one call also
+    builds an image of the basis: given stacks of shape
     ``(m, N)`` -- ``[grad, M @ grad]``, ``[h, M @ h]`` and
     ``[h_prev, M @ h_prev]`` -- it returns ``(m, N, dim)`` with the basis
     at ``[0]`` and ``M @ basis`` at ``[1]``, each Fortran-ordered.
@@ -180,7 +187,7 @@ def build_subspace(strategy, grad, h, h_prev, step) -> np.ndarray:
     if type(strategy) is not SubspaceStrategy:
         strategy = SubspaceStrategy(strategy)
     if strategy is SubspaceStrategy.FULL_SPACE:
-        return np.eye(h.shape[-1])
+        raise ValueError("full space has no basis: its step solves the normal equations")
     memory = strategy is SubspaceStrategy.MEMORY_GRADIENT and step > 1
     # rows of ``columns`` are the columns of the basis (of each stacked member)
     columns = np.empty(h.shape[:-1] + (3 if memory else 2, h.shape[-1]))
@@ -221,6 +228,7 @@ def _pinv_psd_solve(mat, rhs):
         rcond, info = lapack.dpocon(factor, lapack.dlange("1", mat.T), uplo="L")
         if info == 0 and rcond > CHOLESKY_RCOND:
             return sol, rhs.shape[0]
+    del factor  # an N x N array in full space, not needed by the eigendecomposition
     if not np.isfinite(mat).all():
         return np.full_like(rhs, np.nan), 0
     vals, vecs = np.linalg.eigh(mat)
@@ -280,9 +288,9 @@ class MMEngine:
         (:func:`_pre_step`, which the SGD baseline shares), builds the
         basis and its image in one :func:`build_subspace` call, adds the
         regularizer's curvature on the basis, and solves the reduced
-        system for the step.  A gradient that vanishes exactly gives a
-        zero step (``rank = 0``), so stationary points are fixed points
-        bit for bit.
+        system for the step; full space solves ``A(h) u = -grad``
+        directly.  A gradient that vanishes exactly gives a zero step
+        (``rank = 0``), so stationary points are fixed points bit for bit.
 
         If the step at block ``k`` raises :class:`DivergenceError`,
         ``moments`` already includes block ``k`` (``moments.count == k``)
@@ -302,47 +310,44 @@ class MMEngine:
         stack = state.stack.copy()
         Xt_hs = X.T.dot(stack[0].T)
         blas.dgemm(inv_w, X, Xt_hs, beta=1.0 - inv_w, c=stack[1].T, overwrite_c=1)
-        autocorr_h = stack[1, 0]
 
-        weights, _, grad, grad_sq, objective = _pre_step(stats, reg, stack[0, 0], autocorr_h)
+        weights, _, grad, grad_sq, objective = _pre_step(stats, reg, stack[0, 0], stack[1, 0])
         if not grad_sq < math.inf and not np.isfinite(grad).all():
             raise DivergenceError(step, f"non-finite gradient at iteration {step}")
 
         if strategy is SubspaceStrategy.FULL_SPACE:
-            basis = build_subspace(strategy, grad, stack[0, 0], stack[0, 1], step)
-            # folded at every block, so no scaled N x N copy is made
-            autocorr_basis = moments.autocorr_in_place(stats)
-            anchor, full = stack[0, 0], True
+            # no basis (None stands for the identity): A(h) itself as a new
+            # matrix; the statistics' array is read, never written
+            basis, reduced = None, reg.curvature(None, weights)
+            reduced += stats.autocorr
         else:
             # the recipe is linear: on each vector stacked on its image it builds
             # the basis and autocorr @ basis together
             grads = np.array((grad, moments.autocorr_matvec(stats, grad)))
             basis, autocorr_basis = build_subspace(strategy, grads, stack[:, 0], stack[:, 1], step)
-            anchor, full = _ANCHOR[: basis.shape[1]], False
-        reduced = reduced_matrix(basis, autocorr_basis, reg.curvature(basis, weights))
+            reduced = reduced_matrix(basis, autocorr_basis, reg.curvature(basis, weights))
 
         # the sum of squares can underflow to 0 on a nonzero gradient
         if grad_sq > 0.0 or grad.any():
             # column 0 of a low-dimensional basis is -grad, so its product is
-            # -basis' grad bit for bit; the identity basis of full space leaves -grad
-            rhs = -grad if full else basis.T.dot(basis[:, 0])
+            # -basis' grad bit for bit
+            rhs = -grad if basis is None else basis.T.dot(basis[:, 0])
             shifted, rank = _pinv_psd_solve(reduced, rhs)
         else:
-            shifted, rank = np.zeros(basis.shape[1]), 0
-        coords = anchor + shifted
+            shifted, rank = np.zeros(reduced.shape[0]), 0
         # h and its image move to the h_prev slots, and h_next and its image fill h's
         stack[:, 1] = stack[:, 0]
-        h_next = basis.dot(coords, out=stack[0, 0])
+        if basis is None:
+            h_next = np.add(stack[0, 1], shifted, out=stack[0, 0])
+            stack[1, 0] = moments.autocorr_matvec(stats, h_next)
+        else:
+            coords = _ANCHOR[: basis.shape[1]] + shifted
+            h_next = basis.dot(coords, out=stack[0, 0])
+            autocorr_basis.dot(coords, out=stack[1, 0])
         # false for a NaN entry too; an infinite one makes the norm infinite
         if not math.sqrt(float(h_next.dot(h_next))) <= DIVERGENCE_NORM:
             raise DivergenceError(step)
-        autocorr_basis.dot(coords, out=stack[1, 0])
         step_quadratic = float(shifted.dot(reduced.dot(shifted)))
         self.state = EngineState(stack=stack, grad=grad)
-        return IterationReport(
-            objective=objective,
-            grad_norm=math.sqrt(grad_sq),
-            step_quadratic=step_quadratic,
-            subspace_dim=basis.shape[1],
-            rank=rank,
-        )
+        return IterationReport(objective, math.sqrt(grad_sq), step_quadratic,
+                               reduced.shape[0], rank)

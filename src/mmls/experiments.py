@@ -175,20 +175,21 @@ def resident_bytes(cfg: ExperimentConfig) -> int:
     """Upper bound on the bytes of float64 arrays a run of the resolved ``cfg`` holds at once.
 
     Every run keeps the ``n_dim``-square autocorrelation and four trace
-    columns of one entry per block.  While streaming it also holds two
-    blocks, the one being stepped and the next one being cut (a deconv2d
-    block is copied out of the image; the other streams' blocks are
-    views), and vectors of ``n_dim`` entries: the regularizer's operator
-    and shift, the iterates stacked on their images (the old state's and
-    the new one), the basis and its image, and the penalty residuals,
-    weights and operator products of the step, counted as 32 per
-    coordinate (``tracemalloc`` measures at most 28 with tv2d, two
-    operator rows per coordinate).  A full-space step holds up to seven
-    more such squares at once, so eight are counted for it: the identity
-    basis, the regularizer's curvature products (two squares each for the
-    two-row-per-pixel tv2d operator) and the reduced system; it reads the
-    autocorrelation in place, and nothing of that size outlives the step
-    (a traced peak of 7.24 squares in all at 441 dimensions with tv2d).
+    columns of one entry per block.  While streaming it also holds one
+    block (a deconv2d block is copied out of the image; the other streams'
+    blocks are views), and vectors of ``n_dim`` entries: the regularizer's
+    operator and shift, the iterates stacked on their images (the old
+    state's and the new one), the basis and its image, and the penalty
+    residuals, weights and operator products of the step, counted as 64
+    per coordinate (``tracemalloc`` measures at most 59 with tv2d, two
+    operator rows per coordinate, interpreter allocations included).  A
+    full-space step holds up to three more squares at once, so four are
+    counted for it: ``A(h)``, then either the scaled autocorrelation it
+    adds or the Cholesky factor, or else the eigenvectors and their kept
+    columns when the factorization is rejected; nothing of that size
+    outlives the step.  The traced peaks are 3.25 squares in all at 441
+    dimensions with tv2d (Cholesky) and 4.09 at 384 without blocks (the
+    eigendecomposition).
     For its stream this counts, for
     deconv2d, three image-sized arrays and the zero-padded image, at least
     what generation holds at once (a blur pass's input, output and pair
@@ -208,9 +209,9 @@ def resident_bytes(cfg: ExperimentConfig) -> int:
     else:
         rows = cfg.n_samples
         stream = (cfg.n_dim + 1) * rows
-    squares = 8 if cfg.strategy == "full-space" else 1
-    step = 2 * cfg.n_dim * cfg.block_size + 32 * cfg.n_dim
-    return 8 * (stream + step + squares * cfg.n_dim**2 + 4 * (rows // cfg.block_size))
+    squares = 4 if cfg.strategy == "full-space" else 1
+    step = cfg.n_dim * (cfg.block_size + 64 + squares * cfg.n_dim)
+    return 8 * (stream + step + 4 * (rows // cfg.block_size))
 
 
 # --- regularizer builders ---------------------------------------------------
@@ -479,8 +480,11 @@ def run_experiment(config: ExperimentConfig, measure_time: bool = True) -> RunTr
         stepper = SGDStepper(reg, cfg.sgd_scale, forgetting=cfg.vartheta)
     else:
         stepper = MMEngine(reg, strategy=cfg.strategy, forgetting=cfg.vartheta)
-    for i, sample in enumerate(stream.blocks(q)):
+    for i in range(total):
+        # block i is cut only after block i - 1 is dropped
+        sample = stream.block(i, q)
         report = stepper.step(sample.X, sample.y)
+        del sample
         objective[i] = report.objective
         grad_norm[i] = report.grad_norm
         errors[i] = nrmse(stepper.h, truth_at((i + 1) * q))

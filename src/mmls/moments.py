@@ -31,15 +31,13 @@ first read after an update.  Reading ``autocorr`` returns ``stored``
 itself while the scale is 1 and a new scaled array otherwise; a read
 never changes ``stored``'s upper triangle or the scale, so it changes
 no later bit.  ``autocorr_matvec`` multiplies by the stored triangle,
-with the scale as the BLAS ``alpha``, and needs no mirror;
-``autocorr_in_place`` folds the scale in first and returns ``stored``
-itself, for a reader of the whole matrix that must not copy it.  A
-caller that needs the statistics before a block must copy them first.
+with the scale as the BLAS ``alpha``, and needs no mirror.  A caller
+that needs the statistics before a block must copy them first.
 
-Apart from ``update``, ``autocorr_matvec`` and ``autocorr_in_place``,
-everything here is the direct (dense) evaluation path; the engine module
-reproduces the gradient and curvature products through low-rank
-recursions and is tested against these references.
+Apart from ``update`` and ``autocorr_matvec``, everything here is the
+direct (dense) evaluation path; the engine module reproduces the
+gradient and curvature products through low-rank recursions and is
+tested against these references.
 """
 
 from __future__ import annotations
@@ -56,7 +54,6 @@ __all__ = [
     "MomentState",
     "update",
     "autocorr_matvec",
-    "autocorr_in_place",
     "objective",
     "normal_rhs",
     "normal_matrix",
@@ -229,20 +226,6 @@ def autocorr_matvec(state: MomentState, vec) -> np.ndarray:
     no scaled copy.  Agrees with ``state.autocorr @ vec`` up to roundoff.
     """
     return dsymv(state._scale, state._stored.T, vec, lower=1)
-
-
-def autocorr_in_place(state: MomentState) -> np.ndarray:
-    """The full autocorrelation as the state's own array, with no N x N copy.
-
-    Folds the running scale into the stored sum in place (one pass; the
-    scale becomes 1) and returns ``autocorr``, which is then ``stored``
-    itself.  Unlike reading ``autocorr``, the fold moves later bits, so a
-    caller must make it at the same blocks on every run.
-    """
-    if state._scale != 1.0:
-        np.multiply(state._stored, state._scale, out=state._stored)
-        state._scale = 1.0
-    return state._full_stored()
 
 
 _TILE = 64

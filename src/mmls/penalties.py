@@ -340,7 +340,24 @@ class Regularizer:
         return weights, value + penalty, grad
 
     def curvature(self, basis, weights):
-        """``basis' (quad + op' diag(weights) op) basis``, leaving out a zero ridge and a unit ``op``."""
+        """``basis' (quad + op' diag(weights) op) basis``, leaving out a zero ridge and a unit ``op``.
+
+        ``basis=None`` stands for the identity and gives the dense
+        ``quad + op' diag(weights) op`` as a new array, with no identity
+        built: ``s^2 weights`` on the diagonal for ``op = s I`` and one
+        sparse product ``op' (weights * op)`` for a CSR ``op``, then a
+        scaled identity ridge added to the diagonal or a CSR ``quad``
+        densified and added.
+        """
+        if basis is None:
+            op, quad = self.op, self.quad
+            mat = (np.diag(op._scale * op._scale * weights) if op._csr is None
+                   else (op.T._csr @ op._csr.multiply(weights[:, None])).toarray())
+            if quad._csr is None:
+                mat.flat[:: self.n_dim + 1] += quad._scale
+            else:
+                mat += quad.toarray()
+            return mat
         op_basis = basis if self._unit_op else self.op @ basis
         mat = op_basis.T.dot(weights[:, None] * op_basis)
         if self._ridge:

@@ -17,6 +17,11 @@ def make_sample_log(rng, n_dim, block, count):
     ]
 
 
+def stream_blocks(stream, block_size):
+    """The stream's whole blocks of ``block_size``, cut by index in order."""
+    return [stream.block(index, block_size) for index in range(stream.n_blocks(block_size))]
+
+
 def stream_moments(samples, forgetting):
     """Feed a sample log through the running update."""
     state = MomentState.zeros(samples[0].n_dim, forgetting)
@@ -59,8 +64,8 @@ def traced_peak(call):
 def spy_on_reduced_matrix(monkeypatch):
     """Record the ``(basis, autocorr_basis, curvature)`` of every reduced matrix ``MMEngine.step`` builds.
 
-    In full space ``autocorr_basis`` is the statistics' own autocorrelation,
-    so it holds the step's value only until the next block is folded in.
+    Full space builds none: its step solves ``A(h)`` itself, so its steps
+    record nothing.
     """
     calls = []
     build = engine.reduced_matrix

@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import random_regularizer, spy_on_reduced_matrix
+from conftest import random_regularizer, spy_on_reduced_matrix, stream_blocks
 from mmls import (
     ExperimentConfig,
     MMEngine,
@@ -156,7 +156,7 @@ def replayed_strongly_convex():
     started = time.perf_counter()
     engine = MMEngine(reg, strategy="memory-gradient", forgetting=1.0)
     for _ in range(20):
-        for sample in stream.blocks(1):
+        for sample in stream_blocks(stream, 1):
             engine.step(sample.X, sample.y)
     return {
         "reg": reg,
@@ -217,7 +217,7 @@ def test_criterion_07_desk_scale_identification(deconv_mm_run):
     reg = build_isotropic_tv_regularizer(7, 7, 1e-4, 1e-2, tau=1e-10)
     # one full pass at unit forgetting leaves exactly the full-dataset moments
     state = mom.MomentState.zeros(truth.size)
-    for sample in stream.blocks(64):
+    for sample in stream_blocks(stream, 64):
         state = mom.update(state, sample)
     batch = batch_half_quadratic(state, reg, tol=1e-8, max_iter=500)
     err_stream = nrmse(trace.h_final, truth)

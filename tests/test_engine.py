@@ -8,7 +8,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.linalg import lapack
 
-from conftest import make_sample_log, random_regularizer, spy_on_reduced_matrix
+from conftest import make_sample_log, random_regularizer, spy_on_reduced_matrix, stream_blocks
 from mmls import (
     DivergenceError,
     MMEngine,
@@ -55,9 +55,11 @@ class TestBuildSubspace:
         basis = build_subspace("gradient-only", np.ones(3), np.zeros(3), np.zeros(3), 9)
         assert basis.shape == (3, 2)
 
-    def test_full_space_is_identity(self):
-        basis = build_subspace("full-space", np.ones(3), np.zeros(3), np.zeros(3), 2)
-        assert_allclose(basis, np.eye(3))
+    @pytest.mark.parametrize("strategy", ["full-space", SubspaceStrategy.FULL_SPACE],
+                             ids=["string", "enum"])
+    def test_full_space_has_no_basis(self, strategy):
+        with pytest.raises(ValueError, match="full space has no basis"):
+            build_subspace(strategy, np.ones(3), np.zeros(3), np.zeros(3), 2)
 
 
 @pytest.mark.parametrize("strategy", ["memory-gradient", "gradient-only"])
@@ -90,7 +92,8 @@ def test_build_subspace_on_stacks_builds_the_basis_and_its_image(rng, strategy, 
 @pytest.mark.parametrize("strategy", [s.value for s in SubspaceStrategy] + ["sgd"])
 def test_reading_autocorr_changes_no_later_bit(rng, strategy):
     # at forgetting 0.6 the statistics' running scale folds into the stored
-    # sum every 87 blocks; one stepper's matrix is read after every block
+    # sum every 87 blocks, for every strategy; one stepper's matrix is read
+    # after every block
     reg = random_regularizer(rng, 5, kind="huber")
 
     def stepper():
@@ -108,8 +111,7 @@ def test_reading_autocorr_changes_no_later_bit(rng, strategy):
         reader.moments.autocorr
         assert repr(reports[0]) == repr(reports[1])
         assert reader.h.tobytes() == plain.h.tobytes()
-    # full space folds the scale in at every block before it reads the matrix
-    assert folds == (0 if strategy == "full-space" else 4)
+    assert folds == 4
     assert np.array_equal(reader.moments.autocorr, plain.moments.autocorr)
     if strategy != "sgd":
         assert reader.state.stack.tobytes() == plain.state.stack.tobytes()
@@ -336,9 +338,14 @@ _STRUCTURES = {
 
 
 def _assert_images_match_direct(state, stats, call):
-    """The carried ``images`` and the step's basis image ``call[1]`` against direct products."""
+    """The carried ``images`` and the step's basis image ``call[1]`` against direct products.
+
+    ``call`` is ``None`` for a full-space step, which has no basis.
+    """
     ref = stats.autocorr @ np.column_stack([state.h, state.h_prev])
     assert np.linalg.norm(state.images - ref) <= 1e-8 * (1.0 + np.linalg.norm(ref))
+    if call is None:
+        return
     basis, autocorr_basis, _ = call
     ref = stats.autocorr @ basis
     assert np.linalg.norm(autocorr_basis - ref) <= 1e-8 * (1.0 + np.linalg.norm(ref))
@@ -357,6 +364,7 @@ def _assert_images_match_direct(state, stats, call):
     ],
 )
 def test_recursive_gradient_and_caches_match_direct(rng, monkeypatch, strategy, structure, forgetting):
+    received = _spy_on_solver(monkeypatch)
     bases = spy_on_reduced_matrix(monkeypatch)
     reg = _STRUCTURES[structure](rng)
     n_dim = reg.n_dim
@@ -369,7 +377,14 @@ def test_recursive_gradient_and_caches_match_direct(rng, monkeypatch, strategy, 
         state, stats = engine.state, engine.moments
         direct = mom.gradient(stats, reg, h_before)
         assert np.linalg.norm(state.grad - direct) <= 1e-9 * (1.0 + np.linalg.norm(direct))
-        _assert_images_match_direct(state, stats, bases.pop())
+        if strategy == "full-space":
+            # no reduced matrix: the solver gets A(h) itself
+            assert not bases
+            assert_allclose(received.pop(), mom.normal_matrix(stats, reg, h_before), rtol=1e-10)
+            _assert_images_match_direct(state, stats, None)
+        else:
+            _assert_images_match_direct(state, stats, bases.pop())
+        received.clear()
 
 
 @pytest.mark.parametrize("strategy", ["memory-gradient", "gradient-only", "full-space"])
@@ -504,14 +519,20 @@ _OPERATOR_FORMS = {
 def test_operator_images_are_the_direct_products(rng, monkeypatch, form, strategy):
     # the reduced matrix each step hands the solver is built, bit for bit,
     # from the regularizer's curvature, which equals the congruence of the
-    # op and quad images of the basis taken directly with ``@``
+    # op and quad images of the basis taken directly with ``@``; full space
+    # hands it A(h) itself, the dense reference's matrix up to roundoff
     received = _spy_on_solver(monkeypatch)
     bases = spy_on_reduced_matrix(monkeypatch)
     reg = _OPERATOR_FORMS[form](rng)
     n_dim = reg.n_dim
     engine = MMEngine(reg, strategy=strategy, forgetting=0.99)
     for _ in range(25):
+        h = engine.h
         engine.step(rng.standard_normal((n_dim, 2)), rng.standard_normal(2))
+        if strategy == "full-space":
+            assert not bases and len(received) == 1
+            assert_allclose(received.pop(), mom.normal_matrix(engine.moments, reg, h), rtol=1e-10)
+            continue
         (basis, autocorr_basis, _), = bases
         bases.clear()
         weights = reg.weights(engine.state.h_prev)
@@ -607,17 +628,24 @@ def test_autocorr_cache_stays_coherent_over_a_long_run(monkeypatch):
         _assert_images_match_direct(state, stats, call)
 
 
-def test_reduced_matrix_full_space_is_curvature(rng, monkeypatch):
-    bases = spy_on_reduced_matrix(monkeypatch)
+def test_full_space_solves_the_normal_matrix_without_writing_the_statistics(rng, monkeypatch):
+    # the solver gets A(h) as a new array, and the step's read of the
+    # autocorrelation leaves the stored sum and its running scale alone
+    received = _spy_on_solver(monkeypatch)
     reg = random_regularizer(rng, 5, kind="huber")
-    engine = MMEngine(reg, strategy="full-space")
+    engine = MMEngine(reg, strategy="full-space", forgetting=0.9)
     for _ in range(6):
-        engine.step(rng.standard_normal((5, 2)), rng.standard_normal(2))
-    state = engine.state
-    basis, autocorr_basis, _ = bases.pop()
-    weights = reg.weights(state.h_prev)
-    reduced = reduced_matrix(basis, autocorr_basis, reg.curvature(basis, weights))
-    assert_allclose(reduced, mom.normal_matrix(engine.moments, reg, state.h_prev), rtol=1e-10)
+        h = engine.h
+        X, y = rng.standard_normal((5, 2)), rng.standard_normal(2)
+        reference = mom.update(copy.deepcopy(engine.moments), mom.Sample(X, y))
+        engine.step(X, y)
+        stats = engine.moments
+        assert stats._scale == reference._scale
+        assert stats._scale < 1.0 or stats.count == 1
+        assert np.array_equal(np.triu(stats._stored), np.triu(reference._stored))
+        mat = received.pop()
+        assert not np.shares_memory(mat, stats._stored)
+        assert_allclose(mat, mom.normal_matrix(stats, reg, h), rtol=1e-10)
 
 
 def test_reduced_matrix_without_blocks(rng, monkeypatch):
@@ -646,7 +674,7 @@ def test_gradient_norms_vanish_on_replayed_dataset():
     engine = MMEngine(reg, strategy="memory-gradient", forgetting=1.0)
     norms = []
     for _ in range(25):
-        for sample in stream.blocks(1):
+        for sample in stream_blocks(stream, 1):
             norms.append(engine.step(sample.X, sample.y).grad_norm)
     squares = np.square(norms)
     total = squares.sum()
@@ -686,18 +714,22 @@ def test_descent_inequality_every_step(rng, strategy):
 @pytest.mark.parametrize("strategy", ["memory-gradient", "gradient-only", "full-space"])
 def test_subspace_optimality_after_each_step(rng, monkeypatch, strategy):
     # the surrogate's gradient at the new iterate, grad + A(h) (h_next - h),
-    # taken by direct products, vanishes on the basis
+    # taken by direct products, vanishes on the basis; in full space it
+    # vanishes outright
     bases = spy_on_reduced_matrix(monkeypatch)
     reg = random_regularizer(rng, 6, kind="welsch", tau=1e-2)
     engine = MMEngine(reg, strategy=strategy)
     for _ in range(80):
         engine.step(rng.standard_normal((6, 2)), rng.standard_normal(2))
         state = engine.state
-        basis = bases.pop()[0]
         curvature = mom.normal_matrix(engine.moments, reg, state.h_prev)
-        residual = basis.T @ (state.grad + curvature @ (state.h - state.h_prev))
-        scale = max(1.0, np.linalg.norm(basis.T @ state.grad))
-        assert np.linalg.norm(residual) <= 1e-8 * scale
+        residual = state.grad + curvature @ (state.h - state.h_prev)
+        grad = state.grad
+        if strategy != "full-space":
+            basis = bases.pop()[0]
+            residual, grad = basis.T @ residual, basis.T @ grad
+        assert not bases
+        assert np.linalg.norm(residual) <= 1e-8 * max(1.0, np.linalg.norm(grad))
 
 
 def test_full_space_quadratic_matches_closed_form(rng):

@@ -5,7 +5,7 @@ import pytest
 import scipy.sparse
 from numpy.testing import assert_allclose
 
-from conftest import random_regularizer, traced_peak
+from conftest import random_regularizer, stream_blocks, traced_peak
 from mmls import (
     ExperimentConfig,
     PenaltySpec,
@@ -276,8 +276,8 @@ class TestConfig:
         cfg = resolve_config(ExperimentConfig(
             experiment="synthetic", strategy="full-space", n_dim=4096, n_samples=5000
         ))
-        # eight 4096-square arrays and the row matrix: about 1.15 GiB, under the cap
-        assert 1.1 * 2**30 < resident_bytes(cfg) < 1.2 * 2**30
+        # four 4096-square arrays and the row matrix: about 0.65 GiB, under the cap
+        assert 0.6 * 2**30 < resident_bytes(cfg) < 0.7 * 2**30
 
     @pytest.mark.parametrize("strategy", ["memory-gradient", "full-space", "sgd"])
     @pytest.mark.parametrize("problem", [
@@ -285,13 +285,21 @@ class TestConfig:
         dict(experiment="adaptive", n_dim=150, n_samples=150),
         dict(experiment="deconv2d", image_size=24, kernel_size=21),
     ], ids=["synthetic", "adaptive", "deconv2d"])
-    def test_resident_bytes_bounds_the_traced_peak(self, problem, strategy):
-        cfg = ExperimentConfig(strategy=strategy, **problem)
+    def test_resident_bytes_bounds_the_traced_peak(self, problem, strategy, monkeypatch):
+        cfg = resolve_config(ExperimentConfig(strategy=strategy, **problem))
+        fallbacks = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda mat: fallbacks.append(mat.shape) or eigh(mat))
         peak = traced_peak(lambda: run_experiment(cfg, measure_time=False))
+        count = resident_bytes(cfg)
+        if strategy == "full-space" and not fallbacks:
+            # every step kept its Cholesky solve: one square fewer than the
+            # eigendecomposition fallback that the count provides for
+            count -= 8 * cfg.n_dim**2
         # the 128 KiB of slack covers interpreter and library allocations (the
-        # peaks here exceed the count by at most 12 KiB); it is less than one
-        # N x N array, 176 KiB at N=150
-        assert peak <= resident_bytes(resolve_config(cfg)) + 2**17
+        # peaks here are all under the count); it is less than one N x N
+        # array, 176 KiB at N=150
+        assert peak <= count + 2**17
 
     @pytest.mark.parametrize("name", [
         "seed", "image_size", "kernel_size", "n_dim", "n_samples", "block_size", "change_point",
@@ -514,7 +522,7 @@ def test_memory_gradient_gap_is_below_gradient_only_on_desk_deconvolution():
     for strategy in ("memory-gradient", "gradient-only"):
         engine = MMEngine(reg, strategy=strategy, forgetting=cfg.vartheta)
         gaps[strategy] = []
-        for n, sample in enumerate(stream.blocks(cfg.block_size), start=1):
+        for n, sample in enumerate(stream_blocks(stream, cfg.block_size), start=1):
             engine.step(sample.X, sample.y)
             if n >= 32 and n & (n - 1) == 0:
                 best = batch_half_quadratic(engine.moments, reg, h0=engine.h).objective

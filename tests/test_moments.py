@@ -7,14 +7,14 @@ import pytest
 from numpy.testing import assert_allclose
 
 from conftest import (
-    brute_force_moments, make_sample_log, random_regularizer, stream_moments, traced_peak,
+    brute_force_moments, make_sample_log, random_regularizer, stream_blocks, stream_moments,
+    traced_peak,
 )
 from mmls import ArrayStream, Regularizer
 from mmls.moments import (
     FOLD_BELOW,
     MomentState,
     Sample,
-    autocorr_in_place,
     autocorr_matvec,
     gradient,
     normal_matrix,
@@ -72,7 +72,7 @@ def test_weight_total_closed_form():
 def _stream_blocks(rng, q):
     """Blocks as ``ArrayStream`` yields them: transposed row slices."""
     stream = ArrayStream(rng.standard_normal((3 * q, 100)), rng.standard_normal(3 * q))
-    return list(stream.blocks(q))
+    return stream_blocks(stream, q)
 
 
 # At n_dim 100 numpy multiplies the two strided views without BLAS and the
@@ -223,18 +223,6 @@ def test_scaled_statistics_keep_large_entries_finite(x):
     for _ in range(300):
         update(state, sample)
     assert_allclose(state.autocorr, np.full((2, 2), x * x), rtol=1e-15)
-
-
-def test_autocorr_in_place_folds_the_scale_into_the_stored_sum(rng):
-    samples = make_sample_log(rng, 5, 2, 6)
-    state, reference = stream_moments(samples[:4], 0.9), stream_moments(samples[:4], 0.9)
-    full = autocorr_in_place(state)
-    assert full is state._stored and state._scale == 1.0
-    assert np.array_equal(state.autocorr, full) and np.array_equal(full, full.T)
-    assert_allclose(full, reference.autocorr, rtol=1e-15)
-    for sample in samples[4:]:
-        update(state, sample)
-    assert_allclose(state.autocorr, brute_force_moments(samples, 0.9)[2], rtol=1e-12)
 
 
 def test_reading_autocorr_leaves_the_stored_sum_alone(rng):
