@@ -32,8 +32,9 @@ ROOT = Path(__file__).resolve().parent.parent
 # every experiment, every strategy, both block regimes, both operator
 # forms in full space, a unit identity operator with a nonzero ridge,
 # deconvolution blocks that span several image rows and start mid-row, and
-# a synthetic stream whose observations fill five chunks, at sizes that
-# run in seconds
+# a synthetic stream whose observations fill five chunks, and a
+# low-dimensional strategy across the statistics' scale folds (blocks 401,
+# 823, 1,245 and 1,667 at forgetting 0.9), at sizes that run in seconds
 COMMANDS = (
     "adaptive --seed 1",
     "adaptive --seed 2 --samples 1500 --strategy sgd",
@@ -49,6 +50,7 @@ COMMANDS = (
     "adaptive --seed 3 --samples 1000 --tau 0.01",
     "deconv2d --seed 5 --image-size 16 --kernel-size 3 --blocksize 40 --strategy gradient-only",
     "synthetic --seed 6 --operator identity --penalty huber --n-dim 64 --samples 5000",
+    "adaptive --seed 4 --samples 2000 --n-dim 32 --vartheta 0.9",
 )
 ONE_BLAS_THREAD = {var: "1" for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
 

@@ -96,8 +96,17 @@ class ArrayStream:
             self.observations[start:stop] = clean + scale * rng.standard_normal(stop - start)
 
     def block(self, index: int, block_size: int) -> Sample:
-        if not 0 <= index < self.n_blocks(block_size):
-            raise IndexError(f"block {index} of size {block_size} exceeds {self.n_rows} rows")
+        """Block ``index`` of ``block_size`` rows, with no call to :meth:`n_blocks`.
+
+        ``IndexError`` unless ``0 <= index < n_blocks(block_size)``, the
+        test written out here; a size other than a Python ``int`` of at
+        least 1 is checked as :meth:`n_blocks` checks it.
+        """
+        if type(block_size) is not int or block_size < 1:
+            block_size = _coerce_dim(block_size, "block size")
+        n_rows = self.observations.shape[0]
+        if not 0 <= index < n_rows // block_size:
+            raise IndexError(f"block {index} of size {block_size} exceeds {n_rows} rows")
         start = index * block_size
         stop = start + block_size
         return Sample(self._rows(start, stop).T, self.observations[start:stop])

@@ -42,10 +42,11 @@ tested against these references.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.blas import dgemv, dsymv, dsyr, dsyrk
+from scipy.linalg.blas import ddot, dgemv, dsymv, dsyr, dsyrk
 
 from .penalties import Regularizer, _coerce_vector
 
@@ -69,7 +70,17 @@ FOLD_BELOW = 2.0**-64
 
 @dataclass(slots=True)
 class Sample:
-    """One stream block: regressors ``X`` (n_dim, block) and targets ``y``."""
+    """One stream block: regressors ``X`` (n_dim, block) and targets ``y``.
+
+    Both arrays are screened for non-finite entries by one sum of squares
+    each, a BLAS ``ddot`` of the array raveled in memory order (a view for
+    stream blocks): squares are never negative, so a finite sum means
+    every entry is finite.  A sum that is not finite -- from a NaN or
+    infinite entry, or from finite entries whose squares overflow, above
+    about 1.3e154 -- falls back to the elementwise ``np.isfinite`` screen,
+    which decides.  ``ddot`` raises no floating-point warning where
+    ``ndarray.dot`` would warn of the overflow.
+    """
 
     X: np.ndarray
     y: np.ndarray
@@ -86,10 +97,13 @@ class Sample:
             )
         if self.y.shape[0] < 1:
             raise ValueError("block size must be at least 1")
-        # the reduction ``ndarray.all`` makes, without its Python frame
-        if not (np.logical_and.reduce(np.isfinite(self.X), axis=None)
-                and np.logical_and.reduce(np.isfinite(self.y))):
-            raise ValueError("sample entries must be finite")
+        x = self.X.ravel(order="K")
+        # ``ddot`` takes no empty array; the elementwise screen passes one
+        if not (x.size and ddot(x, x) < math.inf and ddot(self.y, self.y) < math.inf):
+            # the reduction ``ndarray.all`` makes, without its Python frame
+            if not (np.logical_and.reduce(np.isfinite(self.X), axis=None)
+                    and np.logical_and.reduce(np.isfinite(self.y))):
+                raise ValueError("sample entries must be finite")
 
     @property
     def n_dim(self) -> int:

@@ -344,15 +344,26 @@ class Regularizer:
 
         ``basis=None`` stands for the identity and gives the dense
         ``quad + op' diag(weights) op`` as a new array, with no identity
-        built: ``s^2 weights`` on the diagonal for ``op = s I`` and one
-        sparse product ``op' (weights * op)`` for a CSR ``op``, then a
+        built: ``s^2 weights`` on the diagonal for ``op = s I``, zeros with
+        no blocks, and otherwise one sparse product ``op' (weights * op)``,
+        the weighted CSR built from ``op``'s own index arrays; then a
         scaled identity ridge added to the diagonal or a CSR ``quad``
         densified and added.
         """
         if basis is None:
             op, quad = self.op, self.quad
-            mat = (np.diag(op._scale * op._scale * weights) if op._csr is None
-                   else (op.T._csr @ op._csr.multiply(weights[:, None])).toarray())
+            csr = op._csr
+            if csr is None:
+                mat = np.diag(op._scale * op._scale * weights)
+            elif not csr.shape[0]:
+                mat = np.zeros((self.n_dim, self.n_dim))
+            else:
+                # row i of ``op`` scaled by weights[i], the bits of ``csr.multiply(weights[:, None])``
+                weighted = scipy.sparse.csr_array(
+                    (csr.data * weights.repeat(np.diff(csr.indptr)), csr.indices, csr.indptr),
+                    shape=csr.shape,
+                )
+                mat = (op.T._csr @ weighted).toarray()
             if quad._csr is None:
                 mat.flat[:: self.n_dim + 1] += quad._scale
             else:

@@ -2,6 +2,7 @@
 
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -372,6 +373,35 @@ class TestStreamBlocks:
                 with pytest.raises(TypeError, match=f"^block size must be an integer, got {size}$"):
                     call()
         assert stream.n_blocks(np.int64(2)) == stream.n_rows // 2
+
+    @pytest.mark.parametrize("reference", [synthetic_reference, adaptive_reference, deconv_reference],
+                             ids=["synthetic", "adaptive", "deconv2d"])
+    @pytest.mark.parametrize("block_size", [1, 4, 7])
+    def test_block_bounds_are_those_of_n_blocks(self, reference, block_size):
+        stream = reference()[0]
+        last = stream.n_blocks(block_size) - 1
+        assert stream.block(last, block_size).y.shape == (block_size,)
+        for index in (last + 1, -1):
+            message = f"^block {index} of size {block_size} exceeds {stream.n_rows} rows$"
+            with pytest.raises(IndexError, match=message):
+                stream.block(index, block_size)
+
+    @pytest.mark.parametrize("reference", [synthetic_reference, adaptive_reference, deconv_reference],
+                             ids=["synthetic", "adaptive", "deconv2d"])
+    def test_block_checks_its_size_as_n_blocks_does(self, reference):
+        stream = reference()[0]
+        for size, error in ((0, ValueError), (-1, ValueError), (1.5, TypeError), ("2", TypeError)):
+            with pytest.raises(error) as expected:
+                stream.n_blocks(size)
+            with pytest.raises(error, match=f"^{re.escape(str(expected.value))}$"):
+                stream.block(0, size)
+        # numpy integers and True (an int subclass) are taken as their values
+        for index, size in ((np.int64(2), np.int64(3)), (2, np.int64(3)), (np.int64(2), 3), (4, True)):
+            want = stream.block(int(index), int(size))
+            got = stream.block(index, size)
+            assert np.array_equal(got.X, want.X) and np.array_equal(got.y, want.y)
+        with pytest.raises(IndexError):
+            stream.block(np.int64(stream.n_rows), 1)
 
 
 @pytest.mark.parametrize("shape", [(9, 13), (13, 9), (1, 7), (7, 1)], ids=str)

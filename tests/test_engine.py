@@ -5,6 +5,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.sparse
 from numpy.testing import assert_allclose
 from scipy.linalg import lapack
 
@@ -741,6 +742,26 @@ def test_full_space_quadratic_matches_closed_form(rng):
         if i + 1 >= 8:
             closed = quadratic_closed_form(engine.moments, quad=tau)
             assert_allclose(engine.h, closed, rtol=1e-8, atol=1e-12)
+
+
+@pytest.mark.parametrize("quad", [1e-6, "dense"])
+def test_full_space_step_without_blocks_builds_no_sparse_matrix(rng, quad, monkeypatch):
+    # a regularizer with no blocks starts A(h) from zeros plus its ridge: no
+    # product of its (0, n) operator, and a CSR ``quad`` only densified
+    n = 6
+    quad = np.diag(rng.uniform(1e-6, 1e-3, n)) if quad == "dense" else quad
+    reg = Regularizer(n, quad=quad)
+    engine = MMEngine(reg, strategy="full-space")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a scipy.sparse matrix was built")
+
+    for name in ("csr_array", "csr_matrix", "coo_array", "coo_matrix"):
+        monkeypatch.setattr(getattr(scipy.sparse, name), "__init__", refuse)
+    for _ in range(4):
+        engine.step(rng.standard_normal((n, 3)), rng.standard_normal(3))
+    monkeypatch.undo()  # the reference takes a dense ``quad`` as CSR
+    assert_allclose(engine.h, quadratic_closed_form(engine.moments, quad=quad), rtol=1e-8, atol=1e-12)
 
 
 @pytest.mark.parametrize("strategy", ["memory-gradient", "gradient-only", "full-space"])

@@ -532,3 +532,52 @@ def test_memory_gradient_gap_is_below_gradient_only_on_desk_deconvolution():
     assert checkpoints == [32, 64, 128, 256, 512, 1024]
     for (n, memory), (_, gradient) in zip(gaps["memory-gradient"], gaps["gradient-only"]):
         assert 0.0 <= memory < gradient, n
+
+
+# n at which the streamed iterate is compared with the batch estimate
+CONVERGENCE_CHECKPOINTS = (512, 2048, 8192)
+
+
+def _distance_ratios(strategy, seed):
+    """``r_n = ||h_n - batch_n|| / ||batch_n - h*||`` at each checkpoint n.
+
+    A synthetic N=16 stream of one-sample blocks at noise 0.1, with Huber
+    identity blocks.  ``batch_n`` minimizes the objective of the statistics
+    after block n, and ``h*`` that of the population statistics: the rows
+    are standard normal, so ``autocorr = I`` and ``cross = truth`` exactly.
+    """
+    from mmls import MMEngine, MomentState, batch_half_quadratic, gen_synthetic
+
+    n_dim, sigma = 16, 0.1
+    truth, stream = gen_synthetic(seed, n_dim=n_dim, n_rows=CONVERGENCE_CHECKPOINTS[-1], sigma=sigma)
+    reg = identity_blocks_regularizer(n_dim, PenaltySpec("huber", lam=0.02, delta=0.1), tau=1e-6)
+    population = MomentState(float(truth.dot(truth)) + sigma**2, truth, np.eye(n_dim), count=1,
+                             forgetting=1.0, weight_total=1.0)
+    limit = batch_half_quadratic(population, reg).h_star
+    if strategy == "sgd":
+        stepper = SGDStepper(reg, scale=0.1)
+    else:
+        stepper = MMEngine(reg, strategy=strategy)
+    ratios = []
+    for n in range(1, CONVERGENCE_CHECKPOINTS[-1] + 1):
+        sample = stream.block(n - 1, 1)
+        stepper.step(sample.X, sample.y)
+        if n in CONVERGENCE_CHECKPOINTS:
+            batch = batch_half_quadratic(stepper.moments, reg, h0=stepper.h).h_star
+            ratios.append(np.linalg.norm(stepper.h - batch) / np.linalg.norm(batch - limit))
+    return ratios
+
+
+@pytest.mark.parametrize("strategy", ["memory-gradient", "gradient-only", "full-space", "sgd"])
+def test_streamed_iterate_is_as_accurate_as_the_batch_estimate(strategy):
+    # the paper's convergence result on a stationary stream at forgetting 1: the
+    # streamed iterate h_n approaches the batch estimate of the same statistics
+    # much faster than that estimate approaches the limit minimizer h*.  The MM
+    # strategies stay below 1.4e-2 (seeds 1 to 4) and SGD above 0.77; r_n need
+    # not decay monotonically at N=16, so only the bound is asserted
+    for seed in (1, 2):
+        ratios = _distance_ratios(strategy, seed)
+        if strategy == "sgd":
+            assert min(ratios) > 0.5, (seed, ratios)
+        else:
+            assert max(ratios) < 0.05, (seed, ratios)

@@ -459,3 +459,55 @@ def test_gradient_matches_finite_differences(rng, kind):
         e[i] = eps
         fd = (objective(state, reg, h + e) - objective(state, reg, h - e)) / (2 * eps)
         assert fd == pytest.approx(grad[i], rel=1e-6, abs=1e-7)
+
+
+def _sample_layouts(rng):
+    """``(X, y)`` pairs of every layout a ``Sample`` screens: name -> builder."""
+    base = rng.standard_normal((6, 8))
+    signal = rng.standard_normal(12)
+    return {
+        "c-ordered": lambda: (base[:3, :4].copy(), base[4, :4].copy()),
+        "fortran": lambda: (np.asfortranarray(base[:3, :4]), base[4, :4].copy()),
+        "strided": lambda: (base.copy()[::2, ::-2], base.copy()[5, ::2]),
+        "window-view": lambda: (
+            np.lib.stride_tricks.sliding_window_view(signal.copy(), 4, writeable=True)[2:5].T,
+            base[4, :3].copy(),
+        ),
+    }
+
+
+@pytest.mark.parametrize("value", [1e200, -1e200, 1e300])
+@pytest.mark.parametrize("where", ["X", "y"])
+@pytest.mark.parametrize("layout", ["c-ordered", "fortran", "strided", "window-view", "resample"])
+def test_sample_accepts_entries_whose_squares_overflow(rng, layout, where, value):
+    # the one-pass sum of squares is infinite here; the elementwise screen
+    # then passes the finite entries, with no floating-point warning
+    X, y = _sample_layouts(rng)["window-view" if layout == "resample" else layout]()
+    (X if where == "X" else y)[(0, 0) if where == "X" else 0] = value
+    sample = Sample(X, y)
+    if layout == "resample":
+        sample = Sample(sample.X, sample.y)
+    assert np.shares_memory(sample.X, X) and np.shares_memory(sample.y, y)
+    assert (sample.X if where == "X" else sample.y).flat[0] == value
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", ["X", "y"])
+@pytest.mark.parametrize("layout", ["c-ordered", "fortran", "strided", "window-view", "resample"])
+def test_sample_rejects_non_finite_entries_of_every_layout(rng, layout, where, value):
+    X, y = _sample_layouts(rng)["c-ordered" if layout == "resample" else layout]()
+    if layout == "resample":
+        # another Sample's arrays pass through unconverted, and are screened again
+        first = Sample(X, y)
+        X, y = first.X, first.y
+    target = X if where == "X" else y
+    target[(target.shape[0] - 1, 1) if where == "X" else -1] = value
+    with pytest.raises(ValueError, match="^sample entries must be finite$"):
+        Sample(X, y)
+
+
+def test_sample_screens_a_block_with_no_coordinates():
+    # an (0, q) block has an empty sum of squares; its targets are still screened
+    assert Sample(np.zeros((0, 2)), [1.0, 2.0]).X.shape == (0, 2)
+    with pytest.raises(ValueError, match="^sample entries must be finite$"):
+        Sample(np.zeros((0, 2)), [1.0, np.nan])

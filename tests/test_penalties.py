@@ -508,3 +508,34 @@ def test_dimension_mismatch_rejected():
     for bad_op, bad_spec in ((op, None), (op, "huber"), (None, "huber")):
         with pytest.raises(TypeError, match="^block spec must be a PenaltySpec"):
             Regularizer(3, bad_op, bad_spec)
+
+
+def _multiply_curvature(reg, weights):
+    """``op' (weights * op)`` by ``csr.multiply``, which goes through COO, densified."""
+    csr = reg.op._csr
+    return (reg.op.T._csr @ csr.multiply(weights[:, None])).toarray()
+
+
+@pytest.mark.parametrize("size", [3, 5, 21])
+def test_full_space_tv_curvature_is_the_multiply_formula_bit_for_bit(size):
+    reg = build_isotropic_tv_regularizer(size, size, lam=1e-4, delta=1e-2, tau=0.0)
+    gen = np.random.default_rng(size)
+    for scale in (1e-8, 1.0, 1e8):
+        weights = scale * gen.uniform(0.0, 1.0, reg.op.shape[0])
+        assert np.array_equal(reg.curvature(None, weights), _multiply_curvature(reg, weights))
+
+
+def test_full_space_random_curvature_is_the_multiply_formula_bit_for_bit():
+    # random CSR operators with empty rows and blocks of 1 to 3 rows, weights spanning 16 decades;
+    # no ridge, so the dense result is the product alone
+    gen = np.random.default_rng(7)
+    spec = PenaltySpec("huber", lam=1.0, delta=1.0)
+    for trial in range(15):
+        n, block = int(gen.integers(1, 30)), int(gen.integers(1, 4))
+        rows = block * int(gen.integers(1, 20))
+        op = scipy.sparse.random(rows, n, density=gen.uniform(0.05, 0.6), format="csr",
+                                 random_state=trial, data_rvs=gen.standard_normal)
+        reg = Regularizer(n, op, spec, block)
+        for _ in range(20):
+            weights = 10.0 ** gen.uniform(-8, 8) * gen.uniform(0.0, 1.0, rows)
+            assert np.array_equal(reg.curvature(None, weights), _multiply_curvature(reg, weights))
