@@ -10,8 +10,11 @@ thread.  For each command it prints ``identical`` when the two traces are
 byte-identical, and otherwise, for each column, the largest relative
 deviation from the parent's value, the block (trace row) where it occurs
 and the deviation in the last row: roundoff moves tend to peak mid-run on
-small values.  Exits 1 if any pair of traces differs or any run fails, 0
-otherwise.
+small values.  Columns are matched by name: against a parent whose
+traces lack some of this checkout's columns, the parent's columns are
+compared and ``identical in the parent's columns`` is printed when they
+hold the same values.  Exits 1 if any value of a parent column moves or
+any run fails, 0 otherwise.
 """
 
 from __future__ import annotations
@@ -65,26 +68,38 @@ class Deviation(NamedTuple):
 
 
 def compare_csv(parent: str, change: str) -> dict | None:
-    """``None`` for byte-identical traces, else a :class:`Deviation` per column.
+    """``None`` for byte-identical traces, else a :class:`Deviation` per parent column.
 
-    A value ``c`` deviates from its parent value ``p`` by ``|c - p| / |p|``,
+    Columns are matched by name, so a change that adds columns is compared
+    on the parent's; a column only the change has is not compared.  A
+    value ``c`` deviates from its parent value ``p`` by ``|c - p| / |p|``,
     which is infinite where ``p`` is 0 and ``c`` is not; the first row of
-    the largest is its block.  Traces whose headers or shapes differ
-    deviate by ``inf`` in every parent column.
+    the largest is its block.  Traces with different row counts deviate
+    by ``inf`` in every parent column, and so does a parent column that
+    the change lacks.
     """
     if parent == change:
         return None
-    names = parent.partition("\n")[0].split(",")
+    names, change_names = _header(parent), _header(change)
     old, new = _table(parent), _table(change)
-    if old.shape != new.shape or change.partition("\n")[0].split(",") != names:
-        return dict.fromkeys(names, Deviation(math.inf, None, math.inf))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        deviation = np.abs(new - old) / np.abs(old)
-    deviation[old == new] = 0.0
-    return {
-        name: Deviation(float(column.max()), int(column.argmax()) + 1, float(column[-1]))
-        for name, column in zip(names, deviation.T)
-    }
+    misaligned = Deviation(math.inf, None, math.inf)
+    if old.shape[0] != new.shape[0]:
+        return dict.fromkeys(names, misaligned)
+    deviations = {}
+    for index, name in enumerate(names):
+        if name not in change_names:
+            deviations[name] = misaligned
+            continue
+        before, after = old[:, index], new[:, change_names.index(name)]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            column = np.abs(after - before) / np.abs(before)
+        column[before == after] = 0.0
+        deviations[name] = Deviation(float(column.max()), int(column.argmax()) + 1, float(column[-1]))
+    return deviations
+
+
+def _header(text: str) -> list[str]:
+    return text.partition("\n")[0].split(",")
 
 
 def _table(text: str) -> np.ndarray:
@@ -124,8 +139,12 @@ def main(argv=None) -> int:
                     break
             else:
                 deviation = compare_csv(*traces)
+                added = [name for name in _header(traces[1]) if name not in _header(traces[0])]
+                note = f" (not in the parent: {', '.join(added)})" if added else ""
                 if deviation is None:
                     print(f"{command}: identical")
+                elif not any(dev.largest for dev in deviation.values()):
+                    print(f"{command}: identical in the parent's columns{note}")
                 else:
                     status = 1
                     columns = ", ".join(
@@ -133,7 +152,7 @@ def main(argv=None) -> int:
                         if dev.largest else f"{name} 0"
                         for name, dev in deviation.items()
                     )
-                    print(f"{command}: max relative deviation {columns}")
+                    print(f"{command}: max relative deviation {columns}{note}")
     return status
 
 

@@ -30,6 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse
+from scipy.linalg.blas import ddot
 
 from . import moments as moments_mod
 from .datasets import gen_adaptive, gen_deconv2d, gen_synthetic
@@ -51,7 +52,10 @@ __all__ = [
 
 ALGORITHMS = tuple(s.value for s in SubspaceStrategy) + ("sgd",)
 
-TRACE_COLUMNS = ("n", "objective", "grad_norm", "nrmse", "nrmse_sq", "wall_time_s")
+TRACE_COLUMNS = (
+    "n", "objective", "grad_norm", "nrmse", "nrmse_sq", "wall_time_s",
+    "step_quadratic", "subspace_dim", "rank",
+)
 
 # largest run footprint accepted, as counted by :func:`resident_bytes`
 RESIDENT_BYTES_CAP = 2**31
@@ -174,22 +178,23 @@ def resolve_config(config: ExperimentConfig) -> ExperimentConfig:
 def resident_bytes(cfg: ExperimentConfig) -> int:
     """Upper bound on the bytes of float64 arrays a run of the resolved ``cfg`` holds at once.
 
-    Every run keeps the ``n_dim``-square autocorrelation and four trace
+    Every run keeps the ``n_dim``-square autocorrelation and seven trace
     columns of one entry per block.  While streaming it also holds one
     block (a deconv2d block is copied out of the image; the other streams'
     blocks are views), and vectors of ``n_dim`` entries: the regularizer's
-    operator and shift, the iterates stacked on their images (the old
-    state's and the new one), the basis and its image, and the penalty
-    residuals, weights and operator products of the step, counted as 64
-    per coordinate (``tracemalloc`` measures at most 59 with tv2d, two
-    operator rows per coordinate, interpreter allocations included).  A
-    full-space step holds up to three more squares at once, so four are
-    counted for it: ``A(h)``, then either the scaled autocorrelation it
-    adds or the Cholesky factor, or else the eigenvectors and their kept
-    columns when the factorization is rejected; nothing of that size
+    operator and shift, the engine state's stacks of vectors over their
+    autocorrelation and operator images (the old state's and the new
+    one), and the penalty residuals, weights and operator products of the
+    step, counted as 64 per coordinate (``tracemalloc`` measures at most
+    59 with tv2d, two operator rows per coordinate, interpreter
+    allocations included).  A full-space step holds up to two more
+    squares at once, so three are counted for it: ``A(h)``, then either
+    the scaled autocorrelation it adds, the Cholesky factor, or the
+    eigenvectors when the factorization is rejected; nothing of that size
     outlives the step.  The traced peaks are 3.25 squares in all at 441
-    dimensions with tv2d (Cholesky) and 4.09 at 384 without blocks (the
-    eigendecomposition).
+    dimensions with tv2d (Cholesky) and 3.11 at 384 without blocks (the
+    eigendecomposition, whose LAPACK workspace numpy allocates outside
+    its arrays and ``tracemalloc`` does not see).
     For its stream this counts, for
     deconv2d, three image-sized arrays and the zero-padded image, at least
     what generation holds at once (a blur pass's input, output and pair
@@ -209,9 +214,9 @@ def resident_bytes(cfg: ExperimentConfig) -> int:
     else:
         rows = cfg.n_samples
         stream = (cfg.n_dim + 1) * rows
-    squares = 4 if cfg.strategy == "full-space" else 1
+    squares = 3 if cfg.strategy == "full-space" else 1
     step = cfg.n_dim * (cfg.block_size + 64 + squares * cfg.n_dim)
-    return 8 * (stream + step + 4 * (rows // cfg.block_size))
+    return 8 * (stream + step + 7 * (rows // cfg.block_size))
 
 
 # --- regularizer builders ---------------------------------------------------
@@ -288,8 +293,8 @@ class SGDStepper:
         _, reg_grad, _, grad_sq, objective = _pre_step(stats, self.reg, self.h, autocorr_h)
         g = sample.X @ (sample.X.T @ self.h - sample.y) + reg_grad
         h = self.h - (self.scale / np.sqrt(k)) * g
-        # the engine's test: false for a NaN entry too
-        if not math.sqrt(float(h.dot(h))) <= DIVERGENCE_NORM:
+        # the engine's test, by the same warning-free BLAS ddot: false for a NaN entry too
+        if not math.sqrt(ddot(h, h)) <= DIVERGENCE_NORM:
             raise DivergenceError(k, f"sgd iterate diverged at step {k}")
         self.h = h
         return IterationReport(objective, math.sqrt(grad_sq), step_quadratic=0.0, subspace_dim=0, rank=0)
@@ -323,6 +328,8 @@ class RunTrace:
     ``objective`` and ``grad_norm`` are evaluated at the pre-step iterate
     under the statistics including block ``n``; ``nrmse`` measures the
     post-step iterate against the truth in effect at block ``n``.
+    ``step_quadratic``, ``subspace_dim`` and ``rank`` are each step's
+    :class:`~mmls.engine.IterationReport` fields (0 for the SGD baseline).
     ``moments`` and ``regularizer`` are the final statistics and the
     penalty behind ``final_objective`` and ``final_grad_norm``, ``truth``
     the vector behind ``final_nrmse``.
@@ -333,6 +340,9 @@ class RunTrace:
     grad_norm: np.ndarray
     nrmse: np.ndarray
     wall_time: np.ndarray
+    step_quadratic: np.ndarray
+    subspace_dim: np.ndarray
+    rank: np.ndarray
     h_final: np.ndarray
     final_objective: float
     final_nrmse: float
@@ -355,7 +365,7 @@ class RunTrace:
     def write_csv(self, path) -> None:
         table = np.column_stack(
             [self.n, self.objective, self.grad_norm, self.nrmse,
-             self.nrmse**2, self.wall_time]
+             self.nrmse**2, self.wall_time, self.step_quadratic, self.subspace_dim, self.rank]
         )
         np.savetxt(
             path, table, delimiter=",", fmt="%.17g", header=",".join(TRACE_COLUMNS), comments=""
@@ -474,6 +484,9 @@ def run_experiment(config: ExperimentConfig, measure_time: bool = True) -> RunTr
     grad_norm = np.zeros(total)
     errors = np.zeros(total)
     wall = np.zeros(total)
+    step_quadratic = np.zeros(total)
+    subspace_dim = np.zeros(total, dtype=int)
+    rank = np.zeros(total, dtype=int)
     clock = time.perf_counter if measure_time else None
     started = clock() if clock else 0.0
     if cfg.strategy == "sgd":
@@ -487,6 +500,9 @@ def run_experiment(config: ExperimentConfig, measure_time: bool = True) -> RunTr
         del sample
         objective[i] = report.objective
         grad_norm[i] = report.grad_norm
+        step_quadratic[i] = report.step_quadratic
+        subspace_dim[i] = report.subspace_dim
+        rank[i] = report.rank
         errors[i] = nrmse(stepper.h, truth_at((i + 1) * q))
         if clock:
             wall[i] = clock() - started
@@ -497,6 +513,9 @@ def run_experiment(config: ExperimentConfig, measure_time: bool = True) -> RunTr
         grad_norm=grad_norm,
         nrmse=errors,
         wall_time=wall,
+        step_quadratic=step_quadratic,
+        subspace_dim=subspace_dim,
+        rank=rank,
         h_final=stepper.h,
         final_objective=moments_mod.objective(stepper.moments, reg, stepper.h),
         final_nrmse=float(errors[-1]),

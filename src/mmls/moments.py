@@ -198,7 +198,8 @@ def update(state: MomentState, sample: Sample) -> MomentState:
     bit.  The lower triangle is left stale until ``autocorr`` is next
     read, which mirrors it.  ``cross <- (1 - 1/w) cross + (1/w) X y`` is
     one ``dgemv`` in place, and ``power`` moves toward the block's ``y'y``
-    by ``1/w`` of the difference.  A rejected
+    (a BLAS ``ddot``, infinite with no warning on overflow) by ``1/w`` of
+    the difference.  A rejected
     block (dimension mismatch or block-size change) raises before any
     field changes.
     """
@@ -226,20 +227,26 @@ def update(state: MomentState, sample: Sample) -> MomentState:
         dsyrk(inv_w / scale, X, beta=1.0, c=stored, lower=1, overwrite_c=1)
     state._scale = scale
     state._mirrored = False
-    state.power += (float(sample.y.dot(sample.y)) - state.power) / weight_total
+    state.power += (ddot(sample.y, sample.y) - state.power) / weight_total
     state.count += 1
     state.weight_total = weight_total
     state.block_size = block_size
     return state
 
 
-def autocorr_matvec(state: MomentState, vec) -> np.ndarray:
+def autocorr_matvec(state: MomentState, vec, out=None) -> np.ndarray:
     """``autocorr @ vec`` from the stored upper triangle alone, by one BLAS ``dsymv``.
 
     The scale is ``dsymv``'s ``alpha``, so it needs no mirror and forms
     no scaled copy.  Agrees with ``state.autocorr @ vec`` up to roundoff.
+    With ``out``, a contiguous float64 vector that does not overlap
+    ``vec``, the product is written into it, with the same bits, and
+    ``out`` is returned.
     """
-    return dsymv(state._scale, state._stored.T, vec, lower=1)
+    if out is None:
+        return dsymv(state._scale, state._stored.T, vec, lower=1)
+    dsymv(state._scale, state._stored.T, vec, y=out, overwrite_y=1, lower=1)
+    return out
 
 
 _TILE = 64

@@ -267,6 +267,10 @@ class Regularizer:
         self._lin = bool(np.any(self.lin))
         self._shift = bool(np.any(self.shift))
         self._unit_op = self.op._scale == 1.0
+        # a regularizer with no blocks has no penalty pass; a CSR ``op`` with rows is
+        # the one whose images the engine carries
+        self._blocks = shape[0] > 0
+        self._sparse_op = self._blocks and self.op._csr is not None
 
     @property
     def n_blocks(self) -> int:
@@ -309,23 +313,29 @@ class Regularizer:
         """Penalty of :meth:`weights_and_penalty`; kept while perfbench traces it by name."""
         return self.weights_and_penalty(norms)[1]
 
-    def evaluate(self, h):
+    def evaluate(self, h, op_h=None):
         """``(weights, value, gradient)`` at ``h`` from one penalty pass.
 
-        The value sums as ``1/2 h' Q h - q' h``, then the penalty; the
-        gradient as ``Q h - q``, then ``op' (weights * residual)``.  A zero
-        ridge, ``lin`` or ``shift`` is left out and a unit identity ``op``
-        is not applied, which changes no bit of either sum.  A NaN in ``h``
-        gives NaN entries, with no error.
+        ``op_h``, if given, is ``op @ h``, which is then not formed.  The
+        value sums as ``1/2 h' Q h - q' h``, then the penalty; the gradient
+        as ``Q h - q``, then ``op' (weights * residual)``.  A zero ridge,
+        ``lin`` or ``shift`` is left out, a unit identity ``op`` is not
+        applied, and with no blocks there is no penalty pass (empty
+        weights, a zero penalty and a zero penalty gradient), which changes
+        no bit of either sum.  A NaN in ``h`` gives NaN entries, with no
+        error.
         """
         h = np.asarray(h, dtype=float)
-        res = h if self._unit_op else self.op @ h
-        if self._shift:
-            res = res - self.shift
-        weights, penalty = self.weights_and_penalty(self.block_norms(res))
-        grad = weights * res
-        if not self._unit_op:
-            grad = self.op.T @ grad
+        if self._blocks:
+            res = h if self._unit_op else (self.op @ h if op_h is None else op_h)
+            if self._shift:
+                res = res - self.shift
+            weights, penalty = self.weights_and_penalty(self.block_norms(res))
+            grad = weights * res
+            if not self._unit_op:
+                grad = self.op.T @ grad
+        else:
+            weights, penalty, grad = _NO_WEIGHTS, 0.0, np.zeros(self.n_dim)
         value = 0.0
         if self._ridge:
             quad_h = self.quad @ h
@@ -339,8 +349,11 @@ class Regularizer:
             value -= float(self.lin.dot(h))
         return weights, value + penalty, grad
 
-    def curvature(self, basis, weights):
+    def curvature(self, basis, weights, op_basis=None):
         """``basis' (quad + op' diag(weights) op) basis``, leaving out a zero ridge and a unit ``op``.
+
+        ``op_basis``, if given, is ``op @ basis``, which is then not formed.
+        With no blocks the penalty part is zeros, with no product.
 
         ``basis=None`` stands for the identity and gives the dense
         ``quad + op' diag(weights) op`` as a new array, with no identity
@@ -355,7 +368,7 @@ class Regularizer:
             csr = op._csr
             if csr is None:
                 mat = np.diag(op._scale * op._scale * weights)
-            elif not csr.shape[0]:
+            elif not self._blocks:
                 mat = np.zeros((self.n_dim, self.n_dim))
             else:
                 # row i of ``op`` scaled by weights[i], the bits of ``csr.multiply(weights[:, None])``
@@ -369,8 +382,13 @@ class Regularizer:
             else:
                 mat += quad.toarray()
             return mat
-        op_basis = basis if self._unit_op else self.op @ basis
-        mat = op_basis.T.dot(weights[:, None] * op_basis)
+        if not self._blocks:
+            dim = basis.shape[1]
+            mat = np.zeros((dim, dim))
+        else:
+            if op_basis is None:
+                op_basis = basis if self._unit_op else self.op @ basis
+            mat = op_basis.T.dot(weights[:, None] * op_basis)
         if self._ridge:
             mat += basis.T.dot(self.quad @ basis)
         return mat
@@ -386,6 +404,11 @@ class Regularizer:
     def gradient(self, h):
         """Gradient of :meth:`evaluate`; kept while perfbench traces it by name."""
         return self.evaluate(h)[2]
+
+
+# the weights of a regularizer with no blocks
+_NO_WEIGHTS = np.zeros(0)
+_NO_WEIGHTS.flags.writeable = False
 
 
 def _coerce_dim(value, name="n_dim", minimum=1):

@@ -64,14 +64,15 @@ def traced_peak(call):
 def spy_on_reduced_matrix(monkeypatch):
     """Record the ``(basis, autocorr_basis, curvature)`` of every reduced matrix ``MMEngine.step`` builds.
 
-    Full space builds none: its step solves ``A(h)`` itself, so its steps
-    record nothing.
+    The basis and its image are views of the state the step writes, so
+    copies (in their own memory order) are recorded.  Full space builds
+    none: its step solves ``A(h)`` itself, so its steps record nothing.
     """
     calls = []
     build = engine.reduced_matrix
 
     def spy(basis, autocorr_basis, curvature):
-        calls.append((basis, autocorr_basis, curvature))
+        calls.append((np.copy(basis, order="K"), np.copy(autocorr_basis, order="K"), curvature))
         return build(basis, autocorr_basis, curvature)
 
     monkeypatch.setattr(engine, "reduced_matrix", spy)

@@ -2,6 +2,7 @@
 
 import copy
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -33,7 +34,7 @@ class TestBuildSubspace:
     def test_memory_gradient_first_step(self):
         g = np.array([1.0, 2.0])
         h = np.array([3.0, 4.0])
-        basis = build_subspace("memory-gradient", g, h, h, 1)
+        basis = build_subspace("memory-gradient", np.array([-g, h, np.zeros(2)]), 1)
         assert basis.shape == (2, 2)
         assert_allclose(basis[:, 0], -g)
         assert_allclose(basis[:, 1], h)
@@ -41,53 +42,71 @@ class TestBuildSubspace:
     def test_memory_gradient_later_steps(self):
         g = np.array([1.0, 0.0])
         h = np.array([1.0, 1.0])
-        h_prev = np.array([0.5, 1.0])
-        basis = build_subspace("memory-gradient", g, h, h_prev, 5)
+        d = np.array([0.5, 0.0])
+        basis = build_subspace("memory-gradient", np.array([-g, h, d]), 5)
         assert basis.shape == (2, 3)
-        assert_allclose(basis[:, 2], h - h_prev)
+        assert_allclose(basis[:, 2], d)
 
     def test_stationary_step_column_is_zero(self):
         h = np.array([1.0, -1.0])
-        basis = build_subspace("memory-gradient", np.zeros(2), h, h, 3)
+        basis = build_subspace("memory-gradient", np.array([np.zeros(2), h, np.zeros(2)]), 3)
         assert_allclose(basis[:, 0], 0.0)
         assert_allclose(basis[:, 2], 0.0)
 
     def test_gradient_only(self):
-        basis = build_subspace("gradient-only", np.ones(3), np.zeros(3), np.zeros(3), 9)
+        basis = build_subspace("gradient-only", np.array([-np.ones(3), np.zeros(3), np.ones(3)]), 9)
         assert basis.shape == (3, 2)
 
     @pytest.mark.parametrize("strategy", ["full-space", SubspaceStrategy.FULL_SPACE],
                              ids=["string", "enum"])
     def test_full_space_has_no_basis(self, strategy):
         with pytest.raises(ValueError, match="full space has no basis"):
-            build_subspace(strategy, np.ones(3), np.zeros(3), np.zeros(3), 2)
+            build_subspace(strategy, np.zeros((3, 3)), 2)
 
 
 @pytest.mark.parametrize("strategy", ["memory-gradient", "gradient-only"])
 @pytest.mark.parametrize("step", [1, 4])
 def test_build_subspace_matches_column_stack(rng, strategy, step):
-    grad, h, h_prev = rng.standard_normal((3, 7))
-    basis = build_subspace(SubspaceStrategy(strategy), grad, h, h_prev, step)
-    columns = [-grad, h] + ([h - h_prev] if strategy == "memory-gradient" and step > 1 else [])
-    assert np.array_equal(basis, np.column_stack(columns))
+    columns = rng.standard_normal((3, 7))
+    basis = build_subspace(SubspaceStrategy(strategy), columns, step)
+    dim = 3 if strategy == "memory-gradient" and step > 1 else 2
+    assert np.array_equal(basis, np.column_stack(columns[:dim]))
     assert basis.flags.f_contiguous
-    for arg in (grad, h, h_prev):
-        assert not np.shares_memory(basis, arg)
+    assert np.shares_memory(basis, columns) and basis.base is not None
 
 
 @pytest.mark.parametrize("strategy", ["memory-gradient", "gradient-only"])
 @pytest.mark.parametrize("step", [1, 4])
 def test_build_subspace_on_stacks_builds_the_basis_and_its_image(rng, strategy, step):
-    grad, h, h_prev = rng.standard_normal((3, 7))
+    # on the engine state's (2, 3, N) stack of vectors over their images the
+    # recipe gives the basis and its image, each a Fortran-ordered view
+    columns = rng.standard_normal((3, 7))
     mat = rng.standard_normal((7, 7))
-    stacks = [np.array((vec, mat @ vec)) for vec in (grad, h, h_prev)]
-    basis, image = build_subspace(SubspaceStrategy(strategy), *stacks, step)
-    assert np.array_equal(basis, build_subspace(strategy, grad, h, h_prev, step))
-    columns = [-mat @ grad, mat @ h] + (
-        [mat @ h - mat @ h_prev] if strategy == "memory-gradient" and step > 1 else []
-    )
-    assert np.array_equal(image, np.column_stack(columns))
+    stack = np.array((columns, columns @ mat.T))
+    basis, image = build_subspace(SubspaceStrategy(strategy), stack, step)
+    assert np.array_equal(basis, build_subspace(strategy, columns, step))
+    assert np.array_equal(image, (columns @ mat.T)[: basis.shape[1]].T)
+    assert_allclose(image, mat @ basis, rtol=1e-12)
     assert basis.flags.f_contiguous and image.flags.f_contiguous
+    assert np.shares_memory(basis, stack) and np.shares_memory(image, stack)
+
+
+def test_engine_basis_is_the_gradient_the_iterate_and_the_last_step(rng, monkeypatch):
+    # the step's basis is [-grad, h, d], with d the step that reached h
+    bases = spy_on_reduced_matrix(monkeypatch)
+    reg = random_regularizer(rng, 6, kind="huber")
+    engine = MMEngine(reg, strategy="memory-gradient", forgetting=0.99)
+    previous = engine.h.copy()
+    for count in range(1, 6):
+        h, state = engine.h.copy(), engine.state
+        engine.step(rng.standard_normal((6, 2)), rng.standard_normal(2))
+        (basis, _, _), = bases
+        bases.clear()
+        expected = [-engine.state.grad, h] + ([state.stack[0, 2]] if count > 1 else [])
+        assert np.array_equal(basis, np.column_stack(expected))
+        if count > 1:
+            assert_allclose(state.stack[0, 2], h - previous, rtol=1e-12, atol=1e-15)
+        previous = h
 
 
 @pytest.mark.parametrize("strategy", [s.value for s in SubspaceStrategy] + ["sgd"])
@@ -470,11 +489,12 @@ def test_identity_operator_cache_equals_basis_exactly(rng, monkeypatch):
     reg = identity_blocks_regularizer(5, PenaltySpec("welsch", lam=0.1, delta=0.5))
     engine = MMEngine(reg, strategy="memory-gradient")
     for _ in range(25):
+        h = engine.h.copy()  # the step's weights are those at its pre-step iterate
         engine.step(rng.standard_normal((5, 1)), rng.standard_normal(1))
         basis, autocorr_basis, _ = bases.pop()
         assert np.array_equal(reg.op @ basis, basis)
         expected = reduced_matrix(
-            basis, autocorr_basis, reg.curvature(basis, reg.weights(engine.state.h_prev))
+            basis, autocorr_basis, reg.curvature(basis, reg.weights(h))
         )
         assert np.array_equal(received.pop(), expected)
 
@@ -488,13 +508,14 @@ def test_unit_scaled_identity_caches_are_the_basis(rng, monkeypatch, strategy):
     reg = identity_blocks_regularizer(5, PenaltySpec("welsch", lam=0.1, delta=0.5), tau=1.0)
     engine = MMEngine(reg, strategy=strategy)
     for _ in range(10):
+        h = engine.h.copy()  # the step's weights are those at its pre-step iterate
         engine.step(rng.standard_normal((5, 1)), rng.standard_normal(1))
         basis, autocorr_basis, _ = bases.pop()
         for image in (reg.op @ basis, reg.quad @ basis):
             assert np.array_equal(image, basis)
             assert not np.shares_memory(image, basis)
         expected = reduced_matrix(
-            basis, autocorr_basis, reg.curvature(basis, reg.weights(engine.state.h_prev))
+            basis, autocorr_basis, reg.curvature(basis, reg.weights(h))
         )
         assert np.array_equal(received.pop(), expected)
 
@@ -520,27 +541,37 @@ _OPERATOR_FORMS = {
 def test_operator_images_are_the_direct_products(rng, monkeypatch, form, strategy):
     # the reduced matrix each step hands the solver is built, bit for bit,
     # from the regularizer's curvature, which equals the congruence of the
-    # op and quad images of the basis taken directly with ``@``; full space
-    # hands it A(h) itself, the dense reference's matrix up to roundoff
+    # op and quad images of the basis taken directly with ``@``: bit for bit
+    # for the operators whose images are formed in the step, up to roundoff
+    # for a CSR op, whose images the state carries; full space hands it
+    # A(h) itself, the dense reference's matrix up to roundoff
     received = _spy_on_solver(monkeypatch)
     bases = spy_on_reduced_matrix(monkeypatch)
     reg = _OPERATOR_FORMS[form](rng)
     n_dim = reg.n_dim
     engine = MMEngine(reg, strategy=strategy, forgetting=0.99)
+    carried = reg._sparse_op and strategy != "full-space"
+    assert (engine.state.ops is not None) == carried
     for _ in range(25):
-        h = engine.h
+        h = engine.h.copy()
         engine.step(rng.standard_normal((n_dim, 2)), rng.standard_normal(2))
         if strategy == "full-space":
             assert not bases and len(received) == 1
             assert_allclose(received.pop(), mom.normal_matrix(engine.moments, reg, h), rtol=1e-10)
             continue
-        (basis, autocorr_basis, _), = bases
+        (basis, autocorr_basis, curvature), = bases
         bases.clear()
-        weights = reg.weights(engine.state.h_prev)
-        curvature = reg.curvature(basis, weights)
+        weights = reg.weights(h)
         op_basis = reg.op @ basis
         direct = basis.T @ (reg.quad @ basis) + op_basis.T @ (weights[:, None] * op_basis)
-        assert np.array_equal(curvature, direct)
+        if carried:
+            assert_allclose(curvature, direct, rtol=1e-10, atol=1e-12 * np.abs(direct).max())
+            ops = engine.state.ops
+            ref = reg.op @ np.column_stack([engine.h, engine.state.stack[0, 2]])
+            assert_allclose(ops[1:].T, ref, rtol=0, atol=1e-12 * (1.0 + np.abs(ref).max()))
+        else:
+            assert np.array_equal(curvature, direct)
+            assert np.array_equal(reg.curvature(basis, weights), curvature)
         expected = reduced_matrix(basis, autocorr_basis, curvature)
         assert len(received) == 1
         assert np.array_equal(received.pop(), expected)
@@ -627,6 +658,30 @@ def test_autocorr_cache_stays_coherent_over_a_long_run(monkeypatch):
         direct = mom.gradient(stats, reg, h_before)
         assert np.linalg.norm(state.grad - direct) <= 1e-8 * (1.0 + np.linalg.norm(direct))
         _assert_images_match_direct(state, stats, call)
+
+
+def test_carried_images_do_not_drift_over_a_long_run():
+    # the state carries [R h, R d] and op @ [h, d] by recursion alone; over
+    # 10^4 blocks at forgetting 1 on a 3 x 4 tv2d problem each column stays
+    # within 1e-10 relative of its direct product
+    rng = np.random.default_rng(41)
+    reg = build_isotropic_tv_regularizer(3, 4, lam=0.2, delta=0.3, tau=1e-8)
+    truth = rng.standard_normal(12)
+    engine = MMEngine(reg, strategy="memory-gradient", forgetting=1.0)
+    blocks = rng.standard_normal((10_000, 12, 2))
+    noise = 0.1 * rng.standard_normal((10_000, 2))
+    worst = 0.0
+    for count, (X, e) in enumerate(zip(blocks, noise), start=1):
+        engine.step(X, X.T @ truth + e)
+        if count % 2500:
+            continue
+        state = engine.state
+        vectors = state.stack[0, 1:].T
+        for carried, ref in ((state.stack[1, 1:].T, engine.moments.autocorr @ vectors),
+                             (state.ops[1:].T, reg.op @ vectors)):
+            error = np.linalg.norm(carried - ref, axis=0) / np.linalg.norm(ref, axis=0)
+            worst = max(worst, error.max())
+    assert worst <= 1e-10
 
 
 def test_full_space_solves_the_normal_matrix_without_writing_the_statistics(rng, monkeypatch):
@@ -796,6 +851,25 @@ def test_gradient_screens_survive_underflow_and_overflow():
     engine = MMEngine(Regularizer(1), strategy="memory-gradient")
     with np.errstate(all="ignore"), pytest.raises(DivergenceError, match="^divergence detected"):
         engine.step([[1e-150]], [1e305])
+
+
+@pytest.mark.parametrize("block", ["x-1e80", "x-1e160", "y-1e160"])
+@pytest.mark.parametrize("strategy", ["memory-gradient", "gradient-only", "sgd"])
+def test_overflowing_step_is_divergence_under_warnings_as_errors(strategy, block):
+    # at X = 1e80 the data are finite but the reduced matrix's g' R g
+    # overflows; at 1e160 the autocorrelation itself does, and the
+    # gradient's sum of squares and the SGD iterate's; at y = 1e160 the
+    # power statistic y' y does: each step ends in DivergenceError, with no
+    # floating-point warning on the way
+    name, scale = block.split("-")
+    reg = Regularizer(3, quad=1e-6) if block == "x-1e80" else Regularizer(3)
+    X, y = (np.full((3, 2), float(scale)), np.ones(2)) if name == "x" else (np.ones((3, 2)), np.full(2, 1e160))
+    stepper = SGDStepper(reg, scale=0.1) if strategy == "sgd" else MMEngine(reg, strategy=strategy)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DivergenceError) as info:
+            stepper.step(X, y)
+    assert info.value.iteration == 1
 
 
 @pytest.mark.parametrize("strategy", list(SubspaceStrategy))

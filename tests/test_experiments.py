@@ -16,7 +16,7 @@ from mmls import (
     run_experiment,
 )
 from mmls import moments
-from mmls.engine import DIVERGENCE_NORM, DivergenceError
+from mmls.engine import DIVERGENCE_NORM, DivergenceError, MMEngine
 from mmls.experiments import (
     ALGORITHMS,
     ConfigError,
@@ -276,8 +276,8 @@ class TestConfig:
         cfg = resolve_config(ExperimentConfig(
             experiment="synthetic", strategy="full-space", n_dim=4096, n_samples=5000
         ))
-        # four 4096-square arrays and the row matrix: about 0.65 GiB, under the cap
-        assert 0.6 * 2**30 < resident_bytes(cfg) < 0.7 * 2**30
+        # three 4096-square arrays and the row matrix: about 0.53 GiB, under the cap
+        assert 0.5 * 2**30 < resident_bytes(cfg) < 0.55 * 2**30
 
     @pytest.mark.parametrize("strategy", ["memory-gradient", "full-space", "sgd"])
     @pytest.mark.parametrize("problem", [
@@ -291,15 +291,15 @@ class TestConfig:
         eigh = np.linalg.eigh
         monkeypatch.setattr(np.linalg, "eigh", lambda mat: fallbacks.append(mat.shape) or eigh(mat))
         peak = traced_peak(lambda: run_experiment(cfg, measure_time=False))
-        count = resident_bytes(cfg)
-        if strategy == "full-space" and not fallbacks:
-            # every step kept its Cholesky solve: one square fewer than the
-            # eigendecomposition fallback that the count provides for
-            count -= 8 * cfg.n_dim**2
+        # full space takes each path here: the eigendecomposition fallback at
+        # 384 dimensions without blocks, the Cholesky solve at 441 with tv2d;
+        # both hold the squares the count provides
+        if strategy == "full-space":
+            assert bool(fallbacks) == (problem["experiment"] == "synthetic")
         # the 128 KiB of slack covers interpreter and library allocations (the
         # peaks here are all under the count); it is less than one N x N
         # array, 176 KiB at N=150
-        assert peak <= count + 2**17
+        assert peak <= resident_bytes(cfg) + 2**17
 
     @pytest.mark.parametrize("name", [
         "seed", "image_size", "kernel_size", "n_dim", "n_samples", "block_size", "change_point",
@@ -429,12 +429,38 @@ class TestRunExperiment:
         assert_allclose(back[:, 3], trace.nrmse, rtol=0, atol=0)
         assert_allclose(back[:, 0], trace.n)
 
+    @pytest.mark.parametrize("strategy", ["memory-gradient", "full-space", "sgd"])
+    def test_trace_keeps_each_step_report(self, tmp_path, monkeypatch, strategy):
+        # step_quadratic, subspace_dim and rank are the reports' fields, row by row
+        reports = []
+        stepper = SGDStepper if strategy == "sgd" else MMEngine
+        step = stepper.step
+
+        def record(self, X, y):
+            reports.append(step(self, X, y))
+            return reports[-1]
+
+        monkeypatch.setattr(stepper, "step", record)
+        out = tmp_path / "trace.csv"
+        cfg = ExperimentConfig(experiment="synthetic", seed=2, n_dim=5, n_samples=80,
+                               strategy=strategy, out=str(out))
+        trace = run_experiment(cfg, measure_time=False)
+        back = np.loadtxt(out, delimiter=",", skiprows=1, ndmin=2)
+        for column, name in zip(back.T[6:], ("step_quadratic", "subspace_dim", "rank")):
+            expected = [getattr(report, name) for report in reports]
+            assert np.array_equal(getattr(trace, name), expected)
+            assert np.array_equal(column, expected)
+        if strategy == "sgd":
+            assert not back[:, 6:].any()
+        else:
+            assert set(trace.subspace_dim) == ({5} if strategy == "full-space" else {2, 3})
+
     def test_csv_header_names_columns(self, tmp_path):
         out = tmp_path / "trace.csv"
         cfg = ExperimentConfig(experiment="synthetic", seed=2, n_dim=4, n_samples=30, out=str(out))
         run_experiment(cfg, measure_time=False)
         header = out.read_text().splitlines()[0]
-        assert header == "n,objective,grad_norm,nrmse,nrmse_sq,wall_time_s"
+        assert header == "n,objective,grad_norm,nrmse,nrmse_sq,wall_time_s,step_quadratic,subspace_dim,rank"
 
     def test_meta_sidecar_written(self, tmp_path):
         import json

@@ -244,6 +244,17 @@ def test_autocorr_matvec_reads_the_stored_triangle(rng, n_dim):
     assert np.linalg.norm(product - expected) <= 1e-13 * np.linalg.norm(expected)
 
 
+@pytest.mark.parametrize("n_dim", [1, 7, 200])
+def test_autocorr_matvec_writes_into_out_bit_for_bit(rng, n_dim):
+    # into a row of a stack, the product the engine writes into its state
+    state = stream_moments(make_sample_log(rng, n_dim, 8, 3), 0.95)
+    stack = rng.standard_normal((2, 3, n_dim))
+    stack[1, 0] = np.nan  # never read
+    product = autocorr_matvec(state, stack[0, 0], out=stack[1, 0])
+    assert np.shares_memory(product, stack) and np.array_equal(product, stack[1, 0])
+    assert stack[1, 0].tobytes() == autocorr_matvec(state, stack[0, 0].copy()).tobytes()
+
+
 def test_constructed_autocorr_reads_back_exactly(rng):
     autocorr = rng.standard_normal((5, 5))
     state = MomentState(power=0.0, cross=np.zeros(5), autocorr=autocorr, count=0,

@@ -354,7 +354,7 @@ def test_operator_form_follows_the_input(rng):
 
 class _Refuse:
     def __matmul__(self, x):
-        raise AssertionError("a zero ridge was applied")
+        raise AssertionError("a refused operator or pass was applied")
 
 
 @pytest.mark.parametrize("quad", [None, 0.0, "dense-zero"])
@@ -460,6 +460,31 @@ def test_empty_block_list_degenerates_to_quadratic():
     assert reg.op.shape[0] == 0
     assert reg.value(h) == pytest.approx(float(h @ h))
     assert reg.weights(h).shape == (0,)
+
+
+@pytest.mark.parametrize("quad, lin", [(1e-6, None), (None, "random"), ("dense", "random"), (None, None)])
+def test_no_blocks_skips_the_penalty_pass(rng, monkeypatch, quad, lin):
+    # without blocks neither pass multiplies the (0, n) operator or runs the
+    # penalty catalog, and both give the bits of the sums with every term
+    n = 5
+    if quad == "dense":
+        root = rng.standard_normal((n, n))
+        quad = root @ root.T
+    reg = Regularizer(n, quad=quad, lin=None if lin is None else rng.standard_normal(n))
+    h, basis = rng.standard_normal(n), rng.standard_normal((n, 3))
+    res = reg.op @ h - reg.shift
+    weights, penalty = reg.weights_and_penalty(reg.block_norms(res))
+    value = 0.5 * float(h @ (reg.quad @ h)) - float(reg.lin @ h) + penalty
+    grad = reg.quad @ h - reg.lin + reg.op.T @ (weights * res)
+    op_basis = reg.op @ basis
+    curvature = op_basis.T @ (weights[:, None] * op_basis) + basis.T @ (reg.quad @ basis)
+    reg.op = _Refuse()
+    for name in ("block_norms", "weights_and_penalty"):
+        monkeypatch.setattr(Regularizer, name, _Refuse.__matmul__)
+    got_weights, got_value, got_grad = reg.evaluate(h)
+    assert got_weights.shape == (0,) and got_value == value
+    assert got_grad.tobytes() == grad.tobytes()
+    assert reg.curvature(basis, got_weights).tobytes() == curvature.tobytes()
 
 
 @pytest.mark.parametrize("quad", [None, 1e-10])

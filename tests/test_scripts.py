@@ -30,7 +30,7 @@ def test_run_deconv2d_script(tmp_path):
     trace = tmp_path / "deconv2d_seed42.csv"
     assert lines[-1] == f"trace written to {trace}"
     rows = trace.read_text().splitlines()
-    assert rows[0] == "n,objective,grad_norm,nrmse,nrmse_sq,wall_time_s"
+    assert rows[0] == "n,objective,grad_norm,nrmse,nrmse_sq,wall_time_s,step_quadratic,subspace_dim,rank"
     assert len(rows) == 1 + 32 * 32 // 16
 
 
@@ -74,3 +74,12 @@ def test_compare_traces_reports_the_largest_relative_deviation():
     short = "n,objective,grad_norm\n1,2,0\n"
     misaligned = (math.inf, None, math.inf)
     assert compare_csv(parent, short) == dict.fromkeys(["n", "objective", "grad_norm"], misaligned)
+    # columns are matched by name: one the change adds is not compared, and a
+    # parent column the change lacks deviates by inf
+    wider = "n,grad_norm,objective,rank\n1,0,2.000002,2\n2,1e-3,-4,3\n"
+    deviation = compare_csv(parent, wider)
+    assert list(deviation) == ["n", "objective", "grad_norm"]
+    assert deviation["n"] == deviation["grad_norm"] == unmoved
+    assert deviation["objective"] == pytest.approx((1e-6, 1, 0.0))
+    narrower = "n,objective\n1,2\n2,-4\n"
+    assert compare_csv(parent, narrower) == {"n": unmoved, "objective": unmoved, "grad_norm": misaligned}
